@@ -34,6 +34,21 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
+def _int_at_least(minimum: int):
+    """argparse type: an integer >= ``minimum`` (anything else is a usage error)."""
+
+    def parse(raw: str) -> int:
+        try:
+            value = int(raw)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"needs an integer, got {raw!r}") from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
+        return value
+
+    return parse
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="vrprox", description="variance-reduced proximal gradient experiments")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -41,16 +56,17 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="run an experiment config")
     p_run.add_argument("--config", required=True, help="path to a key=value config")
     p_run.add_argument("--output", default=None, help="output directory")
-    p_run.add_argument("--jobs", type=int, default=1, help="parallel workers")
-    p_run.add_argument("--master-seed", type=int, default=0, help="seed-count expansion root")
+    p_run.add_argument("--jobs", type=_int_at_least(1), default=1, help="parallel workers")
+    p_run.add_argument("--master-seed", type=_int_at_least(0), default=0,
+                       help="seed-count expansion root")
 
     p_cmp = sub.add_parser("compare", help="same seeds across estimator kinds")
     p_cmp.add_argument("--config", required=True)
     p_cmp.add_argument("--estimators", default=",".join(KINDS),
                        help="comma list of kinds (default: all)")
     p_cmp.add_argument("--output", default=None)
-    p_cmp.add_argument("--jobs", type=int, default=1)
-    p_cmp.add_argument("--master-seed", type=int, default=0)
+    p_cmp.add_argument("--jobs", type=_int_at_least(1), default=1)
+    p_cmp.add_argument("--master-seed", type=_int_at_least(0), default=0)
 
     p_sch = sub.add_parser("schedule", help="print the horizon-indexed hyperparameters")
     p_sch.add_argument("--T", type=int, required=True, help="iteration count")
@@ -59,7 +75,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_val = sub.add_parser("validate", help="run the verification suite")
     p_val.add_argument("--quick", action="store_true", help="reduced sample counts")
     p_val.add_argument("--output", default=None, help="also write the table as CSV")
-    p_val.add_argument("--seed", type=int, default=0)
+    p_val.add_argument("--seed", type=_int_at_least(0), default=0)
     return parser
 
 

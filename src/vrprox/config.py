@@ -22,6 +22,7 @@ single explicit seed.  A manual schedule needs ``eta``, ``beta`` and
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from . import problems
@@ -78,6 +79,13 @@ def _parse_float(raw: str, key: str, lineno: int) -> float:
         return float(raw)
     except ValueError:
         raise ConfigError(f"line {lineno}: key {key!r} needs a number, got {raw!r}") from None
+
+
+def check_initial_batch(b_tilde: int, problem: str, name: str = "b_tilde") -> None:
+    """The initial batch is drawn without replacement, so it needs b_tilde <= n."""
+    n = problems.parse_key(problem)["n"]
+    if b_tilde > n:
+        raise ConfigError(f"{name} = {b_tilde} exceeds the {n} components of problem {problem!r}")
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -162,10 +170,11 @@ def parse_config(text: str) -> ExperimentConfig:
     if cfg.schedule == "manual":
         if cfg.eta is None or cfg.beta is None or cfg.b_tilde is None:
             raise ConfigError("manual schedule requires eta, beta, b_tilde")
-        if not cfg.eta > 0:
-            raise ConfigError(f"eta must be positive, got {cfg.eta}")
+        if not (cfg.eta > 0 and math.isfinite(cfg.eta)):
+            raise ConfigError(f"eta must be positive and finite, got {cfg.eta}")
         if not 0.0 <= cfg.beta <= 1.0:
             raise ConfigError(f"beta must lie in [0, 1], got {cfg.beta}")
+        check_initial_batch(cfg.b_tilde, cfg.problem)
     else:
         for key in ("eta", "beta", "b_tilde"):
             if getattr(cfg, key) is not None:

@@ -14,10 +14,12 @@ the baselines:
   v_t = (1 - beta) * [v_{t-1} + grad f_xi(x_t) - grad f_xi(x_{t-1})]
         + beta * grad f_zeta(x_t), three evaluations per step.
 
-States are immutable values; every update returns a new state carrying the
+One private helper forms the direction of every kind.  The public updates
+wrap it in immutable states: every update returns a new state carrying the
 direction, the previous iterate the recursion needs, and the step counter.
 Updates accept a single sample id or a small id batch (whose mean gradient
-plays the role of one sample).
+plays the role of one sample).  The optimizer's loop calls the helper
+directly on plain arrays, after validating its inputs once.
 """
 
 from __future__ import annotations
@@ -91,6 +93,34 @@ def init_estimator(
     return EstimatorState(v=minibatch_gradient(prob, x0, ids), x_prev=x0, t=0, kind=kind)
 
 
+def _recursion(grad, prob, kind, v, x_prev, x_curr, xi, zeta, beta) -> np.ndarray:
+    """The direction v_t of every kind, from v_{t-1} formed at ``x_prev``.
+
+    ``grad(prob, x, sample)`` evaluates one sample (or batch) gradient; the
+    same-sample kinds evaluate ``xi`` at both points, the hybrid adds ``zeta``
+    at ``x_curr``, plain SGD evaluates ``xi`` at ``x_curr`` only.  No input
+    checks: the public updates and the optimizer validate up front.
+    """
+    if kind == SGD:
+        return grad(prob, x_curr, xi)
+    g_curr = grad(prob, x_curr, xi)
+    g_prev = grad(prob, x_prev, xi)
+    if kind == HYBRID_SARAH:
+        g_zeta = grad(prob, x_curr, zeta)
+        if beta == 1.0:
+            return g_zeta
+        return (1.0 - beta) * (v + g_curr - g_prev) + beta * g_zeta
+    if beta == 1.0:
+        return g_curr
+    return g_curr + (1.0 - beta) * (v - g_prev)
+
+
+def _next_state(state, x_curr, prob, xi, zeta=None, beta=None) -> EstimatorState:
+    x_curr = np.asarray(x_curr, dtype=float)
+    v_new = _recursion(_grad_at, prob, state.kind, state.v, state.x_prev, x_curr, xi, zeta, beta)
+    return EstimatorState(v=v_new, x_prev=x_curr, t=state.t + 1, kind=state.kind)
+
+
 def update_momentum_sarah(
     state: EstimatorState, x_curr: np.ndarray, sample, beta: float, prob: ProblemInstance
 ) -> EstimatorState:
@@ -101,15 +131,7 @@ def update_momentum_sarah(
     """
     if state.kind not in (MOMENTUM_SARAH, SARAH):
         raise ValueError(f"state kind {state.kind!r} does not use the same-sample recursion")
-    beta = _check_beta(beta)
-    x_curr = np.asarray(x_curr, dtype=float)
-    g_curr = _grad_at(prob, x_curr, sample)
-    g_prev = _grad_at(prob, state.x_prev, sample)
-    if beta == 1.0:
-        v_new = g_curr
-    else:
-        v_new = g_curr + (1.0 - beta) * (state.v - g_prev)
-    return EstimatorState(v=v_new, x_prev=x_curr, t=state.t + 1, kind=state.kind)
+    return _next_state(state, x_curr, prob, sample, beta=_check_beta(beta))
 
 
 def update_hybrid_sarah(
@@ -127,16 +149,7 @@ def update_hybrid_sarah(
     """
     if state.kind != HYBRID_SARAH:
         raise ValueError(f"state kind {state.kind!r} does not use the two-sample recursion")
-    beta = _check_beta(beta)
-    x_curr = np.asarray(x_curr, dtype=float)
-    g_xi_curr = _grad_at(prob, x_curr, sample_xi)
-    g_xi_prev = _grad_at(prob, state.x_prev, sample_xi)
-    g_zeta = _grad_at(prob, x_curr, sample_zeta)
-    if beta == 1.0:
-        v_new = g_zeta
-    else:
-        v_new = (1.0 - beta) * (state.v + g_xi_curr - g_xi_prev) + beta * g_zeta
-    return EstimatorState(v=v_new, x_prev=x_curr, t=state.t + 1, kind=state.kind)
+    return _next_state(state, x_curr, prob, sample_xi, sample_zeta, _check_beta(beta))
 
 
 def update_sgd(
@@ -145,10 +158,7 @@ def update_sgd(
     """Plain stochastic gradient direction (one evaluation)."""
     if state.kind != SGD:
         raise ValueError(f"state kind {state.kind!r} is not the plain-gradient baseline")
-    x_curr = np.asarray(x_curr, dtype=float)
-    return EstimatorState(
-        v=_grad_at(prob, x_curr, sample), x_prev=x_curr, t=state.t + 1, kind=state.kind
-    )
+    return _next_state(state, x_curr, prob, sample)
 
 
 def estimator_error(

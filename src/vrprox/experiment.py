@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, problems
-from .config import ConfigError, ExperimentConfig
+from .config import ConfigError, ExperimentConfig, check_initial_batch
 from .estimators import KINDS
 from .optimizer import DivergenceError, HyperParams, mean_grad_map_sq, run, schedule_from_T
 from .oracle import ProblemInstance, full_value
@@ -156,7 +156,9 @@ def _hyperparams_for(cfg: ExperimentConfig, prob: ProblemInstance, T: int) -> Hy
                 "schedule = auto needs a problem with certified L; "
                 f"{prob.name!r} carries an empirical constant"
             )
-        return schedule_from_T(T, prob.lipschitz_L)
+        hp = schedule_from_T(T, prob.lipschitz_L)
+        check_initial_batch(hp.b_tilde, cfg.problem, f"b_tilde (schedule = auto, T = {T})")
+        return hp
     return HyperParams(eta=cfg.eta, beta=cfg.beta, b_tilde=cfg.b_tilde, T=T, eta0=cfg.eta)
 
 
@@ -180,17 +182,18 @@ def run_experiment(
     """Run the full (T, seed) grid of an experiment and write its files.
 
     Returns exit code 0 when every run finished, 2 when any run diverged
-    (divergent runs are recorded in the summary's status column).
+    (divergent runs are recorded in the summary's status column).  Every
+    input is resolved before the output directory is created.
     """
-    out = Path(output_dir or cfg.output_dir or "runs")
-    out.mkdir(parents=True, exist_ok=True)
     prob = problems.from_key(cfg.problem, cfg.problem_seed)
     psi = parse_psi(cfg.psi)
     seeds = expand_seeds(cfg.seeds, master_seed)
+    hps = [_hyperparams_for(cfg, prob, T) for T in cfg.T]
+    out = Path(output_dir or cfg.output_dir or "runs")
+    out.mkdir(parents=True, exist_ok=True)
 
     tasks = []
-    for T in cfg.T:
-        hp = _hyperparams_for(cfg, prob, T)
+    for T, hp in zip(cfg.T, hps):
         for seed in seeds:
             tasks.append(
                 {
@@ -270,18 +273,18 @@ def compare_experiment(
     the oracle-call columns directly comparable (two evaluations per step for
     the same-sample recursion versus three for the hybrid).
     """
-    out = Path(output_dir or cfg.output_dir or "runs")
-    out.mkdir(parents=True, exist_ok=True)
     kinds = list(kinds)
     for kind in kinds:
         if kind not in KINDS:
             raise ConfigError(f"unknown estimator {kind!r}; valid kinds: {', '.join(KINDS)}")
     prob = problems.from_key(cfg.problem, cfg.problem_seed)
     seeds = expand_seeds(cfg.seeds, master_seed)
+    hps = [_hyperparams_for(cfg, prob, T) for T in cfg.T]
+    out = Path(output_dir or cfg.output_dir or "runs")
+    out.mkdir(parents=True, exist_ok=True)
 
     tasks = []
-    for T in cfg.T:
-        hp = _hyperparams_for(cfg, prob, T)
+    for T, hp in zip(cfg.T, hps):
         for seed in seeds:
             for kind in kinds:
                 tasks.append(

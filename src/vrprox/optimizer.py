@@ -28,6 +28,7 @@ tally.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,20 +39,27 @@ from .estimators import (
     KINDS,
     MOMENTUM_SARAH,
     SARAH,
-    SGD,
+    _recursion,
     init_estimator,
-    update_hybrid_sarah,
-    update_momentum_sarah,
-    update_sgd,
 )
 from .oracle import (
     DiagnosticUnsupportedError,
     ProblemInstance,
-    draw_sample_ids,
     full_gradient,
     full_value,
+    sample_gradient,
+    sample_id_sampler,
 )
-from .prox import PsiSpec, add_psi, is_psi_infinite, prox, psi_value
+from .prox import (
+    BoxIndicator,
+    PsiSpec,
+    add_psi,
+    is_psi_infinite,
+    prox,
+    prox_operator,
+    psi_evaluator,
+    psi_value,
+)
 
 # Iterates beyond this norm abort the run; a misconfigured step size must fail
 # loudly instead of emitting garbage traces.
@@ -161,17 +169,20 @@ def mean_grad_map_sq(trace: RunTrace) -> float:
     return float(np.mean(trace.grad_map_sq))
 
 
+def _check_finite(x: np.ndarray, t: int) -> None:
+    finite = np.isfinite(x)
+    if not finite.all():
+        raise DivergenceError(t, float(np.max(np.abs(x[finite]), initial=0.0)))
+
+
 def _guard(x: np.ndarray, t: int) -> None:
-    if not np.all(np.isfinite(x)):
-        raise DivergenceError(t, float(np.max(np.abs(x[np.isfinite(x)]), initial=0.0)))
-    norm = float(np.linalg.norm(x))
-    if norm > MAX_ITERATE_NORM:
-        raise DivergenceError(t, norm)
-
-
-def _draw(prob: ProblemInstance, batch_size: int, rng):
-    ids = draw_sample_ids(prob, batch_size, rng)
-    return int(ids[0]) if batch_size == 1 else ids
+    # sqrt(x . x) is np.linalg.norm(x) bit for bit; NaN, infinity and overflow
+    # all fail the comparison and fall through to the reporting path.
+    norm = math.sqrt(x.dot(x))
+    if norm <= MAX_ITERATE_NORM:
+        return
+    _check_finite(x, t)
+    raise DivergenceError(t, norm)
 
 
 def run(
@@ -182,7 +193,6 @@ def run(
     diagnostics: bool = True,
     kind: str = MOMENTUM_SARAH,
     x0: np.ndarray | None = None,
-    batch_size: int = 1,
 ) -> RunTrace:
     """Execute one T-step run and return its trace.
 
@@ -190,17 +200,19 @@ def run(
     the trace, which makes reruns bit-reproducible).  ``kind`` selects the
     direction recursion; ``sarah`` runs the same-sample recursion with weight
     0 regardless of ``hp.beta``, and ``sgd`` ignores the weight entirely.
-    ``batch_size`` is the optional per-iteration mini-batch knob (default: a
-    single sample per evaluation point, which is what the schedule assumes).
+    Every evaluation uses a single sample, which is what the schedule assumes.
 
     Diagnostics (stationarity, objective, estimator error per iteration)
     require a finite-sum instance; requesting them on a streaming one raises
-    :class:`DiagnosticUnsupportedError`.
+    :class:`DiagnosticUnsupportedError`.  An iterate or step that leaves the
+    finite range raises :class:`DivergenceError`.
+
+    The inputs are validated once, here; the loop then runs on plain arrays
+    with operators resolved up front, and draws from ``rng`` exactly as the
+    public oracle and estimator functions would.
     """
     if kind not in KINDS:
         raise ValueError(f"unknown estimator kind {kind!r}; expected one of {KINDS}")
-    if batch_size < 1:
-        raise ValueError(f"batch_size must be >= 1, got {batch_size}")
     seed = None
     if isinstance(rng, (int, np.integer)):
         seed = int(rng)
@@ -219,11 +231,16 @@ def run(
     if is_psi_infinite(psi_value(psi, x)):
         raise ValueError("x0 lies outside the domain of the regularizer")
 
-    T = hp.T
-    state = init_estimator(prob, x, hp.b_tilde, rng, kind=kind)
-    oracle_calls = hp.b_tilde
+    T, eta = hp.T, hp.eta
+    v = init_estimator(prob, x, hp.b_tilde, rng, kind=kind).v
     output_index = int(rng.integers(0, T + 1))
-    evals_per_step = EVALS_PER_STEP[kind] * batch_size
+    draw = sample_id_sampler(prob, rng)
+    beta = 0.0 if kind == SARAH else hp.beta
+    hybrid = kind == HYBRID_SARAH
+    prox_eta = prox_operator(psi, eta)
+    psi_at = psi_evaluator(psi)
+    # The box prox clamps an infinite step onto its face; check its input.
+    clamps = isinstance(psi, BoxIndicator)
 
     step_sq = np.empty(T + 1)
     if diagnostics:
@@ -232,52 +249,41 @@ def run(
         est_err_sq = np.empty(T + 1)
     else:
         grad_map_sq = obj = est_err_sq = None
-    diagnostic_fulls = 0
 
     def record(t: int, xt: np.ndarray, vt: np.ndarray) -> None:
-        nonlocal diagnostic_fulls
         g = full_gradient(prob, xt)
-        diagnostic_fulls += 1
-        gm = (xt - prox(psi, xt - hp.eta * g, hp.eta)) / hp.eta
+        gm = (xt - prox_eta(xt - eta * g)) / eta
         grad_map_sq[t] = gm @ gm
-        obj[t] = add_psi(full_value(prob, xt), psi_value(psi, xt))
+        obj[t] = add_psi(full_value(prob, xt), psi_at(xt))
         dv = vt - g
         est_err_sq[t] = dv @ dv
 
+    def step(t: int, xt: np.ndarray, vt: np.ndarray, tau: float, operator) -> np.ndarray:
+        # x_{t+1} = prox(x_t - tau v_t), guarded; records ||x_{t+1} - x_t||^2.
+        z = xt - tau * vt
+        x_next = operator(z)
+        _guard(x_next, t + 1)
+        if clamps:
+            _check_finite(z, t + 1)
+        d = x_next - xt
+        step_sq[t] = d @ d
+        return x_next
+
     output_x = x.copy() if output_index == 0 else None
     if diagnostics:
-        record(0, x, state.v)
-
-    x_next = prox(psi, x - hp.eta0 * state.v, hp.eta0)
-    _guard(x_next, 1)
-    d = x_next - x
-    step_sq[0] = d @ d
-    x = x_next
+        record(0, x, v)
+    x_prev, x = x, step(0, x, v, hp.eta0, prox_operator(psi, hp.eta0))
 
     for t in range(1, T + 1):
-        # Loop invariant: x is x_t, state.v is v_{t-1} formed at x_{t-1}.
-        if kind == HYBRID_SARAH:
-            s_xi = _draw(prob, batch_size, rng)
-            s_zeta = _draw(prob, batch_size, rng)
-            state = update_hybrid_sarah(state, x, s_xi, s_zeta, hp.beta, prob)
-        elif kind == SGD:
-            state = update_sgd(state, x, _draw(prob, batch_size, rng), prob)
-        elif kind == SARAH:
-            state = update_momentum_sarah(state, x, _draw(prob, batch_size, rng), 0.0, prob)
-        else:
-            state = update_momentum_sarah(state, x, _draw(prob, batch_size, rng), hp.beta, prob)
-        oracle_calls += evals_per_step
-
+        # Loop invariant: x is x_t, v is v_{t-1} formed at x_prev = x_{t-1}.
+        xi = draw()
+        zeta = draw() if hybrid else None
+        v = _recursion(sample_gradient, prob, kind, v, x_prev, x, xi, zeta, beta)
         if t == output_index:
             output_x = x.copy()
         if diagnostics:
-            record(t, x, state.v)
-
-        x_next = prox(psi, x - hp.eta * state.v, hp.eta)
-        _guard(x_next, t + 1)
-        d = x_next - x
-        step_sq[t] = d @ d
-        x = x_next
+            record(t, x, v)
+        x_prev, x = x, step(t, x, v, eta, prox_eta)
 
     return RunTrace(
         T=T,
@@ -285,8 +291,8 @@ def run(
         seed=seed,
         output_index=output_index,
         output_x=output_x,
-        oracle_calls=oracle_calls,
-        diagnostic_full_gradients=diagnostic_fulls,
+        oracle_calls=hp.b_tilde + EVALS_PER_STEP[kind] * T,
+        diagnostic_full_gradients=T + 1 if diagnostics else 0,
         step_sq=step_sq,
         grad_map_sq=grad_map_sq,
         obj=obj,

@@ -14,6 +14,7 @@ finite-sum instances; requesting them on a streaming instance raises
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -79,11 +80,21 @@ class ProblemInstance:
 STREAM_ID_SPACE = 2**63
 
 
+@functools.lru_cache(maxsize=8)
+def _zeros(dim: int) -> np.ndarray:
+    z = np.zeros(dim)
+    z.flags.writeable = False
+    return z
+
+
 def _check_point(prob: ProblemInstance, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.shape != (prob.dim,):
         raise ValueError(f"point has shape {x.shape}, expected ({prob.dim},)")
-    if not np.all(np.isfinite(x)):
+    # Screen: x . 0 is 0 exactly when every entry is finite (a NaN or an
+    # infinity makes it NaN), and unlike x . x it cannot overflow on a finite
+    # point; the full scan only confirms a failed screen.
+    if x.dot(_zeros(prob.dim)) != 0.0 and not np.isfinite(x).all():
         raise ValueError("point must be finite")
     return x
 
@@ -176,6 +187,20 @@ def estimate_sigma2(prob: ProblemInstance, xs, n_mc: int = 0, rng=None) -> float
     return max(sigma2_at(prob, x, n_mc=n_mc, rng=rng) for x in xs)
 
 
+def _id_bound(prob: ProblemInstance) -> int:
+    """Exclusive upper bound of a uniformly drawn sample id."""
+    return prob.num_components if prob.is_finite_sum else STREAM_ID_SPACE
+
+
+def sample_id_sampler(prob: ProblemInstance, rng) -> Callable[[], int]:
+    """A zero-argument draw of one sample id, resolved once per run.
+
+    Each call consumes ``rng`` exactly as ``draw_sample_ids(prob, 1, rng)``
+    does and returns the same id, as a scalar.
+    """
+    return functools.partial(rng.integers, 0, _id_bound(prob))
+
+
 def draw_sample_ids(prob: ProblemInstance, size: int, rng) -> np.ndarray:
     """Draw ``size`` sample ids for one oracle batch.
 
@@ -189,11 +214,10 @@ def draw_sample_ids(prob: ProblemInstance, size: int, rng) -> np.ndarray:
             raise ValueError(
                 f"batch size {size} exceeds the {prob.num_components} components"
             )
-        if size == 1:
-            return rng.integers(0, prob.num_components, size=1)
-        # Sorted so the batch mean never depends on the draw order.
-        return np.sort(rng.choice(prob.num_components, size=size, replace=False))
-    return rng.integers(0, STREAM_ID_SPACE, size=size)
+        if size > 1:
+            # Sorted so the batch mean never depends on the draw order.
+            return np.sort(rng.choice(prob.num_components, size=size, replace=False))
+    return rng.integers(0, _id_bound(prob), size=size)
 
 
 def smoothness_spot_check(

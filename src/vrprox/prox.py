@@ -21,12 +21,17 @@ closed form:
 extended value +inf outside their set; ``PSI_INFINITY`` is the marker for
 that case and callers reporting objectives should test ``is_psi_infinite``
 instead of doing arithmetic with it.
+
+``prox_operator`` and ``psi_evaluator`` resolve the closed forms once, for a
+loop that has already validated its inputs; ``prox`` and ``psi_value`` are
+the same closed forms behind their input checks.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -112,49 +117,73 @@ def _soft_threshold(z: np.ndarray, thresh: float) -> np.ndarray:
     return np.sign(z) * np.maximum(np.abs(z) - thresh, 0.0)
 
 
+def prox_operator(psi: PsiSpec, tau: float) -> Callable[[np.ndarray], np.ndarray]:
+    """Resolve z -> prox_{tau * psi}(z) once, for repeated use with one step.
+
+    The operator does no input checks (:func:`prox` is the checked entry
+    point); a box's bounds must match the dimension of the points.  The
+    identity of ``Zero`` returns its input itself.  Zero, L1 and ElasticNet
+    map a non-finite input to a non-finite output; the box clamps an
+    infinite entry onto its face.
+    """
+    if not (np.isscalar(tau) or np.ndim(tau) == 0) or not (tau > 0 and np.isfinite(tau)):
+        raise ValueError(f"prox step tau must be a finite positive scalar, got {tau}")
+    if isinstance(psi, Zero):
+        return lambda z: z
+    if isinstance(psi, L1):
+        thresh = tau * psi.lam
+        return lambda z: _soft_threshold(z, thresh)
+    if isinstance(psi, BoxIndicator):
+        lo, hi = psi.lo, psi.hi
+        return lambda z: np.clip(z, lo, hi)
+    if isinstance(psi, ElasticNet):
+        thresh, shrink = tau * psi.lam1, 1.0 + tau * psi.lam2
+        return lambda z: _soft_threshold(z, thresh) / shrink
+    raise TypeError(f"unknown regularizer {type(psi).__name__}")
+
+
 def prox(psi: PsiSpec, z: np.ndarray, tau: float) -> np.ndarray:
     """Evaluate prox_{tau * psi}(z).
 
     ``z`` is a point of dimension p, or an array of shape (..., p) to which the
     operator is applied row-wise (all supported regularizers are separable).
+    The result is always a new array.
     """
-    z = np.asarray(z, dtype=float)
-    if not np.all(np.isfinite(z)):
+    z = np.array(z, dtype=float)
+    if not np.isfinite(z).all():
         raise ValueError("prox input must be finite")
-    if not (np.isscalar(tau) or np.ndim(tau) == 0) or not (tau > 0 and np.isfinite(tau)):
-        raise ValueError(f"prox step tau must be a finite positive scalar, got {tau}")
-
-    if isinstance(psi, Zero):
-        return z.copy()
-    if isinstance(psi, L1):
-        return _soft_threshold(z, tau * psi.lam)
+    operator = prox_operator(psi, tau)
     if isinstance(psi, BoxIndicator):
         psi._check_dim(z)
-        return np.clip(z, psi.lo, psi.hi)
+    return operator(z)
+
+
+def psi_evaluator(psi: PsiSpec) -> Callable[[np.ndarray], float]:
+    """Resolve x -> psi(x) once, for repeated use; no input checks
+    (:func:`psi_value` is the checked entry point)."""
+    if isinstance(psi, Zero):
+        return lambda x: 0.0
+    if isinstance(psi, L1):
+        lam = psi.lam
+        return lambda x: float(lam * np.sum(np.abs(x)))
+    if isinstance(psi, BoxIndicator):
+        lo, hi = psi.lo - BOX_MEMBERSHIP_TOL, psi.hi + BOX_MEMBERSHIP_TOL
+        return lambda x: 0.0 if np.all(x >= lo) and np.all(x <= hi) else PSI_INFINITY
     if isinstance(psi, ElasticNet):
-        return _soft_threshold(z, tau * psi.lam1) / (1.0 + tau * psi.lam2)
+        lam1, lam2 = psi.lam1, psi.lam2
+        return lambda x: float(lam1 * np.sum(np.abs(x)) + 0.5 * lam2 * np.sum(x * x))
     raise TypeError(f"unknown regularizer {type(psi).__name__}")
 
 
 def psi_value(psi: PsiSpec, x: np.ndarray) -> float:
     """Evaluate psi(x); returns PSI_INFINITY outside an indicator's set."""
     x = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise ValueError("psi_value input must be finite")
-
-    if isinstance(psi, Zero):
-        return 0.0
-    if isinstance(psi, L1):
-        return float(psi.lam * np.sum(np.abs(x)))
+    evaluate = psi_evaluator(psi)
     if isinstance(psi, BoxIndicator):
         psi._check_dim(x)
-        inside = np.all(x >= psi.lo - BOX_MEMBERSHIP_TOL) and np.all(
-            x <= psi.hi + BOX_MEMBERSHIP_TOL
-        )
-        return 0.0 if inside else PSI_INFINITY
-    if isinstance(psi, ElasticNet):
-        return float(psi.lam1 * np.sum(np.abs(x)) + 0.5 * psi.lam2 * np.sum(x * x))
-    raise TypeError(f"unknown regularizer {type(psi).__name__}")
+    return evaluate(x)
 
 
 def add_psi(f_value: float, psi_val: float) -> float:

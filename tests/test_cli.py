@@ -95,3 +95,46 @@ def test_validate_quick(tmp_path, capsys):
 def test_validate_full_suite_exits_zero(capsys):
     assert main(["validate"]) == 0
     assert "FAIL" not in capsys.readouterr().out
+
+
+def _assert_config_error_without_output(argv, out_dir, capsys):
+    assert main(argv + ["--output", str(out_dir)]) == 1
+    assert "config error:" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
+def test_manual_initial_batch_larger_than_n_is_config_error(tmp_path, capsys):
+    cfg = tmp_path / "big_batch.cfg"
+    cfg.write_text(CFG + "schedule = manual\neta = 0.1\nbeta = 0.5\nb_tilde = 16\n")
+    _assert_config_error_without_output(["run", "--config", str(cfg)], tmp_path / "o", capsys)
+
+
+def test_auto_initial_batch_larger_than_n_is_config_error(tmp_path, capsys):
+    # n = 2 components, while the schedule at T = 1000 asks for b_tilde = 6.
+    cfg = tmp_path / "tiny.cfg"
+    cfg.write_text(CFG.replace("quad:15:4:1.0", "quad:2:4:1.0").replace("T = 25", "T = 1000"))
+    for command in ("run", "compare"):
+        _assert_config_error_without_output([command, "--config", str(cfg)],
+                                            tmp_path / command, capsys)
+
+
+def test_negative_master_seed_is_config_error(tmp_path, capsys):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(CFG)
+    for command in ("run", "compare"):
+        _assert_config_error_without_output(
+            [command, "--config", str(cfg), "--master-seed", "-1"], tmp_path / command, capsys)
+
+
+def test_nonpositive_jobs_is_config_error(tmp_path, capsys):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(CFG)
+    for command in ("run", "compare"):
+        for jobs in ("0", "-3"):
+            _assert_config_error_without_output(
+                [command, "--config", str(cfg), "--jobs", jobs], tmp_path / command, capsys)
+
+
+def test_negative_validate_seed_is_config_error(capsys):
+    assert main(["validate", "--quick", "--seed", "-1"]) == 1
+    assert "config error:" in capsys.readouterr().err

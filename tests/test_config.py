@@ -92,3 +92,17 @@ def test_duplicate_key_rejected():
 def test_bad_psi_key_reports_line():
     with pytest.raises(ConfigError, match=r"line 5"):
         parse_config(MINIMAL + "psi = l3:1.0\n")
+
+
+def test_manual_initial_batch_cannot_exceed_components():
+    manual = MINIMAL + "schedule = manual\neta = 0.1\nbeta = 0.5\n"
+    assert parse_config(manual + "b_tilde = 10\n").b_tilde == 10  # n = 10
+    with pytest.raises(ConfigError, match=r"b_tilde = 11 exceeds the 10 components"):
+        parse_config(manual + "b_tilde = 11\n")
+
+
+def test_manual_eta_must_be_finite():
+    manual = MINIMAL + "schedule = manual\nbeta = 0.5\nb_tilde = 1\n"
+    for eta in ("inf", "nan", "0", "-1"):
+        with pytest.raises(ConfigError, match="eta"):
+            parse_config(manual + f"eta = {eta}\n")

@@ -3,9 +3,9 @@ import pytest
 
 import vrprox as vp
 from vrprox.estimators import HYBRID_SARAH, MOMENTUM_SARAH, SARAH, SGD
-from vrprox.optimizer import DivergenceError, MAX_ITERATE_NORM
-from vrprox.oracle import DiagnosticUnsupportedError
-from vrprox.prox import BoxIndicator, L1, Zero
+from vrprox.optimizer import DivergenceError, MAX_ITERATE_NORM, _guard
+from vrprox.oracle import DiagnosticUnsupportedError, draw_sample_ids
+from vrprox.prox import BoxIndicator, L1, Zero, add_psi
 
 from conftest import make_streaming_quadratic
 
@@ -183,10 +183,6 @@ class TestRun:
         with pytest.raises(ValueError):
             vp.run(quad_small, box, _hp(), rng=0, x0=-np.ones(quad_small.dim))
 
-    def test_batch_size_knob(self, quad_small):
-        trace = vp.run(quad_small, Zero(), _hp(T=20), rng=1, batch_size=3, diagnostics=False)
-        assert trace.oracle_calls == 4 + 2 * 3 * 20
-
 
 class TestMeanGradMapSq:
     def test_trivial_values(self, quad_small):
@@ -209,3 +205,134 @@ class TestMeanGradMapSq:
         draws = trace.grad_map_sq[rng.integers(0, 41, size=10_000)]
         se = draws.std(ddof=1) / np.sqrt(draws.size)
         assert abs(vp.mean_grad_map_sq(trace) - draws.mean()) <= 3 * se
+
+
+class TestNonFiniteStep:
+    """A step that leaves the float range ends in DivergenceError, whatever the
+    regularizer (the box prox would otherwise clamp an infinite step)."""
+
+    @pytest.mark.parametrize("psi", [Zero(), L1(lam=0.1), vp.ElasticNet(0.1, 0.2),
+                                     BoxIndicator(lo=-20.0, hi=20.0)])
+    @pytest.mark.parametrize("diagnostics", [True, False])
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_overflowing_first_step(self, quad_small, psi, diagnostics):
+        hp = vp.HyperParams(eta=1e308, beta=0.5, b_tilde=2, T=50, eta0=1e308)
+        x0 = 10.0 * np.ones(quad_small.dim)
+        with pytest.raises(DivergenceError) as err:
+            vp.run(quad_small, psi, hp, rng=2, x0=x0, diagnostics=diagnostics)
+        assert err.value.t == 1
+
+    @pytest.mark.parametrize("psi", [Zero(), BoxIndicator(lo=-20.0, hi=20.0)])
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_overflowing_step_in_the_loop(self, quad_small, psi):
+        hp = vp.HyperParams(eta=1e308, beta=0.5, b_tilde=2, T=50, eta0=0.1)
+        x0 = 10.0 * np.ones(quad_small.dim)
+        with pytest.raises(DivergenceError) as err:
+            vp.run(quad_small, psi, hp, rng=2, x0=x0)
+        assert err.value.t == 2
+
+
+def _scan_guard(x, t):
+    # The divergence check as a full finiteness scan plus np.linalg.norm.
+    if not np.all(np.isfinite(x)):
+        raise DivergenceError(t, float(np.max(np.abs(x[np.isfinite(x)]), initial=0.0)))
+    norm = float(np.linalg.norm(x))
+    if norm > MAX_ITERATE_NORM:
+        raise DivergenceError(t, norm)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+@pytest.mark.parametrize(
+    "x",
+    [
+        np.array([1.0, np.nan, -3.0]),
+        np.array([np.inf, 2.0, -5.0]),
+        np.array([-np.inf, np.nan, np.inf]),
+        np.array([6e12, 8e12, 0.0]),  # norm 1e13
+        np.full(4, 1e200),  # finite entries whose squared norm overflows
+        np.array([3.0, -4.0, 0.5]),
+        np.array([1e12, 0.0, 0.0]),
+    ],
+)
+def test_guard_reports_like_a_full_scan(x):
+    expected = got = None
+    try:
+        _scan_guard(x, 7)
+    except DivergenceError as exc:
+        expected = (exc.t, exc.norm)
+    try:
+        _guard(x, 7)
+    except DivergenceError as exc:
+        got = (exc.t, exc.norm)
+    assert got == expected
+
+
+def _reference_run(prob, psi, hp, seed, kind):
+    """run() rebuilt from the public per-step API (checked calls throughout)."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    x = np.asarray(prob.x0 if prob.x0 is not None else np.zeros(prob.dim), dtype=float).copy()
+    state = vp.init_estimator(prob, x, hp.b_tilde, rng, kind=kind)
+    calls = hp.b_tilde
+    output_index = int(rng.integers(0, hp.T + 1))
+    output_x = x.copy() if output_index == 0 else None
+    grad_map_sq, obj, est_err_sq, step_sq = [], [], [], []
+
+    def draw():
+        return int(draw_sample_ids(prob, 1, rng)[0])
+
+    def record(xt, vt):
+        g = vp.full_gradient(prob, xt)
+        gm = (xt - vp.prox(psi, xt - hp.eta * g, hp.eta)) / hp.eta
+        grad_map_sq.append(gm @ gm)
+        obj.append(add_psi(vp.full_value(prob, xt), vp.psi_value(psi, xt)))
+        dv = vt - g
+        est_err_sq.append(dv @ dv)
+
+    def step(xt, vt, tau):
+        x_next = vp.prox(psi, xt - tau * vt, tau)
+        d = x_next - xt
+        step_sq.append(d @ d)
+        return x_next
+
+    record(x, state.v)
+    x = step(x, state.v, hp.eta0)
+    for t in range(1, hp.T + 1):
+        if kind == HYBRID_SARAH:
+            state = vp.update_hybrid_sarah(state, x, draw(), draw(), hp.beta, prob)
+            calls += 3
+        elif kind == SGD:
+            state = vp.update_sgd(state, x, draw(), prob)
+            calls += 1
+        else:
+            beta = 0.0 if kind == SARAH else hp.beta
+            state = vp.update_momentum_sarah(state, x, draw(), beta, prob)
+            calls += 2
+        if t == output_index:
+            output_x = x.copy()
+        record(x, state.v)
+        x = step(x, state.v, hp.eta)
+    arrays = {"step_sq": step_sq, "grad_map_sq": grad_map_sq, "obj": obj,
+              "est_err_sq": est_err_sq}
+    return {k: np.array(v) for k, v in arrays.items()}, output_x, output_index, calls
+
+
+_EQUIV_PROBLEMS = {
+    "quad": lambda: vp.make_quadratic(30, 6, 1.0, seed=3),
+    "sigmoid": lambda: vp.make_nonconvex_sigmoid(60, 5, seed=2),
+}
+
+
+@pytest.mark.parametrize("problem", sorted(_EQUIV_PROBLEMS))
+@pytest.mark.parametrize("psi", [Zero(), L1(lam=0.05), vp.ElasticNet(0.05, 0.3),
+                                 BoxIndicator(lo=-0.5, hi=0.5)], ids=repr)
+@pytest.mark.parametrize("kind", [MOMENTUM_SARAH, HYBRID_SARAH, SARAH, SGD])
+def test_run_matches_public_api_loop_bitwise(problem, psi, kind):
+    prob = _EQUIV_PROBLEMS[problem]()
+    hp = vp.schedule_from_T(80, prob.lipschitz_L)
+    arrays, output_x, output_index, calls = _reference_run(prob, psi, hp, 41, kind)
+    trace = vp.run(prob, psi, hp, rng=41, kind=kind)
+    for name, expected in arrays.items():
+        assert getattr(trace, name).tobytes() == expected.tobytes(), name
+    assert trace.output_index == output_index
+    assert trace.output_x.tobytes() == output_x.tobytes()
+    assert trace.oracle_calls == calls

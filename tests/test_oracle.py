@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from vrprox.oracle import (
     DiagnosticUnsupportedError,
     draw_sample_ids,
     gradient_rows,
+    sample_id_sampler,
     sigma2_at,
 )
 
@@ -175,3 +178,38 @@ def test_smoothness_spot_check_quadratic_is_tight(quad_small):
     assert rep["passed"]
     assert rep["mean_ratio"] == pytest.approx(1.0, abs=1e-12)
     assert rep["stderr"] == pytest.approx(0.0, abs=1e-12)
+
+
+def test_huge_finite_point_accepted_without_warning(quad_small):
+    x = np.full(quad_small.dim, 1e200)
+    with np.errstate(over="ignore"):
+        assert np.isinf(x @ x)  # the squared norm overflows; the point is still finite
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        g = vp.sample_gradient(quad_small, x, 3)
+        full = vp.full_gradient(quad_small, x)
+    assert np.all(np.isfinite(g)) and np.all(np.isfinite(full))
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered")
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_nonfinite_points_rejected(quad_small, bad):
+    x = np.zeros(quad_small.dim)
+    x[2] = bad
+    with pytest.raises(ValueError, match="finite"):
+        vp.sample_gradient(quad_small, x, 0)
+    with pytest.raises(ValueError, match="finite"):
+        vp.full_gradient(quad_small, x)
+    with pytest.raises(ValueError, match="finite"):
+        vp.full_value(quad_small, x)
+
+
+@pytest.mark.parametrize("streaming", [False, True])
+def test_sample_id_sampler_consumes_like_single_draws(quad_small, streaming):
+    prob = make_streaming_quadratic() if streaming else quad_small
+    a = np.random.default_rng(9)
+    b = np.random.default_rng(9)
+    draw = sample_id_sampler(prob, b)
+    for _ in range(200):
+        assert int(draw_sample_ids(prob, 1, a)[0]) == draw()
+    assert a.bit_generator.state == b.bit_generator.state

@@ -11,6 +11,8 @@ from vrprox.prox import (
     is_psi_infinite,
     parse_psi,
     prox,
+    prox_operator,
+    psi_evaluator,
     psi_value,
 )
 
@@ -180,3 +182,37 @@ def test_input_validation():
         prox(box, np.zeros(4), 1.0)
     with pytest.raises(ValueError):
         psi_value(L1(lam=1.0), np.array([np.inf]))
+
+
+@pytest.mark.parametrize("psi", VARIANTS)
+def test_prox_operator_matches_prox_bitwise(psi, rng):
+    Z = rng.normal(0, 2, (6, 3))
+    for tau in (1e-3, 0.4, 5.0):
+        operator = prox_operator(psi, tau)
+        assert operator(Z).tobytes() == prox(psi, Z, tau).tobytes()
+        assert operator(Z[0]).tobytes() == prox(psi, Z[0], tau).tobytes()
+
+
+def test_prox_returns_a_new_array_even_for_the_identity(rng):
+    z = rng.normal(0, 1, 4)
+    out = prox(Zero(), z, 1.0)
+    assert out is not z and not np.shares_memory(out, z)
+    assert prox_operator(Zero(), 1.0)(z) is z
+
+
+def test_prox_operator_validation():
+    for tau in (0.0, -1.0, np.inf, np.nan, np.ones(2)):
+        with pytest.raises(ValueError):
+            prox_operator(L1(lam=1.0), tau)
+    with pytest.raises(TypeError):
+        prox_operator(object(), 1.0)
+
+
+@pytest.mark.parametrize("psi", VARIANTS + [BoxIndicator(lo=0.5, hi=2.0)])
+def test_psi_evaluator_matches_psi_value(psi, rng):
+    evaluate = psi_evaluator(psi)
+    for _ in range(20):
+        x = rng.normal(0, 1, 3)
+        assert evaluate(x) == psi_value(psi, x)
+    with pytest.raises(TypeError):
+        psi_evaluator(object())
