@@ -23,6 +23,7 @@ single explicit seed.  A manual schedule needs ``eta``, ``beta`` and
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 
 from . import problems
@@ -81,6 +82,15 @@ def _parse_float(raw: str, key: str, lineno: int) -> float:
         raise ConfigError(f"line {lineno}: key {key!r} needs a number, got {raw!r}") from None
 
 
+def _check_distinct(items: list[int], key: str, lineno: int) -> None:
+    """A repeated horizon or seed would run the same runs twice and count
+    them as independent in ``summary.csv``."""
+    repeated = sorted(v for v, count in Counter(items).items() if count > 1)
+    if repeated:
+        listed = ", ".join(str(v) for v in repeated)
+        raise ConfigError(f"line {lineno}: key {key!r} repeats {listed}")
+
+
 def check_initial_batch(b_tilde: int, problem: str, name: str = "b_tilde") -> None:
     """The initial batch is drawn without replacement, so it needs b_tilde <= n."""
     n = problems.parse_key(problem)["n"]
@@ -135,12 +145,14 @@ def parse_config(text: str) -> ExperimentConfig:
             values[key] = [_parse_int(p.strip(), key, lineno, minimum=1) for p in parts]
             if not values[key]:
                 raise ConfigError(f"line {lineno}: key 'T' has no value")
+            _check_distinct(values[key], key, lineno)
         elif key == "seeds":
             if "," in raw:
                 parts = [p.strip() for p in raw.split(",") if p.strip()]
                 values[key] = [_parse_int(p, key, lineno, minimum=0) for p in parts]
                 if not values[key]:
                     raise ConfigError(f"line {lineno}: key 'seeds' has no value")
+                _check_distinct(values[key], key, lineno)
             else:
                 values[key] = _parse_int(raw, key, lineno, minimum=1)
         elif key == "problem_seed":

@@ -14,6 +14,7 @@ Floats are written with 17 significant digits, enough to round-trip doubles.
 from __future__ import annotations
 
 import concurrent.futures
+import functools
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -86,30 +87,38 @@ def stationarity_bound_rhs(
 
 
 def _write_trace(path: Path, trace) -> None:
-    lines = [TRACE_HEADER]
-    diag = trace.grad_map_sq is not None
-    for t in range(trace.T + 1):
-        lines.append(
-            ",".join(
-                [
-                    str(t),
-                    _fmt(trace.grad_map_sq[t]) if diag else "",
-                    _fmt(trace.obj[t]) if diag else "",
-                    _fmt(trace.est_err_sq[t]) if diag else "",
-                    _fmt(trace.step_sq[t]),
-                ]
-            )
-        )
-    path.write_text("\n".join(lines) + "\n")
+    # The cells are exactly :func:`_fmt`'s: float arrays give Python floats
+    # through ``tolist``, and ``step_sq`` has the T + 1 rows t = 0..T.
+    steps = trace.step_sq.tolist()
+    if trace.grad_map_sq is None:
+        rows = [f"{t},,,,{s:.17g}" for t, s in enumerate(steps)]
+    else:
+        cols = zip(trace.grad_map_sq.tolist(), trace.obj.tolist(),
+                   trace.est_err_sq.tolist(), steps)
+        rows = [f"{t},{g:.17g},{o:.17g},{e:.17g},{s:.17g}" for t, (g, o, e, s) in enumerate(cols)]
+    path.write_text(TRACE_HEADER + "\n" + "\n".join(rows) + "\n")
+
+
+@functools.lru_cache(maxsize=8)
+def _problem(key: str, seed: int) -> ProblemInstance:
+    """Build a problem once per (key, seed) in this process.
+
+    Instances are deterministic in the seed, so a cached one is the one a
+    rebuild would give.  ``run_experiment`` and ``compare_experiment`` build
+    through here before the pool forks, so workers inherit the instance.
+    ``problems.from_key`` is looked up at call time, which keeps every real
+    build visible to anything that wraps it.
+    """
+    return problems.from_key(key, seed)
 
 
 def _single_run(task: dict) -> dict:
     """Execute one (T, seed) run; used directly and by worker processes.
 
-    Problems are rebuilt from their key inside the worker (instances hold
-    closures and are deterministic in the seed, so rebuilding is exact).
+    Tasks carry the problem's key, not the instance (instances hold
+    closures); :func:`_problem` builds it once per process.
     """
-    prob = problems.from_key(task["problem"], task["problem_seed"])
+    prob = _problem(task["problem"], task["problem_seed"])
     psi = parse_psi(task["psi"])
     hp: HyperParams = task["hp"]
     row = {
@@ -185,7 +194,7 @@ def run_experiment(
     (divergent runs are recorded in the summary's status column).  Every
     input is resolved before the output directory is created.
     """
-    prob = problems.from_key(cfg.problem, cfg.problem_seed)
+    prob = _problem(cfg.problem, cfg.problem_seed)
     psi = parse_psi(cfg.psi)
     seeds = expand_seeds(cfg.seeds, master_seed)
     hps = [_hyperparams_for(cfg, prob, T) for T in cfg.T]
@@ -274,10 +283,12 @@ def compare_experiment(
     the same-sample recursion versus three for the hybrid).
     """
     kinds = list(kinds)
+    if not kinds:
+        raise ConfigError(f"no estimator kind to compare; valid kinds: {', '.join(KINDS)}")
     for kind in kinds:
         if kind not in KINDS:
             raise ConfigError(f"unknown estimator {kind!r}; valid kinds: {', '.join(KINDS)}")
-    prob = problems.from_key(cfg.problem, cfg.problem_seed)
+    prob = _problem(cfg.problem, cfg.problem_seed)
     seeds = expand_seeds(cfg.seeds, master_seed)
     hps = [_hyperparams_for(cfg, prob, T) for T in cfg.T]
     out = Path(output_dir or cfg.output_dir or "runs")

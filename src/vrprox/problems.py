@@ -106,13 +106,46 @@ def make_quadratic(
 
 
 def _sigmoid(u: np.ndarray) -> np.ndarray:
-    u = np.asarray(u, dtype=float)
-    out = np.empty_like(u)
-    pos = u >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-u[pos]))
-    eu = np.exp(u[~pos])
-    out[~pos] = eu / (1.0 + eu)
-    return out
+    """Logistic sigmoid, branch-free and stable: with e = exp(-|u|) it is
+    1 / (1 + e) for u >= 0 and e / (1 + e) otherwise, so exp never
+    overflows.  ``minimum(u, -u)`` is -|u| that keeps a NaN's own bits."""
+    e = np.exp(np.minimum(u, -u))
+    d = 1.0 + e
+    return np.where(u >= 0, 1.0 / d, e / d)
+
+
+def _sigmoid_scalar(u):
+    """:func:`_sigmoid` of one numpy scalar, without array masking."""
+    if u >= 0:
+        return 1.0 / (1.0 + np.exp(-u))
+    e = np.exp(u)
+    return e / (1.0 + e)
+
+
+def _link_memo(link):
+    """One-entry memo of ``link(x)`` keyed by the exact bytes of the point.
+
+    Per-iteration diagnostics ask for the mean gradient and then the mean
+    value at the same point; the second call reuses the link instead of a
+    second ``A @ x``.  The key is the float64 bytes, so a point changed in
+    place, or -0.0 in place of 0.0, is a miss: a miss costs time, never a
+    different result.  Key and value are stored, and read, as one tuple, so
+    a caller never pairs one point's key with another point's link.
+    """
+    memo = (None, None)
+
+    def at(x):
+        nonlocal memo
+        x = np.asarray(x, dtype=float)
+        key = x.tobytes()
+        cached_key, value = memo
+        if key != cached_key:
+            value = link(x)
+            value.flags.writeable = False
+            memo = (key, value)
+        return value
+
+    return at
 
 
 def _empirical_sigma2(prob: ProblemInstance, seed: int) -> float:
@@ -141,24 +174,25 @@ def make_nonconvex_sigmoid(n: int, p: int, seed: int = 0) -> ProblemInstance:
         return -y[i] * float(A[i] @ x)
 
     def grad_sample(x, i):
-        s = _sigmoid(margin(x, i))
+        s = _sigmoid_scalar(margin(x, i))
         return (s * (1.0 - s) * (-y[i])) * A[i]
 
     def value_sample(x, i):
-        return float(_sigmoid(margin(x, i)))
+        return float(_sigmoid_scalar(margin(x, i)))
 
     def grad_batch(x, ids):
         u = -(A[ids] @ x) * y[ids]
         s = _sigmoid(u)
         return (s * (1.0 - s) * (-y[ids]))[:, None] * A[ids]
 
+    link = _link_memo(lambda x: _sigmoid(-(A @ x) * y))
+
     def mean_grad(x):
-        u = -(A @ x) * y
-        s = _sigmoid(u)
+        s = link(x)
         return A.T @ (s * (1.0 - s) * (-y)) / n
 
     def mean_value(x):
-        return float(np.mean(_sigmoid(-(A @ x) * y)))
+        return float(np.mean(link(x)))
 
     prob = ProblemInstance(
         name=f"sigmoid(n={n},p={p})",
@@ -207,12 +241,14 @@ def make_robust_regression(n: int, p: int, seed: int = 0) -> ProblemInstance:
         r = A[ids] @ x - b[ids]
         return (2.0 * r / (1.0 + r * r) ** 2)[:, None] * A[ids]
 
+    residual = _link_memo(lambda x: A @ x - b)
+
     def mean_grad(x):
-        r = A @ x - b
+        r = residual(x)
         return A.T @ (2.0 * r / (1.0 + r * r) ** 2) / n
 
     def mean_value(x):
-        r = A @ x - b
+        r = residual(x)
         return float(np.mean(r * r / (1.0 + r * r)))
 
     prob = ProblemInstance(

@@ -138,3 +138,21 @@ def test_nonpositive_jobs_is_config_error(tmp_path, capsys):
 def test_negative_validate_seed_is_config_error(capsys):
     assert main(["validate", "--quick", "--seed", "-1"]) == 1
     assert "config error:" in capsys.readouterr().err
+
+
+def test_compare_with_no_estimator_kind_is_config_error(tmp_path, capsys):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(CFG)
+    for kinds in (",", " , ,"):
+        _assert_config_error_without_output(
+            ["compare", "--config", str(cfg), "--estimators", kinds], tmp_path / "o", capsys)
+
+
+def test_repeated_seed_or_horizon_is_config_error(tmp_path, capsys):
+    for name, text in (("seeds", CFG.replace("seeds = 2", "seeds = 3,3")),
+                       ("T", CFG.replace("T = 25", "T = 25,25"))):
+        cfg = tmp_path / f"{name}.cfg"
+        cfg.write_text(text)
+        for command in ("run", "compare"):
+            _assert_config_error_without_output(
+                [command, "--config", str(cfg)], tmp_path / command, capsys)

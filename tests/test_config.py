@@ -106,3 +106,16 @@ def test_manual_eta_must_be_finite():
     for eta in ("inf", "nan", "0", "-1"):
         with pytest.raises(ConfigError, match="eta"):
             parse_config(manual + f"eta = {eta}\n")
+
+
+def test_repeated_seed_rejected():
+    for seeds in ("3,3", "1,2,1", "4, 4,"):
+        with pytest.raises(ConfigError, match=r"line 4: key 'seeds' repeats"):
+            parse_config(MINIMAL.replace("seeds = 5", f"seeds = {seeds}"))
+
+
+def test_repeated_horizon_rejected():
+    with pytest.raises(ConfigError, match=r"line 3: key 'T' repeats 25"):
+        parse_config(MINIMAL.replace("T = 100", "T = 25,25"))
+    with pytest.raises(ConfigError, match=r"repeats 10, 30"):
+        parse_config(MINIMAL.replace("T = 100", "T = 30,10,30,20,10"))

@@ -6,6 +6,8 @@ from vrprox.experiment import (
     COMPARE_HEADER,
     SUMMARY_HEADER,
     TRACE_HEADER,
+    _fmt,
+    _write_trace,
     compare_experiment,
     expand_seeds,
     run_experiment,
@@ -195,3 +197,48 @@ def test_trace_floats_have_full_precision(tmp_path):
     values = [float(line.split(",")[1]) for line in lines]
     trace_again = [f"{v:.17g}" for v in values]
     assert [line.split(",")[1] for line in lines] == trace_again
+
+
+def _per_cell_trace(trace) -> str:
+    """The trace CSV written one formatted cell at a time."""
+    diag = trace.grad_map_sq is not None
+    lines = [TRACE_HEADER]
+    for t in range(trace.T + 1):
+        cells = [str(t)]
+        for col in (trace.grad_map_sq, trace.obj, trace.est_err_sq):
+            cells.append(_fmt(col[t]) if diag else "")
+        cells.append(_fmt(trace.step_sq[t]))
+        lines.append(",".join(cells))
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("diagnostics", [True, False])
+def test_trace_writer_matches_per_cell_format(tmp_path, diagnostics):
+    prob = vp.make_nonconvex_sigmoid(40, 5, seed=1)
+    hp = vp.schedule_from_T(300, prob.lipschitz_L)
+    trace = vp.run(prob, L1(0.01), hp, rng=8, diagnostics=diagnostics, kind="hybrid_sarah")
+    # Values of every magnitude, exact zeros and non-finite cells format alike.
+    trace.step_sq[:4] = [0.0, 1e-300, 123456789.0, float("inf")]
+    if diagnostics:
+        trace.obj[1] = float("nan")
+    _write_trace(tmp_path / "t.csv", trace)
+    assert (tmp_path / "t.csv").read_text() == _per_cell_trace(trace)
+
+
+def test_serial_experiment_builds_each_problem_once(tmp_path, monkeypatch):
+    from vrprox import experiment, problems
+
+    builds = []
+    real = problems.from_key
+
+    def counting(key, seed=0):
+        builds.append((key, seed))
+        return real(key, seed)
+
+    monkeypatch.setattr(problems, "from_key", counting)
+    experiment._problem.cache_clear()
+    cfg = parse_config(CFG)  # 2 horizons x 3 seeds
+    run_experiment(cfg, output_dir=tmp_path / "run", master_seed=3, jobs=1)
+    compare_experiment(cfg, kinds=["sgd", "sarah"], output_dir=tmp_path / "cmp", jobs=1)
+    assert builds == [("quad:20:5:1.0", 4)]
+    experiment._problem.cache_clear()
