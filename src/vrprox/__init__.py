@@ -15,12 +15,7 @@ from .estimators import (
     MOMENTUM_SARAH,
     SARAH,
     SGD,
-    EstimatorState,
-    estimator_error,
     init_estimator,
-    update_hybrid_sarah,
-    update_momentum_sarah,
-    update_sgd,
 )
 from .optimizer import (
     DivergenceError,
@@ -74,7 +69,6 @@ __all__ = [
     "DiagnosticUnsupportedError",
     "DivergenceError",
     "ElasticNet",
-    "EstimatorState",
     "HYBRID_SARAH",
     "HyperParams",
     "KINDS",
@@ -93,7 +87,6 @@ __all__ = [
     "check_variance_recursion_unrolled",
     "check_schedule_constraint",
     "estimate_sigma2",
-    "estimator_error",
     "from_key",
     "full_gradient",
     "full_value",
@@ -113,7 +106,4 @@ __all__ = [
     "sample_gradient",
     "schedule_from_T",
     "smoothness_spot_check",
-    "update_hybrid_sarah",
-    "update_momentum_sarah",
-    "update_sgd",
 ]

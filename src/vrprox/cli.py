@@ -120,7 +120,6 @@ def main(argv=None) -> int:
             print(f"eta={hp.eta!r}")
             print(f"beta={hp.beta!r}")
             print(f"b_tilde={hp.b_tilde}")
-            print(f"eta0={hp.eta0!r}")
             return EXIT_OK
         # validate
         rows = run_suite(quick=args.quick, seed=args.seed)

@@ -168,7 +168,35 @@ def _hyperparams_for(cfg: ExperimentConfig, prob: ProblemInstance, T: int) -> Hy
         hp = schedule_from_T(T, prob.lipschitz_L)
         check_initial_batch(hp.b_tilde, cfg.problem, f"b_tilde (schedule = auto, T = {T})")
         return hp
-    return HyperParams(eta=cfg.eta, beta=cfg.beta, b_tilde=cfg.b_tilde, T=T, eta0=cfg.eta)
+    return HyperParams(eta=cfg.eta, beta=cfg.beta, b_tilde=cfg.b_tilde, T=T)
+
+
+def _plan(cfg: ExperimentConfig, kinds, output_dir, master_seed: int, traces: bool):
+    """Resolve every input, then create the output directory and list one task
+    per (T, seed, kind), in that order.  With ``traces`` each run writes
+    ``trace_T<T>_s<seed>.csv`` there.  Returns (problem, seeds, directory, tasks).
+    """
+    prob = _problem(cfg.problem, cfg.problem_seed)
+    seeds = expand_seeds(cfg.seeds, master_seed)
+    hps = [_hyperparams_for(cfg, prob, T) for T in cfg.T]
+    out = Path(output_dir or cfg.output_dir or "runs")
+    out.mkdir(parents=True, exist_ok=True)
+    tasks = [
+        {
+            "problem": cfg.problem,
+            "problem_seed": cfg.problem_seed,
+            "psi": cfg.psi,
+            "estimator": kind,
+            "hp": hp,
+            "seed": seed,
+            "diagnostics": cfg.diagnostics,
+            "trace_path": str(out / f"trace_T{hp.T}_s{seed}.csv") if traces else None,
+        }
+        for hp in hps
+        for seed in seeds
+        for kind in kinds
+    ]
+    return prob, seeds, out, tasks
 
 
 def _write_meta(path: Path, cfg: ExperimentConfig, seeds: list[int], master_seed: int) -> None:
@@ -194,28 +222,8 @@ def run_experiment(
     (divergent runs are recorded in the summary's status column).  Every
     input is resolved before the output directory is created.
     """
-    prob = _problem(cfg.problem, cfg.problem_seed)
     psi = parse_psi(cfg.psi)
-    seeds = expand_seeds(cfg.seeds, master_seed)
-    hps = [_hyperparams_for(cfg, prob, T) for T in cfg.T]
-    out = Path(output_dir or cfg.output_dir or "runs")
-    out.mkdir(parents=True, exist_ok=True)
-
-    tasks = []
-    for T, hp in zip(cfg.T, hps):
-        for seed in seeds:
-            tasks.append(
-                {
-                    "problem": cfg.problem,
-                    "problem_seed": cfg.problem_seed,
-                    "psi": cfg.psi,
-                    "estimator": cfg.estimator,
-                    "hp": hp,
-                    "seed": seed,
-                    "diagnostics": cfg.diagnostics,
-                    "trace_path": str(out / f"trace_T{T}_s{seed}.csv"),
-                }
-            )
+    prob, seeds, out, tasks = _plan(cfg, [cfg.estimator], output_dir, master_seed, traces=True)
     rows = _run_tasks(tasks, jobs)
 
     summary_lines = [SUMMARY_HEADER]
@@ -288,28 +296,9 @@ def compare_experiment(
     for kind in kinds:
         if kind not in KINDS:
             raise ConfigError(f"unknown estimator {kind!r}; valid kinds: {', '.join(KINDS)}")
-    prob = _problem(cfg.problem, cfg.problem_seed)
-    seeds = expand_seeds(cfg.seeds, master_seed)
-    hps = [_hyperparams_for(cfg, prob, T) for T in cfg.T]
-    out = Path(output_dir or cfg.output_dir or "runs")
-    out.mkdir(parents=True, exist_ok=True)
-
-    tasks = []
-    for T, hp in zip(cfg.T, hps):
-        for seed in seeds:
-            for kind in kinds:
-                tasks.append(
-                    {
-                        "problem": cfg.problem,
-                        "problem_seed": cfg.problem_seed,
-                        "psi": cfg.psi,
-                        "estimator": kind,
-                        "hp": hp,
-                        "seed": seed,
-                        "diagnostics": cfg.diagnostics,
-                        "trace_path": None,
-                    }
-                )
+    if len(set(kinds)) < len(kinds):
+        raise ConfigError(f"estimator kinds repeat: {','.join(kinds)}")
+    _, seeds, out, tasks = _plan(cfg, kinds, output_dir, master_seed, traces=False)
     rows = _run_tasks(tasks, jobs)
 
     lines = [COMPARE_HEADER]

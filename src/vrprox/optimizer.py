@@ -77,23 +77,16 @@ class DivergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class HyperParams:
-    """Step size, estimator weight, initial batch and horizon of one run.
-
-    ``eta0`` is the step used for the very first update (the schedule keeps a
-    single constant step, eta0 = eta).
-    """
+    """Constant step size, estimator weight, initial batch and horizon of one run."""
 
     eta: float
     beta: float
     b_tilde: int
     T: int
-    eta0: float
 
     def __post_init__(self):
         if not (self.eta > 0 and np.isfinite(self.eta)):
             raise ValueError(f"eta must be a positive finite scalar, got {self.eta}")
-        if not (self.eta0 > 0 and np.isfinite(self.eta0)):
-            raise ValueError(f"eta0 must be a positive finite scalar, got {self.eta0}")
         if not 0.0 <= self.beta <= 1.0:
             raise ValueError(f"beta must lie in [0, 1], got {self.beta}")
         if self.b_tilde < 1:
@@ -122,7 +115,7 @@ def schedule_from_T(T: int, L: float) -> HyperParams:
         m += 1
     while m > 1 and 8 * (m - 1) ** 3 >= T + 1:
         m -= 1
-    return HyperParams(eta=eta, beta=beta, b_tilde=m, T=T, eta0=eta)
+    return HyperParams(eta=eta, beta=beta, b_tilde=m, T=T)
 
 
 def gradient_mapping(
@@ -209,7 +202,7 @@ def run(
 
     The inputs are validated once, here; the loop then runs on plain arrays
     with operators resolved up front, and draws from ``rng`` exactly as the
-    public oracle and estimator functions would.
+    public oracle functions would.
     """
     if kind not in KINDS:
         raise ValueError(f"unknown estimator kind {kind!r}; expected one of {KINDS}")
@@ -232,7 +225,7 @@ def run(
         raise ValueError("x0 lies outside the domain of the regularizer")
 
     T, eta = hp.T, hp.eta
-    v = init_estimator(prob, x, hp.b_tilde, rng, kind=kind).v
+    v = init_estimator(prob, x, hp.b_tilde, rng)
     output_index = int(rng.integers(0, T + 1))
     draw = sample_id_sampler(prob, rng)
     beta = 0.0 if kind == SARAH else hp.beta
@@ -258,32 +251,28 @@ def run(
         dv = vt - g
         est_err_sq[t] = dv @ dv
 
-    def step(t: int, xt: np.ndarray, vt: np.ndarray, tau: float, operator) -> np.ndarray:
-        # x_{t+1} = prox(x_t - tau v_t), guarded; records ||x_{t+1} - x_t||^2.
-        z = xt - tau * vt
-        x_next = operator(z)
-        _guard(x_next, t + 1)
-        if clamps:
-            _check_finite(z, t + 1)
-        d = x_next - xt
-        step_sq[t] = d @ d
-        return x_next
-
-    output_x = x.copy() if output_index == 0 else None
-    if diagnostics:
-        record(0, x, v)
-    x_prev, x = x, step(0, x, v, hp.eta0, prox_operator(psi, hp.eta0))
-
-    for t in range(1, T + 1):
-        # Loop invariant: x is x_t, v is v_{t-1} formed at x_prev = x_{t-1}.
-        xi = draw()
-        zeta = draw() if hybrid else None
-        v = _recursion(sample_gradient, prob, kind, v, x_prev, x, xi, zeta, beta)
+    output_x = None
+    x_prev = x
+    for t in range(T + 1):
+        # On entry x is x_t and x_prev is x_{t-1}; v becomes v_t here (v_0 is
+        # the initial batch's direction).
+        if t:
+            xi = draw()
+            zeta = draw() if hybrid else None
+            v = _recursion(sample_gradient, prob, kind, v, x_prev, x, xi, zeta, beta)
         if t == output_index:
             output_x = x.copy()
         if diagnostics:
             record(t, x, v)
-        x_prev, x = x, step(t, x, v, eta, prox_eta)
+        # x_{t+1} = prox(x_t - eta v_t), guarded; records ||x_{t+1} - x_t||^2.
+        z = x - eta * v
+        x_next = prox_eta(z)
+        _guard(x_next, t + 1)
+        if clamps:
+            _check_finite(z, t + 1)
+        d = x_next - x
+        step_sq[t] = d @ d
+        x_prev, x = x, x_next
 
     return RunTrace(
         T=T,

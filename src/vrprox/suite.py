@@ -21,19 +21,16 @@ from pathlib import Path
 import numpy as np
 
 from .config import parse_config
-from .estimators import (
-    HYBRID_SARAH,
-    MOMENTUM_SARAH,
-    SARAH,
-    SGD,
-    EstimatorState,
-    estimator_error,
-    init_estimator,
-    update_momentum_sarah,
-)
+from .estimators import HYBRID_SARAH, MOMENTUM_SARAH, SARAH, SGD, _recursion, init_estimator
 from .experiment import run_experiment, stationarity_bound_rhs
 from .optimizer import HyperParams, gradient_mapping, mean_grad_map_sq, run, schedule_from_T
-from .oracle import estimate_sigma2, sample_gradient, smoothness_spot_check
+from .oracle import (
+    estimate_sigma2,
+    full_gradient,
+    minibatch_gradient,
+    sample_gradient,
+    smoothness_spot_check,
+)
 from .problems import make_nonconvex_sigmoid, make_quadratic, make_robust_regression
 from .prox import L1, BoxIndicator, ElasticNet, Zero, prox, psi_value
 from .validation import check_variance_recursion_step, check_variance_recursion_unrolled, check_schedule_constraint, rate_slope
@@ -242,7 +239,7 @@ def _check_sigma_consistency(seed: int) -> dict:
 
 def _check_oracle_accounting(seed: int) -> dict:
     prob = make_quadratic(20, 5, 1.0, seed=seed)
-    hp = HyperParams(eta=0.1, beta=0.5, b_tilde=4, T=25, eta0=0.1)
+    hp = HyperParams(eta=0.1, beta=0.5, b_tilde=4, T=25)
     expected = {MOMENTUM_SARAH: hp.b_tilde + 2 * hp.T, SARAH: hp.b_tilde + 2 * hp.T,
                 HYBRID_SARAH: hp.b_tilde + 3 * hp.T, SGD: hp.b_tilde + hp.T}
     got = {
@@ -260,7 +257,7 @@ def _check_oracle_accounting(seed: int) -> dict:
 
 def _check_degenerate_equivalences(seed: int) -> dict:
     prob = make_quadratic(30, 6, 1.0, seed=seed)
-    hp = HyperParams(eta=0.1, beta=1.0, b_tilde=3, T=100, eta0=0.1)
+    hp = HyperParams(eta=0.1, beta=1.0, b_tilde=3, T=100)
     tr_sgd = run(prob, Zero(), hp, rng=seed + 11, diagnostics=True, kind=SGD)
     tr_mom = run(prob, Zero(), hp, rng=seed + 11, diagnostics=True, kind=MOMENTUM_SARAH)
     bitwise = (
@@ -273,28 +270,30 @@ def _check_degenerate_equivalences(seed: int) -> dict:
     # beta = 0 telescoping along a random path.
     rng = np.random.Generator(np.random.PCG64([seed, 6]))
     x = rng.normal(0.0, 1.0, prob.dim)
-    state = init_estimator(prob, x, 5, rng, kind=SARAH)
-    v0 = state.v.copy()
+    v = v0 = init_estimator(prob, x, 5, rng)
     total = np.zeros(prob.dim)
     for _ in range(20):
         x_new = x + rng.normal(0.0, 0.3, prob.dim)
         i = int(rng.integers(0, prob.num_components))
         total += sample_gradient(prob, x_new, i) - sample_gradient(prob, x, i)
-        state = update_momentum_sarah(state, x_new, i, 0.0, prob)
+        v = _recursion(sample_gradient, prob, SARAH, v, x, x_new, i, None, 0.0)
         x = x_new
-    telescoping = float(np.linalg.norm(state.v - v0 - total))
+    telescoping = float(np.linalg.norm(v - v0 - total))
 
     # Full-batch updates keep the direction exact at every step.
+    def error_sq(v, x):
+        d = v - full_gradient(prob, x)
+        return float(d @ d)
+
     all_ids = np.arange(prob.num_components)
     x = rng.normal(0.0, 1.0, prob.dim)
-    state = EstimatorState(
-        v=prob.grad_batch(x, all_ids).mean(axis=0), x_prev=x, t=0, kind=MOMENTUM_SARAH
-    )
-    worst_exact = estimator_error(state, x, prob)
+    v = prob.grad_batch(x, all_ids).mean(axis=0)
+    worst_exact = error_sq(v, x)
     for _ in range(10):
-        x = x + rng.normal(0.0, 0.3, prob.dim)
-        state = update_momentum_sarah(state, x, all_ids, 0.3, prob)
-        worst_exact = max(worst_exact, estimator_error(state, x, prob))
+        x_new = x + rng.normal(0.0, 0.3, prob.dim)
+        v = _recursion(minibatch_gradient, prob, MOMENTUM_SARAH, v, x, x_new, all_ids, None, 0.3)
+        x = x_new
+        worst_exact = max(worst_exact, error_sq(v, x))
 
     ok = bitwise and telescoping <= 1e-12 and worst_exact <= 1e-12
     return _row(

@@ -9,7 +9,7 @@ import time
 import numpy as np
 
 import vrprox as vp
-from vrprox.estimators import HYBRID_SARAH, MOMENTUM_SARAH, SARAH, SGD, EstimatorState
+from vrprox.estimators import HYBRID_SARAH, MOMENTUM_SARAH, SARAH, SGD, _recursion
 from vrprox.experiment import run_experiment, stationarity_bound_rhs
 from vrprox.prox import BoxIndicator, ElasticNet, L1, Zero, prox
 from vrprox.suite import central_difference_gradient
@@ -143,7 +143,7 @@ def test_criterion_6_oracle_accounting():
         hyb = vp.run(prob, Zero(), hp, rng=3, kind=HYBRID_SARAH, diagnostics=False)
         checked.append(mom.oracle_calls == hp.b_tilde + 2 * T)
         checked.append(hyb.oracle_calls == hp.b_tilde + 3 * T)
-    hp = vp.HyperParams(eta=0.1, beta=0.4, b_tilde=9, T=55, eta0=0.1)
+    hp = vp.HyperParams(eta=0.1, beta=0.4, b_tilde=9, T=55)
     mom = vp.run(prob, Zero(), hp, rng=4, kind=MOMENTUM_SARAH, diagnostics=False)
     hyb = vp.run(prob, Zero(), hp, rng=4, kind=HYBRID_SARAH, diagnostics=False)
     checked.append(mom.oracle_calls == 9 + 110)
@@ -159,7 +159,7 @@ def test_criterion_6_oracle_accounting():
 def test_criterion_7_degenerate_equivalences():
     prob = vp.make_quadratic(30, 6, 1.0, seed=2)
     # (a) beta = 1 same-sample recursion == plain SGD, bitwise, shared seed.
-    hp = vp.HyperParams(eta=0.08, beta=1.0, b_tilde=3, T=100, eta0=0.08)
+    hp = vp.HyperParams(eta=0.08, beta=1.0, b_tilde=3, T=100)
     sgd = vp.run(prob, Zero(), hp, rng=9, kind=SGD)
     mom = vp.run(prob, Zero(), hp, rng=9, kind=MOMENTUM_SARAH)
     bitwise = (
@@ -171,25 +171,30 @@ def test_criterion_7_degenerate_equivalences():
     # (b) beta = 0 telescoping identity.
     rng = np.random.default_rng(5)
     x = rng.normal(0, 1, prob.dim)
-    state = vp.init_estimator(prob, x, 4, rng, kind=SARAH)
-    v0 = state.v.copy()
+    v = v0 = vp.init_estimator(prob, x, 4, rng)
     total = np.zeros(prob.dim)
     for _ in range(30):
         x_new = x + rng.normal(0, 0.4, prob.dim)
         i = int(rng.integers(0, prob.num_components))
         total += vp.sample_gradient(prob, x_new, i) - vp.sample_gradient(prob, x, i)
-        state = vp.update_momentum_sarah(state, x_new, i, 0.0, prob)
+        v = _recursion(vp.sample_gradient, prob, SARAH, v, x, x_new, i, None, 0.0)
         x = x_new
-    telescope = float(np.linalg.norm(state.v - v0 - total))
+    telescope = float(np.linalg.norm(v - v0 - total))
+
     # (c) full-batch exactness at every step.
+    def error_sq(v, x):
+        d = v - vp.full_gradient(prob, x)
+        return float(d @ d)
+
     all_ids = np.arange(prob.num_components)
     x = rng.normal(0, 1, prob.dim)
-    state = EstimatorState(v=vp.full_gradient(prob, x), x_prev=x, t=0, kind=MOMENTUM_SARAH)
-    worst = vp.estimator_error(state, x, prob)
+    v = vp.full_gradient(prob, x)
+    worst = error_sq(v, x)
     for _ in range(15):
-        x = x + rng.normal(0, 0.4, prob.dim)
-        state = vp.update_momentum_sarah(state, x, all_ids, 0.37, prob)
-        worst = max(worst, vp.estimator_error(state, x, prob))
+        x_new = x + rng.normal(0, 0.4, prob.dim)
+        v = _recursion(vp.minibatch_gradient, prob, MOMENTUM_SARAH, v, x, x_new, all_ids, None, 0.37)
+        x = x_new
+        worst = max(worst, error_sq(v, x))
     _report(
         7,
         "degenerate-case equivalences",

@@ -7,33 +7,36 @@ from vrprox.estimators import (
     MOMENTUM_SARAH,
     SARAH,
     SGD,
-    EstimatorState,
+    _recursion,
 )
-from vrprox.oracle import DiagnosticUnsupportedError
 
-from conftest import counting_quadratic, make_streaming_quadratic
+from conftest import counting_quadratic
 
 
-def _fresh_state(prob, rng, kind=MOMENTUM_SARAH, b=4):
+def _step(prob, kind, v, x_prev, x, xi, beta, zeta=None):
+    return _recursion(vp.sample_gradient, prob, kind, v, x_prev, x, xi, zeta, beta)
+
+
+def _fresh(prob, rng, b=4):
     x0 = rng.normal(0, 1, prob.dim)
-    return vp.init_estimator(prob, x0, b, rng, kind=kind)
+    return vp.init_estimator(prob, x0, b, rng), x0
 
 
 def test_init_full_batch_equals_full_gradient(quad_small, rng):
     x0 = rng.normal(0, 1, quad_small.dim)
-    state = vp.init_estimator(quad_small, x0, quad_small.num_components, rng)
-    np.testing.assert_allclose(state.v, vp.full_gradient(quad_small, x0), atol=1e-12)
-    assert state.t == 0
-    np.testing.assert_array_equal(state.x_prev, x0)
+    v = vp.init_estimator(quad_small, x0, quad_small.num_components, rng)
+    np.testing.assert_allclose(v, vp.full_gradient(quad_small, x0), atol=1e-12)
+    d = v - vp.full_gradient(quad_small, x0)
+    assert d @ d <= 1e-24
 
 
 def test_init_single_sample(quad_small):
     x0 = np.ones(quad_small.dim)
     r1 = np.random.default_rng(7)
     r2 = np.random.default_rng(7)
-    state = vp.init_estimator(quad_small, x0, 1, r1, kind=SGD)
+    v = vp.init_estimator(quad_small, x0, 1, r1)
     i = int(r2.integers(0, quad_small.num_components))
-    np.testing.assert_array_equal(state.v, vp.sample_gradient(quad_small, x0, i))
+    np.testing.assert_array_equal(v, vp.sample_gradient(quad_small, x0, i))
 
 
 def test_init_batch_too_large_errors(quad_small, rng):
@@ -54,8 +57,7 @@ def test_init_variance_monte_carlo():
     n_mc = 10_000
     errs = np.empty(n_mc)
     for k in range(n_mc):
-        state = vp.init_estimator(prob, x0, b, rng)
-        d = state.v - g
+        d = vp.init_estimator(prob, x0, b, rng) - g
         errs[k] = d @ d
     se = errs.std(ddof=1) / np.sqrt(n_mc)
     exact = prob.sigma_bound / b * (n - b) / (n - 1)
@@ -64,133 +66,90 @@ def test_init_variance_monte_carlo():
 
 
 def test_beta_one_collapse_is_bitwise(quad_small, rng):
-    state = _fresh_state(quad_small, rng)
+    v, x0 = _fresh(quad_small, rng)
     x = rng.normal(0, 1, quad_small.dim)
-    new = vp.update_momentum_sarah(state, x, 3, 1.0, quad_small)
-    np.testing.assert_array_equal(new.v, vp.sample_gradient(quad_small, x, 3))
-    assert new.t == state.t + 1
-    np.testing.assert_array_equal(new.x_prev, x)
+    new = _step(quad_small, MOMENTUM_SARAH, v, x0, x, 3, 1.0)
+    np.testing.assert_array_equal(new, vp.sample_gradient(quad_small, x, 3))
 
 
 def test_beta_zero_is_recursive_difference(quad_small, rng):
-    state = _fresh_state(quad_small, rng, kind=SARAH)
+    v, x0 = _fresh(quad_small, rng)
     x = rng.normal(0, 1, quad_small.dim)
-    new = vp.update_momentum_sarah(state, x, 5, 0.0, quad_small)
-    manual = (
-        state.v
-        + vp.sample_gradient(quad_small, x, 5)
-        - vp.sample_gradient(quad_small, state.x_prev, 5)
-    )
-    np.testing.assert_allclose(new.v, manual, atol=1e-12)
+    new = _step(quad_small, SARAH, v, x0, x, 5, 0.0)
+    manual = v + vp.sample_gradient(quad_small, x, 5) - vp.sample_gradient(quad_small, x0, 5)
+    np.testing.assert_allclose(new, manual, atol=1e-12)
 
 
 def test_full_batch_updates_stay_exact(quad_small, rng):
     # v0 exact and full-batch ids keep v_t = grad f(x_t) for any beta.
     all_ids = np.arange(quad_small.num_components)
     x = rng.normal(0, 1, quad_small.dim)
-    state = EstimatorState(
-        v=vp.full_gradient(quad_small, x), x_prev=x, t=0, kind=MOMENTUM_SARAH
-    )
+    v = vp.full_gradient(quad_small, x)
     for beta in (0.0, 0.3, 0.9):
         for _ in range(5):
-            x = x + rng.normal(0, 0.5, quad_small.dim)
-            state = vp.update_momentum_sarah(state, x, all_ids, beta, quad_small)
-            assert vp.estimator_error(state, x, quad_small) <= 1e-12
+            x_new = x + rng.normal(0, 0.5, quad_small.dim)
+            v = _recursion(vp.minibatch_gradient, quad_small, MOMENTUM_SARAH, v, x, x_new,
+                           all_ids, None, beta)
+            x = x_new
+            d = v - vp.full_gradient(quad_small, x)
+            assert d @ d <= 1e-12
 
 
 def test_beta_zero_telescoping(quad_small, rng):
-    state = _fresh_state(quad_small, rng, kind=SARAH, b=6)
-    v0 = state.v.copy()
-    x = state.x_prev
+    v0, x = _fresh(quad_small, rng, b=6)
+    v = v0
     total = np.zeros(quad_small.dim)
     for _ in range(25):
         x_new = x + rng.normal(0, 0.4, quad_small.dim)
         i = int(rng.integers(0, quad_small.num_components))
         total += vp.sample_gradient(quad_small, x_new, i) - vp.sample_gradient(quad_small, x, i)
-        state = vp.update_momentum_sarah(state, x_new, i, 0.0, quad_small)
+        v = _step(quad_small, SARAH, v, x, x_new, i, 0.0)
         x = x_new
-    assert np.linalg.norm(state.v - v0 - total) <= 1e-12
+    assert np.linalg.norm(v - v0 - total) <= 1e-12
 
 
 def test_conditional_unbiasedness_by_enumeration(quad_small, rng):
     # Mean of v_new over all ids equals grad f(x) + (1-beta)(v - grad f(x_prev)).
-    state = _fresh_state(quad_small, rng)
+    v, x0 = _fresh(quad_small, rng)
     x = rng.normal(0, 1, quad_small.dim)
     beta = 0.37
     vs = [
-        vp.update_momentum_sarah(state, x, i, beta, quad_small).v
+        _step(quad_small, MOMENTUM_SARAH, v, x0, x, i, beta)
         for i in range(quad_small.num_components)
     ]
     expected = vp.full_gradient(quad_small, x) + (1 - beta) * (
-        state.v - vp.full_gradient(quad_small, state.x_prev)
+        v - vp.full_gradient(quad_small, x0)
     )
     np.testing.assert_allclose(np.mean(vs, axis=0), expected, atol=1e-12)
 
 
 def test_hybrid_with_equal_samples_matches_momentum(quad_small, rng):
     x0 = rng.normal(0, 1, quad_small.dim)
-    r1 = np.random.default_rng(3)
-    hybrid = vp.init_estimator(quad_small, x0, 4, r1, kind=HYBRID_SARAH)
-    momentum = EstimatorState(v=hybrid.v.copy(), x_prev=x0, t=0, kind=MOMENTUM_SARAH)
+    v = vp.init_estimator(quad_small, x0, 4, np.random.default_rng(3))
     x = rng.normal(0, 1, quad_small.dim)
     for beta in (0.2, 0.8):
-        h = vp.update_hybrid_sarah(hybrid, x, 7, 7, beta, quad_small)
-        m = vp.update_momentum_sarah(momentum, x, 7, beta, quad_small)
-        np.testing.assert_allclose(h.v, m.v, atol=1e-12)
+        h = _step(quad_small, HYBRID_SARAH, v, x0, x, 7, beta, zeta=7)
+        m = _step(quad_small, MOMENTUM_SARAH, v, x0, x, 7, beta)
+        np.testing.assert_allclose(h, m, atol=1e-12)
 
 
 def test_hybrid_beta_endpoints(quad_small, rng):
-    state = _fresh_state(quad_small, rng, kind=HYBRID_SARAH)
+    v, x0 = _fresh(quad_small, rng)
     x = rng.normal(0, 1, quad_small.dim)
-    one = vp.update_hybrid_sarah(state, x, 2, 9, 1.0, quad_small)
-    np.testing.assert_array_equal(one.v, vp.sample_gradient(quad_small, x, 9))
-    zero = vp.update_hybrid_sarah(state, x, 2, 9, 0.0, quad_small)
-    manual = (
-        state.v
-        + vp.sample_gradient(quad_small, x, 2)
-        - vp.sample_gradient(quad_small, state.x_prev, 2)
-    )
-    np.testing.assert_allclose(zero.v, manual, atol=1e-12)
+    one = _step(quad_small, HYBRID_SARAH, v, x0, x, 2, 1.0, zeta=9)
+    np.testing.assert_array_equal(one, vp.sample_gradient(quad_small, x, 9))
+    zero = _step(quad_small, HYBRID_SARAH, v, x0, x, 2, 0.0, zeta=9)
+    manual = v + vp.sample_gradient(quad_small, x, 2) - vp.sample_gradient(quad_small, x0, 2)
+    np.testing.assert_allclose(zero, manual, atol=1e-12)
 
 
 def test_evaluation_accounting():
     prob, calls = counting_quadratic(n=10, p=4)
     rng = np.random.default_rng(5)
-    state = vp.init_estimator(prob, np.zeros(4), 6, rng)
+    v = vp.init_estimator(prob, np.zeros(4), 6, rng)
     assert calls["grad"] == 6
-    calls["grad"] = 0
-    state = vp.update_momentum_sarah(state, np.ones(4), 3, 0.5, prob)
-    assert calls["grad"] == 2
-    calls["grad"] = 0
-    hybrid = EstimatorState(v=state.v, x_prev=state.x_prev, t=0, kind=HYBRID_SARAH)
-    vp.update_hybrid_sarah(hybrid, np.zeros(4), 1, 2, 0.5, prob)
-    assert calls["grad"] == 3
-    calls["grad"] = 0
-    sgd = EstimatorState(v=state.v, x_prev=state.x_prev, t=0, kind=SGD)
-    vp.update_sgd(sgd, np.zeros(4), 4, prob)
-    assert calls["grad"] == 1
-
-
-def test_estimator_error_cases(quad_small, rng):
-    x0 = rng.normal(0, 1, quad_small.dim)
-    state = vp.init_estimator(quad_small, x0, quad_small.num_components, rng)
-    assert vp.estimator_error(state, x0, quad_small) <= 1e-24
-    streaming = make_streaming_quadratic()
-    s = EstimatorState(v=np.zeros(4), x_prev=np.zeros(4), t=0, kind=MOMENTUM_SARAH)
-    with pytest.raises(DiagnosticUnsupportedError):
-        vp.estimator_error(s, np.zeros(4), streaming)
-
-
-def test_update_validation(quad_small, rng):
-    state = _fresh_state(quad_small, rng)
-    x = np.zeros(quad_small.dim)
-    for bad_beta in (-0.1, 1.1):
-        with pytest.raises(ValueError):
-            vp.update_momentum_sarah(state, x, 0, bad_beta, quad_small)
-    sgd_state = EstimatorState(v=state.v, x_prev=state.x_prev, t=0, kind=SGD)
-    with pytest.raises(ValueError):
-        vp.update_momentum_sarah(sgd_state, x, 0, 0.5, quad_small)
-    with pytest.raises(ValueError):
-        vp.update_hybrid_sarah(state, x, 0, 1, 0.5, quad_small)
-    with pytest.raises(ValueError):
-        EstimatorState(v=np.zeros(3), x_prev=np.zeros(3), t=0, kind="warp_drive")
+    for kind, zeta, expected in ((MOMENTUM_SARAH, None, 2), (SARAH, None, 2),
+                                 (HYBRID_SARAH, 2, 3), (SGD, None, 1)):
+        calls["grad"] = 0
+        _step(prob, kind, v, np.zeros(4), np.ones(4), 3, 0.5, zeta=zeta)
+        assert calls["grad"] == expected, kind

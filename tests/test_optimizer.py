@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -16,7 +18,6 @@ class TestSchedule:
         assert hp.eta == 0.25
         assert hp.beta == 0.25
         assert hp.b_tilde == 1
-        assert hp.eta0 == hp.eta
         assert hp.T == 7
 
     def test_values_at_cube_horizon(self):
@@ -53,6 +54,17 @@ class TestSchedule:
             vp.schedule_from_T(10, 0.0)
 
 
+class TestHyperParams:
+    def test_one_constant_step(self):
+        assert [f.name for f in fields(vp.HyperParams)] == ["eta", "beta", "b_tilde", "T"]
+
+    @pytest.mark.parametrize("bad", [dict(eta=0.0), dict(eta=np.inf), dict(beta=-0.1),
+                                     dict(beta=1.1), dict(b_tilde=0), dict(T=0)])
+    def test_rejects_bad_values(self, bad):
+        with pytest.raises(ValueError):
+            vp.HyperParams(**{**dict(eta=0.1, beta=0.5, b_tilde=2, T=10), **bad})
+
+
 class TestGradientMapping:
     def test_zero_regularizer_reduces_to_gradient(self, quad_small, rng):
         x = rng.normal(0, 2, quad_small.dim)
@@ -86,7 +98,7 @@ class TestGradientMapping:
 
 
 def _hp(eta=0.1, beta=0.5, b=4, T=60):
-    return vp.HyperParams(eta=eta, beta=beta, b_tilde=b, T=T, eta0=eta)
+    return vp.HyperParams(eta=eta, beta=beta, b_tilde=b, T=T)
 
 
 class TestRun:
@@ -108,7 +120,7 @@ class TestRun:
             np.testing.assert_array_equal(getattr(a, field), getattr(b, field))
 
     def test_sgd_equals_momentum_with_beta_one(self, quad_small):
-        hp = vp.HyperParams(eta=0.08, beta=1.0, b_tilde=3, T=100, eta0=0.08)
+        hp = vp.HyperParams(eta=0.08, beta=1.0, b_tilde=3, T=100)
         sgd = vp.run(quad_small, Zero(), hp, rng=5, kind=SGD)
         mom = vp.run(quad_small, Zero(), hp, rng=5, kind=MOMENTUM_SARAH)
         np.testing.assert_array_equal(sgd.step_sq, mom.step_sq)
@@ -145,7 +157,7 @@ class TestRun:
     def test_stationary_start_stays_fixed(self):
         center = np.array([[0.3, -1.0, 2.0]])
         prob = vp.make_quadratic(1, 3, centers=center)
-        hp = vp.HyperParams(eta=0.2, beta=0.6, b_tilde=1, T=40, eta0=0.2)
+        hp = vp.HyperParams(eta=0.2, beta=0.6, b_tilde=1, T=40)
         trace = vp.run(prob, Zero(), hp, rng=3, x0=center[0])
         assert np.all(trace.step_sq <= 1e-24)
         np.testing.assert_allclose(trace.output_x, center[0], atol=1e-12)
@@ -160,7 +172,7 @@ class TestRun:
         assert gm @ gm == pytest.approx(trace.grad_map_sq[trace.output_index], rel=1e-12)
 
     def test_divergence_raises_with_iteration(self, quad_small):
-        hp = vp.HyperParams(eta=2.5e11, beta=0.5, b_tilde=2, T=50, eta0=2.5e11)
+        hp = vp.HyperParams(eta=2.5e11, beta=0.5, b_tilde=2, T=50)
         with pytest.raises(DivergenceError) as err:
             vp.run(quad_small, Zero(), hp, rng=2, diagnostics=False)
         assert err.value.t >= 1
@@ -177,6 +189,10 @@ class TestRun:
         assert hybrid.oracle_calls == 3 + 120
         with pytest.raises(DiagnosticUnsupportedError):
             vp.run(prob, Zero(), hp, rng=11, diagnostics=True)
+
+    def test_unknown_kind_rejected(self, quad_small):
+        with pytest.raises(ValueError, match="unknown estimator kind"):
+            vp.run(quad_small, Zero(), _hp(), rng=0, kind="warp_drive")
 
     def test_x0_outside_domain_rejected(self, quad_small):
         box = BoxIndicator(lo=np.zeros(quad_small.dim), hi=np.ones(quad_small.dim))
@@ -216,7 +232,7 @@ class TestNonFiniteStep:
     @pytest.mark.parametrize("diagnostics", [True, False])
     @pytest.mark.filterwarnings("ignore:overflow encountered")
     def test_overflowing_first_step(self, quad_small, psi, diagnostics):
-        hp = vp.HyperParams(eta=1e308, beta=0.5, b_tilde=2, T=50, eta0=1e308)
+        hp = vp.HyperParams(eta=1e308, beta=0.5, b_tilde=2, T=50)
         x0 = 10.0 * np.ones(quad_small.dim)
         with pytest.raises(DivergenceError) as err:
             vp.run(quad_small, psi, hp, rng=2, x0=x0, diagnostics=diagnostics)
@@ -225,11 +241,14 @@ class TestNonFiniteStep:
     @pytest.mark.parametrize("psi", [Zero(), BoxIndicator(lo=-20.0, hi=20.0)])
     @pytest.mark.filterwarnings("ignore:overflow encountered")
     def test_overflowing_step_in_the_loop(self, quad_small, psi):
-        hp = vp.HyperParams(eta=1e308, beta=0.5, b_tilde=2, T=50, eta0=0.1)
-        x0 = 10.0 * np.ones(quad_small.dim)
+        # x0 is the center of the first drawn sample, so v_0 = 0 exactly and
+        # the first step stays put; the huge constant step overflows later.
+        hp = vp.HyperParams(eta=1e308, beta=0.5, b_tilde=1, T=50)
+        first = draw_sample_ids(quad_small, 1, np.random.Generator(np.random.PCG64(2)))[0]
+        x0 = quad_small.meta["centers"][first]
         with pytest.raises(DivergenceError) as err:
             vp.run(quad_small, psi, hp, rng=2, x0=x0)
-        assert err.value.t == 2
+        assert err.value.t >= 2
 
 
 def _scan_guard(x, t):
@@ -268,10 +287,11 @@ def test_guard_reports_like_a_full_scan(x):
 
 
 def _reference_run(prob, psi, hp, seed, kind):
-    """run() rebuilt from the public per-step API (checked calls throughout)."""
+    """run() rebuilt on the public oracle and prox functions, with the four
+    direction recursions written out in the library's operation order."""
     rng = np.random.Generator(np.random.PCG64(seed))
     x = np.asarray(prob.x0 if prob.x0 is not None else np.zeros(prob.dim), dtype=float).copy()
-    state = vp.init_estimator(prob, x, hp.b_tilde, rng, kind=kind)
+    v = vp.minibatch_gradient(prob, x, draw_sample_ids(prob, hp.b_tilde, rng))
     calls = hp.b_tilde
     output_index = int(rng.integers(0, hp.T + 1))
     output_x = x.copy() if output_index == 0 else None
@@ -279,6 +299,11 @@ def _reference_run(prob, psi, hp, seed, kind):
 
     def draw():
         return int(draw_sample_ids(prob, 1, rng)[0])
+
+    def grad(xt, i):
+        nonlocal calls
+        calls += 1
+        return vp.sample_gradient(prob, xt, i)
 
     def record(xt, vt):
         g = vp.full_gradient(prob, xt)
@@ -288,29 +313,30 @@ def _reference_run(prob, psi, hp, seed, kind):
         dv = vt - g
         est_err_sq.append(dv @ dv)
 
-    def step(xt, vt, tau):
-        x_next = vp.prox(psi, xt - tau * vt, tau)
+    def step(xt, vt):
+        x_next = vp.prox(psi, xt - hp.eta * vt, hp.eta)
         d = x_next - xt
         step_sq.append(d @ d)
         return x_next
 
-    record(x, state.v)
-    x = step(x, state.v, hp.eta0)
+    record(x, v)
+    x_prev, x = x, step(x, v)
     for t in range(1, hp.T + 1):
-        if kind == HYBRID_SARAH:
-            state = vp.update_hybrid_sarah(state, x, draw(), draw(), hp.beta, prob)
-            calls += 3
-        elif kind == SGD:
-            state = vp.update_sgd(state, x, draw(), prob)
-            calls += 1
+        xi = draw()
+        if kind == SGD:
+            v = grad(x, xi)
+        elif kind == HYBRID_SARAH:
+            zeta = draw()
+            g_curr, g_prev, g_zeta = grad(x, xi), grad(x_prev, xi), grad(x, zeta)
+            v = (1.0 - hp.beta) * (v + g_curr - g_prev) + hp.beta * g_zeta
         else:
             beta = 0.0 if kind == SARAH else hp.beta
-            state = vp.update_momentum_sarah(state, x, draw(), beta, prob)
-            calls += 2
+            g_curr, g_prev = grad(x, xi), grad(x_prev, xi)
+            v = g_curr + (1.0 - beta) * (v - g_prev)
         if t == output_index:
             output_x = x.copy()
-        record(x, state.v)
-        x = step(x, state.v, hp.eta)
+        record(x, v)
+        x_prev, x = x, step(x, v)
     arrays = {"step_sq": step_sq, "grad_map_sq": grad_map_sq, "obj": obj,
               "est_err_sq": est_err_sq}
     return {k: np.array(v) for k, v in arrays.items()}, output_x, output_index, calls
