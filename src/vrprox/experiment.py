@@ -240,7 +240,9 @@ def run_experiment(
             float(np.std(means, ddof=1) / np.sqrt(len(means))) if len(means) > 1 else
             (0.0 if means else None)
         )
-        bound = stationarity_bound_rhs(prob, psi, T)
+        # The a-priori bound is the auto schedule's; a manual eta, beta and
+        # b_tilde carry no such guarantee.
+        bound = stationarity_bound_rhs(prob, psi, T) if cfg.schedule == "auto" else None
         calls = ok[0]["oracle_calls"] if ok else None
         status = "ok" if not divergent else f"divergent:{len(divergent)}"
         record = {

@@ -334,9 +334,7 @@ def _check_prox_properties(quick: bool, seed: int) -> dict:
             deltas = rng.normal(0.0, 1.0, (100, p))
             deltas *= (0.1 * rng.random((100, 1))) / np.linalg.norm(deltas, axis=1, keepdims=True)
             W = u + deltas
-            f_w = np.array([psi_value(psi, w) for w in W]) + np.sum(
-                (W - z) ** 2, axis=1
-            ) / (2 * tau)
+            f_w = psi_value(psi, W) + np.sum((W - z) ** 2, axis=1) / (2 * tau)
             worst_cert = max(worst_cert, float(np.max(f_u - f_w)))
 
     lasso = make_quadratic(1, 1, centers=np.array([[2.0]]))

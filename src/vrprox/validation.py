@@ -227,11 +227,19 @@ def check_variance_recursion_unrolled(
         init_term = float(d0 @ d0)
         v0_record = v0
 
+    # V <- rows_curr[ids] + (1 - beta) (V - rows_prev[ids]), in place: the
+    # same operations in the same order, so the same bits.  Each point's
+    # component gradients are computed once and serve two steps.  The ids
+    # lie in [0, n), so "clip" never clips; it lets take write unbuffered.
+    rows_prev = rows0
+    picked = np.empty_like(V)
     for i in range(1, k + 1):
         rows_curr = gradient_rows(prob, trajectory[i], all_ids)
-        rows_prev = gradient_rows(prob, trajectory[i - 1], all_ids)
         ids = rng.integers(0, n, size=n_mc)
-        V = rows_curr[ids] + (1.0 - beta) * (V - rows_prev[ids])
+        V -= np.take(rows_prev, ids, axis=0, out=picked, mode="clip")
+        V *= 1.0 - beta
+        V += np.take(rows_curr, ids, axis=0, out=picked, mode="clip")
+        rows_prev = rows_curr
 
     g_final = full_gradient(prob, trajectory[k])
     errs = np.sum((V - g_final) ** 2, axis=1)
@@ -264,7 +272,11 @@ def check_schedule_constraint(
     scalar schedule uses, and a deterministic subsample is cross-checked
     bitwise against :func:`schedule_from_T` to pin the two paths together.
     """
-    Ts = np.asarray(T_range, dtype=np.int64)
+    if isinstance(T_range, range):
+        # Same horizons without a Python int per element.
+        Ts = np.arange(T_range.start, T_range.stop, T_range.step, dtype=np.int64)
+    else:
+        Ts = np.asarray(T_range, dtype=np.int64)
     if Ts.size == 0:
         raise ValueError("empty horizon range")
     if np.any(Ts < 1):

@@ -1,4 +1,11 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 from vrprox.cli import main
+
+ROOT = Path(__file__).resolve().parents[1]
 
 CFG = """\
 problem = quad:15:4:1.0
@@ -45,6 +52,23 @@ def test_run_divergence_exits_two(tmp_path):
         CFG + "schedule = manual\neta = 1e11\nbeta = 0.5\nb_tilde = 1\ndiagnostics = off\n"
     )
     assert main(["run", "--config", str(cfg), "--output", str(tmp_path / "o")]) == 2
+
+
+def test_divergent_run_writes_no_runtime_warning(tmp_path):
+    # A step of 1e308 overflows; the run reports DivergenceError in
+    # summary.csv, and numpy's overflow warning stays off stderr even when
+    # RuntimeWarning is an error.
+    cfg = tmp_path / "div.cfg"
+    cfg.write_text(CFG + "schedule = manual\neta = 1e308\nbeta = 0.5\nb_tilde = 2\n")
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "vrprox", "run",
+         "--config", str(cfg), "--output", str(tmp_path / "o")],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert "Warning" not in proc.stderr
+    assert "divergent:2" in (tmp_path / "o" / "summary.csv").read_text()
 
 
 def test_missing_required_flag_exits_one(capsys):

@@ -131,6 +131,19 @@ def test_bound_rhs_empty_field_without_certificates(tmp_path):
     assert row[4] == ""  # bound_rhs column empty
 
 
+def test_bound_rhs_empty_field_under_a_manual_schedule(tmp_path):
+    # The a-priori bound belongs to the auto schedule: a manual eta, beta and
+    # b_tilde on the same certified, psi = zero instance leave it empty.
+    base = "problem = quad:15:4:1.0\nestimator = momentum_sarah\nT = 25\nseeds = 2\n"
+    manual = base + "schedule = manual\neta = 0.1\nbeta = 0.5\nb_tilde = 2\n"
+    run_experiment(parse_config(manual), output_dir=tmp_path / "m", master_seed=0)
+    row = (tmp_path / "m" / "summary.csv").read_text().splitlines()[1].split(",")
+    assert row[4] == ""
+    assert row[6] == "ok"
+    result = run_experiment(parse_config(base), output_dir=tmp_path / "a", master_seed=0)
+    assert result.summary_rows[0]["bound_rhs"] > 0
+
+
 def test_compare_oracle_calls_differ_by_T(tmp_path):
     cfg = parse_config(CFG.replace("T = 30,60", "T = 50"))
     result = compare_experiment(

@@ -1,3 +1,4 @@
+import warnings
 from dataclasses import fields
 
 import numpy as np
@@ -230,24 +231,28 @@ class TestNonFiniteStep:
     @pytest.mark.parametrize("psi", [Zero(), L1(lam=0.1), vp.ElasticNet(0.1, 0.2),
                                      BoxIndicator(lo=-20.0, hi=20.0)])
     @pytest.mark.parametrize("diagnostics", [True, False])
-    @pytest.mark.filterwarnings("ignore:overflow encountered")
     def test_overflowing_first_step(self, quad_small, psi, diagnostics):
         hp = vp.HyperParams(eta=1e308, beta=0.5, b_tilde=2, T=50)
         x0 = 10.0 * np.ones(quad_small.dim)
-        with pytest.raises(DivergenceError) as err:
-            vp.run(quad_small, psi, hp, rng=2, x0=x0, diagnostics=diagnostics)
+        # The divergence is reported once, as DivergenceError: a RuntimeWarning
+        # escaping the run would become a different exception here.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(DivergenceError) as err:
+                vp.run(quad_small, psi, hp, rng=2, x0=x0, diagnostics=diagnostics)
         assert err.value.t == 1
 
     @pytest.mark.parametrize("psi", [Zero(), BoxIndicator(lo=-20.0, hi=20.0)])
-    @pytest.mark.filterwarnings("ignore:overflow encountered")
     def test_overflowing_step_in_the_loop(self, quad_small, psi):
         # x0 is the center of the first drawn sample, so v_0 = 0 exactly and
         # the first step stays put; the huge constant step overflows later.
         hp = vp.HyperParams(eta=1e308, beta=0.5, b_tilde=1, T=50)
         first = draw_sample_ids(quad_small, 1, np.random.Generator(np.random.PCG64(2)))[0]
         x0 = quad_small.meta["centers"][first]
-        with pytest.raises(DivergenceError) as err:
-            vp.run(quad_small, psi, hp, rng=2, x0=x0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(DivergenceError) as err:
+                vp.run(quad_small, psi, hp, rng=2, x0=x0)
         assert err.value.t >= 2
 
 
@@ -260,7 +265,6 @@ def _scan_guard(x, t):
         raise DivergenceError(t, norm)
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered")
 @pytest.mark.parametrize(
     "x",
     [
@@ -275,14 +279,18 @@ def _scan_guard(x, t):
 )
 def test_guard_reports_like_a_full_scan(x):
     expected = got = None
-    try:
-        _scan_guard(x, 7)
-    except DivergenceError as exc:
-        expected = (exc.t, exc.norm)
-    try:
-        _guard(x, 7)
-    except DivergenceError as exc:
-        got = (exc.t, exc.norm)
+    # run calls the guard with overflow ignored (a squared norm of 1e200
+    # entries overflows to inf in both forms); nothing else may warn.
+    with np.errstate(over="ignore"), warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        try:
+            _scan_guard(x, 7)
+        except DivergenceError as exc:
+            expected = (exc.t, exc.norm)
+        try:
+            _guard(x, 7)
+        except DivergenceError as exc:
+            got = (exc.t, exc.norm)
     assert got == expected
 
 

@@ -1,7 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from vrprox.prox import (
+    BOX_MEMBERSHIP_TOL,
     PSI_INFINITY,
     BoxIndicator,
     ElasticNet,
@@ -216,3 +220,101 @@ def test_psi_evaluator_matches_psi_value(psi, rng):
         assert evaluate(x) == psi_value(psi, x)
     with pytest.raises(TypeError):
         psi_evaluator(object())
+
+
+def _per_row(psi, X):
+    # The reference: one psi_value call per row, shaped like the stack.
+    X = np.asarray(X)
+    values = [psi_value(psi, row) for row in X.reshape(-1, X.shape[-1])]
+    return np.array(values).reshape(X.shape[:-1])
+
+
+@pytest.mark.parametrize("p", [5, 300])
+def test_psi_value_row_wise_matches_per_row_bitwise(p, rng):
+    variants = VARIANTS + [BoxIndicator(lo=-np.ones(p), hi=2.0 * np.ones(p))]
+    for psi in variants:
+        for shape in [(1, p), (7, p), (100, p), (3, 4, p)]:
+            X = rng.normal(0, 0.6, shape)
+            got = psi_value(psi, X)
+            assert isinstance(got, np.ndarray) and got.shape == shape[:-1]
+            assert got.tobytes() == _per_row(psi, X).tobytes()
+            assert psi_evaluator(psi)(X).tobytes() == got.tobytes()
+        # A strided stack is read as its C-ordered copy, so it sums alike.
+        F = np.asfortranarray(rng.normal(0, 0.6, (50, p)))
+        assert psi_value(psi, F).tobytes() == _per_row(psi, F).tobytes()
+
+
+def test_box_row_wise_membership_at_the_tolerance():
+    box = BoxIndicator(lo=-1.0, hi=1.0)
+    X = np.array([
+        [0.0, 0.5, -0.5],
+        [1.0 + BOX_MEMBERSHIP_TOL, 0.0, 1.0],
+        [-1.0 - BOX_MEMBERSHIP_TOL, -1.0, 0.0],
+        [1.0 + 1e-9, 0.0, 0.0],
+        [0.0, -1.0 - BOX_MEMBERSHIP_TOL, 1.0 + BOX_MEMBERSHIP_TOL],
+    ])
+    got = psi_value(box, X)
+    np.testing.assert_array_equal(got, [0.0, 0.0, 0.0, PSI_INFINITY, 0.0])
+    assert got.tobytes() == _per_row(box, X).tobytes()
+    assert got.tobytes() == _per_row(box, X.reshape(5, 1, 3)).reshape(5).tobytes()
+
+
+@pytest.mark.parametrize("psi", VARIANTS, ids=lambda p: type(p).__name__)
+def test_psi_value_of_a_point_is_a_float(psi, rng):
+    x = rng.normal(0, 0.5, 4)
+    assert type(psi_value(psi, x)) is float
+    assert type(psi_evaluator(psi)(x)) is float
+    assert type(psi_value(psi, list(x))) is float
+
+
+@pytest.mark.parametrize("psi", VARIANTS, ids=lambda p: type(p).__name__)
+def test_psi_value_rejects_a_non_finite_row(psi, rng):
+    X = rng.normal(0, 0.5, (6, 4))
+    for bad in (np.nan, np.inf, -np.inf):
+        Y = X.copy()
+        Y[4, 2] = bad
+        with pytest.raises(ValueError, match="finite"):
+            psi_value(psi, Y)
+        with pytest.raises(ValueError, match="finite"):
+            psi_value(psi, Y.reshape(2, 3, 4))
+
+
+def test_row_wise_box_checks_the_dimension():
+    box = BoxIndicator(lo=np.zeros(3), hi=np.ones(3))
+    with pytest.raises(ValueError, match="dimension"):
+        psi_value(box, np.zeros((5, 4)))
+
+
+# Arbitrary finite stacks; entries stay below 1e100 so that squared norms of
+# up to eight entries cannot overflow.
+_FINITE = st.floats(-1e100, 1e100, allow_nan=False, allow_infinity=False)
+_STACKS = st.integers(1, 8).flatmap(
+    lambda p: hnp.arrays(np.float64, st.tuples(st.integers(1, 12), st.just(p)), elements=_FINITE)
+)
+_PSI = st.sampled_from(VARIANTS)
+
+
+@settings(deadline=None)
+@given(psi=_PSI, X=_STACKS)
+def test_property_psi_value_row_wise(psi, X):
+    assert psi_value(psi, X).tobytes() == _per_row(psi, X).tobytes()
+
+
+@settings(deadline=None)
+@given(
+    psi=_PSI,
+    pair=st.integers(1, 8).flatmap(
+        lambda p: st.tuples(*[
+            hnp.arrays(np.float64, (4, p), elements=_FINITE) for _ in range(2)
+        ])
+    ),
+    tau=st.floats(1e-3, 1e3),
+)
+def test_property_prox_nonexpansive_row_wise(psi, pair, tau):
+    Z1, Z2 = pair
+    d_out = np.linalg.norm(prox(psi, Z1, tau) - prox(psi, Z2, tau), axis=1)
+    d_in = np.linalg.norm(Z1 - Z2, axis=1)
+    # Each output entry is rounded at the scale of its input: allow a few ulps
+    # of the inputs' norms.
+    slack = 1e-15 * (np.linalg.norm(Z1, axis=1) + np.linalg.norm(Z2, axis=1))
+    assert np.all(d_out <= d_in + slack)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import vrprox as vp
+from vrprox.oracle import gradient_rows
 from vrprox.validation import initial_direction_variance, variance_recursion_rhs
 
 
@@ -118,6 +119,62 @@ class TestUnrolled:
         assert initial_direction_variance(single, np.zeros(3), 1) == 0.0
 
 
+def _reference_unrolled(prob, trajectory, v0, beta, n_mc, rng):
+    """The unrolled replay written out of place, drawing what the check draws
+    in the same order; returns (lhs_mc, stderr, rhs)."""
+    k = trajectory.shape[0] - 1
+    n = prob.num_components
+    all_ids = np.arange(n)
+    rows0 = gradient_rows(prob, trajectory[0], all_ids)
+    if np.ndim(v0) == 0:
+        if v0 == 1:
+            batch = rng.integers(0, n, size=(n_mc, 1))
+        else:
+            batch = rng.permuted(np.broadcast_to(all_ids, (n_mc, n)).copy(), axis=1)[:, :v0]
+        V = rows0[batch].mean(axis=1)
+        init_term = initial_direction_variance(prob, trajectory[0], v0)
+    else:
+        V = np.broadcast_to(v0, (n_mc, prob.dim)).copy()
+        d0 = v0 - rows0.mean(axis=0)
+        init_term = float(d0 @ d0)
+    for i in range(1, k + 1):
+        rows_curr = gradient_rows(prob, trajectory[i], all_ids)
+        rows_prev = gradient_rows(prob, trajectory[i - 1], all_ids)
+        ids = rng.integers(0, n, size=n_mc)
+        V = rows_curr[ids] + (1.0 - beta) * (V - rows_prev[ids])
+    errs = np.sum((V - vp.full_gradient(prob, trajectory[k])) ** 2, axis=1)
+    decay = (1.0 - beta) ** 2
+    steps = np.sum(np.diff(trajectory, axis=0) ** 2, axis=1)
+    weights = decay ** np.arange(k, 0, -1)
+    rhs = float(
+        decay**k * init_term
+        + 2.0 * beta * prob.sigma_bound
+        + 2.0 * prob.lipschitz_L**2 * np.sum(weights * steps)
+    )
+    return float(errs.mean()), float(errs.std(ddof=1) / np.sqrt(n_mc)), rhs
+
+
+@pytest.mark.parametrize("v0_form", ["batch", "array"])
+def test_unrolled_matches_an_out_of_place_replay_bitwise(quad, v0_form):
+    rng = np.random.default_rng(19)
+    for case in range(12):
+        k = int(rng.integers(0, 10))
+        traj = np.vstack([rng.normal(0, 1, quad.dim), rng.normal(0, 0.3, (k, quad.dim))])
+        traj = traj.cumsum(axis=0)
+        beta = float(rng.uniform(0.05, 1.0))
+        if v0_form == "batch":
+            v0 = [1, 2, int(rng.integers(3, quad.num_components)), quad.num_components][case % 4]
+        else:
+            v0 = rng.normal(0, 1, quad.dim)
+        n_mc = int(rng.integers(2, 3000))
+        seed = int(rng.integers(2**32))
+        ref_rng, rng_used = np.random.default_rng(seed), np.random.default_rng(seed)
+        expected = _reference_unrolled(quad, traj, v0, beta, n_mc, ref_rng)
+        rep = vp.check_variance_recursion_unrolled(quad, traj, v0, beta, n_mc=n_mc, rng=rng_used)
+        assert (rep.lhs_mc, rep.stderr, rep.rhs) == expected
+        assert rng_used.bit_generator.state == ref_rng.bit_generator.state
+
+
 class TestScheduleConstraint:
     def test_small_horizon_margin(self):
         rep = vp.check_schedule_constraint([7], 1.0, keep_margins=True)
@@ -145,6 +202,26 @@ class TestScheduleConstraint:
             vp.check_schedule_constraint([], 1.0)
         with pytest.raises(ValueError):
             vp.check_schedule_constraint([0], 1.0)
+        with pytest.raises(ValueError, match="empty"):
+            vp.check_schedule_constraint(range(5, 5), 1.0)
+        with pytest.raises(ValueError, match=">= 1"):
+            vp.check_schedule_constraint(range(0, 5), 1.0)
+
+    @pytest.mark.parametrize(
+        "Ts", [range(1, 20_001), range(3, 5000, 7), range(999, 1, -4), range(12, 13)]
+    )
+    def test_range_matches_list_and_array_bitwise(self, Ts):
+        for L in (0.1, 1.0, 10.0):
+            reports = [
+                vp.check_schedule_constraint(form, L, keep_margins=True)
+                for form in (Ts, list(Ts), np.array(Ts, dtype=np.int64))
+            ]
+            first = reports[0]
+            for rep in reports[1:]:
+                assert rep.margins.tobytes() == first.margins.tobytes()
+                assert (rep.passed, rep.worst_margin, rep.worst_T, rep.n_checked) == (
+                    first.passed, first.worst_margin, first.worst_T, first.n_checked
+                )
 
 
 class TestRateSlope:
