@@ -65,8 +65,11 @@ def _check_schedule(quick: bool) -> dict:
     margins = {}
     all_pass = True
     worst = np.inf
+    # An array, not a range: np.asarray of a range goes through a Python int
+    # per horizon.
+    Ts = np.arange(1, horizon + 1)
     for L in (0.1, 1.0, 10.0):
-        rep = check_schedule_constraint(range(1, horizon + 1), L, keep_margins=True)
+        rep = check_schedule_constraint(Ts, L, keep_margins=True)
         margins[L] = rep.margins
         all_pass &= rep.passed
         worst = min(worst, rep.worst_margin)

@@ -272,11 +272,7 @@ def check_schedule_constraint(
     scalar schedule uses, and a deterministic subsample is cross-checked
     bitwise against :func:`schedule_from_T` to pin the two paths together.
     """
-    if isinstance(T_range, range):
-        # Same horizons without a Python int per element.
-        Ts = np.arange(T_range.start, T_range.stop, T_range.step, dtype=np.int64)
-    else:
-        Ts = np.asarray(T_range, dtype=np.int64)
+    Ts = np.asarray(T_range, dtype=np.int64)
     if Ts.size == 0:
         raise ValueError("empty horizon range")
     if np.any(Ts < 1):
