@@ -131,14 +131,18 @@ def _single_run(task: dict) -> dict:
         "oracle_calls": None,
     }
     try:
-        trace = run(
-            prob,
-            psi,
-            hp,
-            rng=task["seed"],
-            diagnostics=task["diagnostics"],
-            kind=task["estimator"],
-        )
+        # A step that overflows ends in DivergenceError, reported in the
+        # status row; numpy's overflow warning would only repeat it on
+        # stderr.  Not inside run: ufuncs run slower in any errstate context.
+        with np.errstate(over="ignore"):
+            trace = run(
+                prob,
+                psi,
+                hp,
+                rng=task["seed"],
+                diagnostics=task["diagnostics"],
+                kind=task["estimator"],
+            )
     except DivergenceError as exc:
         row["status"] = f"divergent(t={exc.t})"
         return row

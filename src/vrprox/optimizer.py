@@ -253,29 +253,26 @@ def run(
 
     output_x = None
     x_prev = x
-    # A step that overflows ends in DivergenceError from _guard; numpy's
-    # overflow warning would only repeat it on stderr.  Entered once per run.
-    with np.errstate(over="ignore"):
-        for t in range(T + 1):
-            # On entry x is x_t and x_prev is x_{t-1}; v becomes v_t here
-            # (v_0 is the initial batch's direction).
-            if t:
-                xi = draw()
-                zeta = draw() if hybrid else None
-                v = _recursion(sample_gradient, prob, kind, v, x_prev, x, xi, zeta, beta)
-            if t == output_index:
-                output_x = x.copy()
-            if diagnostics:
-                record(t, x, v)
-            # x_{t+1} = prox(x_t - eta v_t), guarded; records ||x_{t+1} - x_t||^2.
-            z = x - eta * v
-            x_next = prox_eta(z)
-            _guard(x_next, t + 1)
-            if clamps:
-                _check_finite(z, t + 1)
-            d = x_next - x
-            step_sq[t] = d @ d
-            x_prev, x = x, x_next
+    for t in range(T + 1):
+        # On entry x is x_t and x_prev is x_{t-1}; v becomes v_t here (v_0 is
+        # the initial batch's direction).
+        if t:
+            xi = draw()
+            zeta = draw() if hybrid else None
+            v = _recursion(sample_gradient, prob, kind, v, x_prev, x, xi, zeta, beta)
+        if t == output_index:
+            output_x = x.copy()
+        if diagnostics:
+            record(t, x, v)
+        # x_{t+1} = prox(x_t - eta v_t), guarded; records ||x_{t+1} - x_t||^2.
+        z = x - eta * v
+        x_next = prox_eta(z)
+        _guard(x_next, t + 1)
+        if clamps:
+            _check_finite(z, t + 1)
+        d = x_next - x
+        step_sq[t] = d @ d
+        x_prev, x = x, x_next
 
     return RunTrace(
         T=T,

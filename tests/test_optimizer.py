@@ -234,9 +234,10 @@ class TestNonFiniteStep:
     def test_overflowing_first_step(self, quad_small, psi, diagnostics):
         hp = vp.HyperParams(eta=1e308, beta=0.5, b_tilde=2, T=50)
         x0 = 10.0 * np.ones(quad_small.dim)
-        # The divergence is reported once, as DivergenceError: a RuntimeWarning
-        # escaping the run would become a different exception here.
-        with warnings.catch_warnings():
+        # With overflow ignored, as an experiment task runs, the divergence is
+        # reported once, as DivergenceError: any other RuntimeWarning would
+        # become a different exception here.
+        with np.errstate(over="ignore"), warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             with pytest.raises(DivergenceError) as err:
                 vp.run(quad_small, psi, hp, rng=2, x0=x0, diagnostics=diagnostics)
@@ -249,7 +250,7 @@ class TestNonFiniteStep:
         hp = vp.HyperParams(eta=1e308, beta=0.5, b_tilde=1, T=50)
         first = draw_sample_ids(quad_small, 1, np.random.Generator(np.random.PCG64(2)))[0]
         x0 = quad_small.meta["centers"][first]
-        with warnings.catch_warnings():
+        with np.errstate(over="ignore"), warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             with pytest.raises(DivergenceError) as err:
                 vp.run(quad_small, psi, hp, rng=2, x0=x0)
@@ -279,8 +280,8 @@ def _scan_guard(x, t):
 )
 def test_guard_reports_like_a_full_scan(x):
     expected = got = None
-    # run calls the guard with overflow ignored (a squared norm of 1e200
-    # entries overflows to inf in both forms); nothing else may warn.
+    # With overflow ignored, as an experiment task runs (a squared norm of
+    # 1e200 entries overflows to inf in both forms); nothing else may warn.
     with np.errstate(over="ignore"), warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         try:
