@@ -4,9 +4,10 @@ One experiment expands to a grid of (horizon, seed) runs, each written to
 ``trace_T<T>_s<seed>.csv`` with per-iteration diagnostics, plus one
 ``summary.csv`` aggregating seed means and the a-priori stationarity bound
 (when the problem's constants are certified), and a ``run_meta.txt`` pinning
-the config, the resolved seeds and the library version.  No timestamps are
-written anywhere: identical config and master seed reproduce every output
-file byte for byte, regardless of the worker count.
+the config, the resolved seeds and the vrprox, numpy and Python versions.  No
+timestamps are written anywhere: identical config and master seed reproduce
+every output file byte for byte, in the same environment, regardless of the
+worker count.
 
 Floats are written with 17 significant digits, enough to round-trip doubles.
 """
@@ -15,6 +16,7 @@ from __future__ import annotations
 
 import concurrent.futures
 import functools
+import platform
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -204,8 +206,12 @@ def _plan(cfg: ExperimentConfig, kinds, output_dir, master_seed: int, traces: bo
 
 
 def _write_meta(path: Path, cfg: ExperimentConfig, seeds: list[int], master_seed: int) -> None:
+    # Trace bytes rest on numpy's id draws and row-wise reductions, so the
+    # environment that wrote them is part of what reproduces them.
     lines = [
         f"vrprox_version = {__version__}",
+        f"numpy_version = {np.__version__}",
+        f"python_version = {platform.python_version()}",
         f"master_seed = {master_seed}",
         "seeds = " + ",".join(str(s) for s in seeds),
         "config:",

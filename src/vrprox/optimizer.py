@@ -20,10 +20,16 @@ Stationarity is measured by the gradient mapping
     G_eta(x) = (x - prox_{eta * psi}(x - eta * grad f(x))) / eta,
 
 which vanishes exactly at stationary points of F.  The run returns the
-uniformly selected output iterate (drawn up front, captured in O(p) memory)
-plus optional per-iteration diagnostics computed from exact full gradients;
-diagnostic evaluations are counted separately and never enter the oracle-call
-tally.
+uniformly selected output iterate (drawn up front) plus optional
+per-iteration diagnostics computed from exact full gradients; diagnostic
+evaluations are counted separately and never enter the oracle-call tally.
+
+The loop runs in blocks of ``BLOCK`` steps.  Each step does only the
+recursion, one exact full gradient and value at its iterate (with
+diagnostics on), and the guarded prox step; the block's sample ids are drawn
+in one call before it, and its diagnostics and step norms are computed after
+it with row-wise operations on the stacked iterates.  A run holds
+O(BLOCK * p) memory whatever T is.
 """
 
 from __future__ import annotations
@@ -45,10 +51,10 @@ from .estimators import (
 from .oracle import (
     DiagnosticUnsupportedError,
     ProblemInstance,
+    draw_step_ids,
     full_gradient,
     full_value,
     sample_gradient,
-    sample_id_sampler,
 )
 from .prox import (
     BoxIndicator,
@@ -64,6 +70,10 @@ from .prox import (
 # Iterates beyond this norm abort the run; a misconfigured step size must fail
 # loudly instead of emitting garbage traces.
 MAX_ITERATE_NORM = 1e12
+
+# Steps per block: ids are drawn, and diagnostics and step norms computed,
+# once per block, which bounds the memory a run holds to O(BLOCK * p).
+BLOCK = 256
 
 
 class DivergenceError(RuntimeError):
@@ -202,7 +212,15 @@ def run(
 
     The inputs are validated once, here; the loop then runs on plain arrays
     with operators resolved up front, and draws from ``rng`` exactly as the
-    public oracle functions would.
+    public oracle functions would.  Diagnostics come from one exact
+    ``full_gradient`` and ``full_value`` per iterate, and are reduced a
+    block of ``BLOCK`` iterates at a time, so memory stays O(BLOCK * p)
+    whatever T is; the traces have the bits of a per-step computation.
+
+    Sample ids are drawn a block at a time: after a :class:`DivergenceError`
+    a caller-supplied Generator has drawn the ids up to the end of the
+    diverging step's block, not only up to that step.  An integer seed
+    (what every caller in this package passes) leaves nothing behind.
     """
     if kind not in KINDS:
         raise ValueError(f"unknown estimator kind {kind!r}; expected one of {KINDS}")
@@ -227,9 +245,9 @@ def run(
     T, eta = hp.T, hp.eta
     v = init_estimator(prob, x, hp.b_tilde, rng)
     output_index = int(rng.integers(0, T + 1))
-    draw = sample_id_sampler(prob, rng)
     beta = 0.0 if kind == SARAH else hp.beta
     hybrid = kind == HYBRID_SARAH
+    ids_per_step = 2 if hybrid else 1
     prox_eta = prox_operator(psi, eta)
     psi_at = psi_evaluator(psi)
     # The box prox clamps an infinite step onto its face; check its input.
@@ -243,36 +261,50 @@ def run(
     else:
         grad_map_sq = obj = est_err_sq = None
 
-    def record(t: int, xt: np.ndarray, vt: np.ndarray) -> None:
-        g = full_gradient(prob, xt)
-        gm = (xt - prox_eta(xt - eta * g)) / eta
-        grad_map_sq[t] = gm @ gm
-        obj[t] = add_psi(full_value(prob, xt), psi_at(xt))
-        dv = vt - g
-        est_err_sq[t] = dv @ dv
-
-    output_x = None
     x_prev = x
-    for t in range(T + 1):
-        # On entry x is x_t and x_prev is x_{t-1}; v becomes v_t here (v_0 is
-        # the initial batch's direction).
-        if t:
-            xi = draw()
-            zeta = draw() if hybrid else None
-            v = _recursion(sample_gradient, prob, kind, v, x_prev, x, xi, zeta, beta)
-        if t == output_index:
-            output_x = x.copy()
+    for start in range(0, T + 1, BLOCK):
+        stop = min(start + BLOCK, T + 1)
+        # One draw for the block's steps (t >= 1), xi and zeta interleaved.
+        first = max(start, 1)
+        next_id = iter(
+            draw_step_ids(prob, ids_per_step * (stop - first), rng).tolist()
+        ).__next__
+        # x_start..x_stop and, with diagnostics, v_t, grad f(x_t) and f(x_t),
+        # kept by reference: nothing writes into them in place.
+        xs, vs, gs, fs = [x], [], [], []
+        for t in range(start, stop):
+            # On entry x is x_t and x_prev is x_{t-1}; v becomes v_t here
+            # (v_0 is the initial batch's direction).
+            if t:
+                xi = next_id()
+                zeta = next_id() if hybrid else None
+                v = _recursion(sample_gradient, prob, kind, v, x_prev, x, xi, zeta, beta)
+            if diagnostics:
+                vs.append(v)
+                gs.append(full_gradient(prob, x))
+                fs.append(full_value(prob, x))
+            # x_{t+1} = prox(x_t - eta v_t), guarded.
+            z = x - eta * v
+            x_next = prox_eta(z)
+            _guard(x_next, t + 1)
+            if clamps:
+                _check_finite(z, t + 1)
+            x_prev, x = x, x_next
+            xs.append(x)
+
+        if start <= output_index < stop:
+            output_x = xs[output_index - start]
+        X = np.array(xs)
+        D = X[1:] - X[:-1]
+        step_sq[start:stop] = np.vecdot(D, D)
         if diagnostics:
-            record(t, x, v)
-        # x_{t+1} = prox(x_t - eta v_t), guarded; records ||x_{t+1} - x_t||^2.
-        z = x - eta * v
-        x_next = prox_eta(z)
-        _guard(x_next, t + 1)
-        if clamps:
-            _check_finite(z, t + 1)
-        d = x_next - x
-        step_sq[t] = d @ d
-        x_prev, x = x, x_next
+            X = X[:-1]
+            G = np.array(gs)
+            M = (X - prox_eta(X - eta * G)) / eta
+            grad_map_sq[start:stop] = np.vecdot(M, M)
+            obj[start:stop] = add_psi(np.array(fs), psi_at(X))
+            E = np.array(vs) - G
+            est_err_sq[start:stop] = np.vecdot(E, E)
 
     return RunTrace(
         T=T,

@@ -192,13 +192,14 @@ def _id_bound(prob: ProblemInstance) -> int:
     return prob.num_components if prob.is_finite_sum else STREAM_ID_SPACE
 
 
-def sample_id_sampler(prob: ProblemInstance, rng) -> Callable[[], int]:
-    """A zero-argument draw of one sample id, resolved once per run.
+def draw_step_ids(prob: ProblemInstance, size: int, rng) -> np.ndarray:
+    """Draw ``size`` independent uniform sample ids at once (with replacement).
 
-    Each call consumes ``rng`` exactly as ``draw_sample_ids(prob, 1, rng)``
-    does and returns the same id, as a scalar.
+    The ids, and the state ``rng`` is left in, are those of ``size``
+    successive ``draw_sample_ids(prob, 1, rng)`` calls; tests pin this numpy
+    behaviour (tests/test_numpy_contract.py).
     """
-    return functools.partial(rng.integers, 0, _id_bound(prob))
+    return rng.integers(0, _id_bound(prob), size=size)
 
 
 def draw_sample_ids(prob: ProblemInstance, size: int, rng) -> np.ndarray:

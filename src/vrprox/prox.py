@@ -24,7 +24,8 @@ instead of doing arithmetic with it.
 
 Both ``prox`` and ``psi_value`` work row-wise: a point of dimension p gives a
 point (``psi_value``: a float), an array of shape (..., p) gives one result
-per row, with the same bits as the per-row calls.
+per row, with the same bits as the per-row calls.  ``add_psi`` takes
+arrays of f and psi values as well.
 
 ``prox_operator`` and ``psi_evaluator`` resolve the closed forms once, for a
 loop that has already validated its inputs; ``prox`` and ``psi_value`` are
@@ -207,11 +208,14 @@ def psi_value(psi: PsiSpec, x: np.ndarray) -> float | np.ndarray:
     return evaluate(x)
 
 
-def add_psi(f_value: float, psi_val: float) -> float:
-    """F(x) = f(x) + psi(x) with the extended-value marker handled explicitly."""
-    if is_psi_infinite(psi_val):
-        return PSI_INFINITY
-    return f_value + psi_val
+def add_psi(f_value, psi_val):
+    """F(x) = f(x) + psi(x) with the extended-value marker handled explicitly.
+
+    Row-wise: arrays of f and psi values give the array of their sums, and
+    a float pair a float.
+    """
+    total = np.where(np.isinf(psi_val), PSI_INFINITY, np.add(f_value, psi_val))
+    return float(total) if total.ndim == 0 else total
 
 
 def parse_psi(key: str) -> PsiSpec:

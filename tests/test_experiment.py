@@ -1,3 +1,6 @@
+import platform
+
+import numpy as np
 import pytest
 
 import vrprox as vp
@@ -59,6 +62,16 @@ def test_run_experiment_files_and_headers(tmp_path):
     assert float(row[2]) > 0 and float(row[4]) > 0
     meta = (tmp_path / "run_meta.txt").read_text()
     assert "vrprox_version" in meta and "seeds = " in meta
+
+
+def test_run_meta_records_the_environment(tmp_path):
+    run_experiment(parse_config(CFG), output_dir=tmp_path, master_seed=0)
+    lines = (tmp_path / "run_meta.txt").read_text().splitlines()
+    assert lines[:3] == [
+        f"vrprox_version = {vp.__version__}",
+        f"numpy_version = {np.__version__}",
+        f"python_version = {platform.python_version()}",
+    ]
 
 
 def test_rerun_is_byte_identical(tmp_path):

@@ -3,10 +3,12 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import vrprox as vp
 from vrprox.estimators import HYBRID_SARAH, MOMENTUM_SARAH, SARAH, SGD
-from vrprox.optimizer import DivergenceError, MAX_ITERATE_NORM, _guard
+from vrprox.optimizer import BLOCK, DivergenceError, MAX_ITERATE_NORM, _guard
 from vrprox.oracle import DiagnosticUnsupportedError, draw_sample_ids
 from vrprox.prox import BoxIndicator, L1, Zero, add_psi
 
@@ -38,6 +40,16 @@ class TestSchedule:
     def test_initial_batch_exact_integer(self, T, b):
         # b_tilde = ceil((T+1)^{1/3} / 2) = least m with 8 m^3 >= T+1
         assert vp.schedule_from_T(T, 1.0).b_tilde == b
+
+    @settings(max_examples=300, deadline=None)
+    @given(m=st.integers(1, 10**4), offset=st.sampled_from([-2, -1, 0]))
+    def test_initial_batch_at_perfect_cubes(self, m, offset):
+        # T + 1 = 8 m^3 - 1, 8 m^3 and 8 m^3 + 1: the least m' with
+        # 8 m'^3 >= T + 1 is m, m and m + 1.
+        T = 8 * m**3 + offset
+        b = vp.schedule_from_T(T, 1.0).b_tilde
+        assert 8 * b**3 >= T + 1 and (b == 1 or 8 * (b - 1) ** 3 < T + 1)
+        assert b == (m + 1 if offset == 0 else m)
 
     def test_constraint_holds_on_sampled_horizons(self):
         for T in (1, 2, 7, 99, 1000, 54321, 10**6):
@@ -324,6 +336,7 @@ def _reference_run(prob, psi, hp, seed, kind):
 
     def step(xt, vt):
         x_next = vp.prox(psi, xt - hp.eta * vt, hp.eta)
+        _scan_guard(x_next, len(step_sq) + 1)
         d = x_next - xt
         step_sq.append(d @ d)
         return x_next
@@ -354,6 +367,7 @@ def _reference_run(prob, psi, hp, seed, kind):
 _EQUIV_PROBLEMS = {
     "quad": lambda: vp.make_quadratic(30, 6, 1.0, seed=3),
     "sigmoid": lambda: vp.make_nonconvex_sigmoid(60, 5, seed=2),
+    "robust": lambda: vp.make_robust_regression(40, 4, seed=1),
 }
 
 
@@ -361,13 +375,37 @@ _EQUIV_PROBLEMS = {
 @pytest.mark.parametrize("psi", [Zero(), L1(lam=0.05), vp.ElasticNet(0.05, 0.3),
                                  BoxIndicator(lo=-0.5, hi=0.5)], ids=repr)
 @pytest.mark.parametrize("kind", [MOMENTUM_SARAH, HYBRID_SARAH, SARAH, SGD])
-def test_run_matches_public_api_loop_bitwise(problem, psi, kind):
+# Horizons on both sides of the block edges of the loop's draws and reductions.
+@pytest.mark.parametrize("T", [80, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3])
+def test_run_matches_public_api_loop_bitwise(problem, psi, kind, T):
     prob = _EQUIV_PROBLEMS[problem]()
-    hp = vp.schedule_from_T(80, prob.lipschitz_L)
+    hp = vp.schedule_from_T(T, prob.lipschitz_L)
     arrays, output_x, output_index, calls = _reference_run(prob, psi, hp, 41, kind)
-    trace = vp.run(prob, psi, hp, rng=41, kind=kind)
-    for name, expected in arrays.items():
-        assert getattr(trace, name).tobytes() == expected.tobytes(), name
-    assert trace.output_index == output_index
-    assert trace.output_x.tobytes() == output_x.tobytes()
-    assert trace.oracle_calls == calls
+    for diagnostics in (True, False):
+        trace = vp.run(prob, psi, hp, rng=41, kind=kind, diagnostics=diagnostics)
+        for name, expected in arrays.items():
+            if diagnostics or name == "step_sq":
+                assert getattr(trace, name).tobytes() == expected.tobytes(), name
+            else:
+                assert getattr(trace, name) is None, name
+        assert trace.output_index == output_index
+        assert trace.output_x.tobytes() == output_x.tobytes()
+        assert trace.oracle_calls == calls
+        assert trace.diagnostic_full_gradients == (T + 1 if diagnostics else 0)
+
+
+@pytest.mark.parametrize("psi", [Zero(), L1(lam=0.01), vp.ElasticNet(0.001, 0.001)], ids=repr)
+@pytest.mark.parametrize("kind", [MOMENTUM_SARAH, HYBRID_SARAH, SARAH, SGD])
+@pytest.mark.parametrize("diagnostics", [True, False])
+def test_divergence_in_second_block_matches_public_api_loop(psi, kind, diagnostics):
+    # A constant step past the stable range grows the iterate geometrically
+    # until its norm crosses MAX_ITERATE_NORM, while still finite, at a step
+    # of the loop's second block (t = 344 to 377 here).
+    prob = _EQUIV_PROBLEMS["quad"]()
+    hp = vp.HyperParams(eta=2.08, beta=0.5, b_tilde=2, T=3 * BLOCK)
+    with pytest.raises(DivergenceError) as expected:
+        _reference_run(prob, psi, hp, 41, kind)
+    assert BLOCK < expected.value.t <= 2 * BLOCK
+    with pytest.raises(DivergenceError) as got:
+        vp.run(prob, psi, hp, rng=41, kind=kind, diagnostics=diagnostics)
+    assert (got.value.t, got.value.norm) == (expected.value.t, expected.value.norm)

@@ -7,8 +7,8 @@ import vrprox as vp
 from vrprox.oracle import (
     DiagnosticUnsupportedError,
     draw_sample_ids,
+    draw_step_ids,
     gradient_rows,
-    sample_id_sampler,
     sigma2_at,
 )
 
@@ -205,11 +205,12 @@ def test_nonfinite_points_rejected(quad_small, bad):
 
 
 @pytest.mark.parametrize("streaming", [False, True])
-def test_sample_id_sampler_consumes_like_single_draws(quad_small, streaming):
+@pytest.mark.parametrize("size", [1, 7, 255, 256, 257])
+def test_draw_step_ids_consumes_like_single_draws(quad_small, streaming, size):
     prob = make_streaming_quadratic() if streaming else quad_small
     a = np.random.default_rng(9)
     b = np.random.default_rng(9)
-    draw = sample_id_sampler(prob, b)
-    for _ in range(200):
-        assert int(draw_sample_ids(prob, 1, a)[0]) == draw()
+    for _ in range(3):
+        single = [int(draw_sample_ids(prob, 1, a)[0]) for _ in range(size)]
+        assert draw_step_ids(prob, size, b).tolist() == single
     assert a.bit_generator.state == b.bit_generator.state
