@@ -7,7 +7,11 @@ Subcommands::
     vrprox schedule --T <int> --L <float>
     vrprox validate [--quick] [--output FILE] [--seed S]
 
-Exit codes: 0 success, 1 config error, 2 divergence, 3 validation failure.
+Exit codes: 0 success, 1 config error, 2 divergence, 3 validation failure,
+4 a run raised an error.  A run that diverges or raises is a status row in
+``summary.csv`` / ``compare.csv`` and every file is still written; a raised
+error is also printed on stderr with its (T, seed) and traceback.  Errors
+outrank divergences.
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_DIVERGENCE = 2
 EXIT_VALIDATION = 3
+EXIT_RUN_ERROR = 4
 
 
 class _Parser(argparse.ArgumentParser):
@@ -87,6 +92,16 @@ def _read_config(path: str):
     return parse_config(text)
 
 
+def _report_failures(result) -> int:
+    for row in result.failures:
+        print(
+            f"run error: T={row['T']} seed={row['seed']} estimator={row['estimator']}: "
+            f"{row['error']}\n{row['traceback'].rstrip()}",
+            file=sys.stderr,
+        )
+    return result.exit_code
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
@@ -102,7 +117,7 @@ def main(argv=None) -> int:
                     f"mean_grad_map_sq={row['mean_grad_map_sq']} status={row['status']}"
                 )
             print(f"wrote {result.output_dir}")
-            return result.exit_code
+            return _report_failures(result)
         if args.command == "compare":
             cfg = _read_config(args.config)
             kinds = [k.strip() for k in args.estimators.split(",") if k.strip()]
@@ -111,7 +126,7 @@ def main(argv=None) -> int:
                 master_seed=args.master_seed, jobs=args.jobs,
             )
             print(f"wrote {result.output_dir / 'compare.csv'}")
-            return result.exit_code
+            return _report_failures(result)
         if args.command == "schedule":
             try:
                 hp = schedule_from_T(args.T, args.L)

@@ -17,7 +17,8 @@ from __future__ import annotations
 import concurrent.futures
 import functools
 import platform
-from dataclasses import dataclass
+import traceback
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -40,6 +41,32 @@ class ExperimentResult:
     output_dir: Path
     summary_rows: list
     n_divergent: int
+    failures: list = field(default_factory=list)  # the rows of runs that raised
+
+
+def _result(out: Path, summary_rows: list, rows: list) -> ExperimentResult:
+    """Exit code 0 when every run finished, 4 when any run raised, else 2
+    when any run diverged."""
+    failures = [r for r in rows if "error" in r]
+    n_divergent = sum(r["status"].startswith("divergent") for r in rows)
+    return ExperimentResult(
+        exit_code=4 if failures else (2 if n_divergent else 0),
+        output_dir=out,
+        summary_rows=summary_rows,
+        n_divergent=n_divergent,
+        failures=failures,
+    )
+
+
+def _summary_status(t_rows) -> str:
+    """``ok``, or ``<status>:<count>`` per kind of failed run, joined by ``;``:
+    ``divergent:2``, ``error(ValueError):1``."""
+    counts: dict[str, int] = {}
+    for r in t_rows:
+        if r["status"] != "ok":
+            kind = "divergent" if r["status"].startswith("divergent") else r["status"]
+            counts[kind] = counts.get(kind, 0) + 1
+    return ";".join(f"{kind}:{c}" for kind, c in sorted(counts.items())) or "ok"
 
 
 def _fmt(value) -> str:
@@ -148,6 +175,13 @@ def _single_run(task: dict) -> dict:
     except DivergenceError as exc:
         row["status"] = f"divergent(t={exc.t})"
         return row
+    except Exception as exc:
+        # One failed run must not cost the sweep its other rows and files.
+        # The report travels as text: not every exception pickles.
+        row["status"] = f"error({type(exc).__name__})"
+        row["error"] = f"{type(exc).__name__}: {exc}"
+        row["traceback"] = traceback.format_exc()
+        return row
     row["oracle_calls"] = trace.oracle_calls
     if trace.grad_map_sq is not None:
         row["mean_gms"] = mean_grad_map_sq(trace)
@@ -229,8 +263,9 @@ def run_experiment(
     """Run the full (T, seed) grid of an experiment and write its files.
 
     Returns exit code 0 when every run finished, 2 when any run diverged
-    (divergent runs are recorded in the summary's status column).  Every
-    input is resolved before the output directory is created.
+    and 4 when any run raised; such runs are counted in the summary's status
+    column, and every file is written all the same.  Every input is resolved
+    before the output directory is created.
     """
     psi = parse_psi(cfg.psi)
     prob, seeds, out, tasks = _plan(cfg, [cfg.estimator], output_dir, master_seed, traces=True)
@@ -238,12 +273,9 @@ def run_experiment(
 
     summary_lines = [SUMMARY_HEADER]
     summary_rows = []
-    n_divergent = 0
     for T in cfg.T:
         t_rows = [r for r in rows if r["T"] == T]
         ok = [r for r in t_rows if r["status"] == "ok"]
-        divergent = [r for r in t_rows if r["status"] != "ok"]
-        n_divergent += len(divergent)
         means = [r["mean_gms"] for r in ok if r["mean_gms"] is not None]
         mean = float(np.mean(means)) if means else None
         stderr = (
@@ -254,7 +286,7 @@ def run_experiment(
         # b_tilde carry no such guarantee.
         bound = stationarity_bound_rhs(prob, psi, T) if cfg.schedule == "auto" else None
         calls = ok[0]["oracle_calls"] if ok else None
-        status = "ok" if not divergent else f"divergent:{len(divergent)}"
+        status = _summary_status(t_rows)
         record = {
             "T": T,
             "seeds": len(t_rows),
@@ -280,13 +312,7 @@ def run_experiment(
         )
     (out / "summary.csv").write_text("\n".join(summary_lines) + "\n")
     _write_meta(out / "run_meta.txt", cfg, seeds, master_seed)
-
-    return ExperimentResult(
-        exit_code=0 if n_divergent == 0 else 2,
-        output_dir=out,
-        summary_rows=summary_rows,
-        n_divergent=n_divergent,
-    )
+    return _result(out, summary_rows, rows)
 
 
 def compare_experiment(
@@ -300,7 +326,8 @@ def compare_experiment(
 
     Every kind sees identical (problem, schedule, seed) triples, which makes
     the oracle-call columns directly comparable (two evaluations per step for
-    the same-sample recursion versus three for the hybrid).
+    the same-sample recursion versus three for the hybrid).  Exit codes are
+    :func:`run_experiment`'s; a run that raised has status ``error(<type>)``.
     """
     kinds = list(kinds)
     if not kinds:
@@ -314,10 +341,7 @@ def compare_experiment(
     rows = _run_tasks(tasks, jobs)
 
     lines = [COMPARE_HEADER]
-    n_divergent = 0
     for row in rows:
-        if row["status"] != "ok":
-            n_divergent += 1
         lines.append(
             ",".join(
                 [
@@ -333,10 +357,4 @@ def compare_experiment(
         )
     (out / "compare.csv").write_text("\n".join(lines) + "\n")
     _write_meta(out / "run_meta.txt", cfg, seeds, master_seed)
-
-    return ExperimentResult(
-        exit_code=0 if n_divergent == 0 else 2,
-        output_dir=out,
-        summary_rows=rows,
-        n_divergent=n_divergent,
-    )
+    return _result(out, rows, rows)

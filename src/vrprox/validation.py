@@ -172,6 +172,34 @@ def initial_direction_variance(prob: ProblemInstance, x0: np.ndarray, b_tilde: i
     return sigma2_at(prob, x0) * (n - b_tilde) / (b_tilde * (n - 1))
 
 
+def _floyd_batch_means(rows: np.ndarray, b_tilde: int, n_mc: int, rng) -> np.ndarray:
+    """Mean of ``rows`` over a uniform b_tilde-subset of its indices, one
+    independent subset per replay: an (n_mc, dim) array.
+
+    Floyd's algorithm (Bentley & Floyd 1987), run for all replays at once:
+    for j = n - b_tilde, ..., n - 1 each replay draws t uniform in [0, j] and
+    takes j instead when t is already in its subset.  Every b_tilde-subset is
+    equally likely, at O(b_tilde n_mc) cost.  The rows are summed in the order
+    they are taken.  For b_tilde = 1 this is one ``rng.integers(0, n,
+    size=n_mc)`` draw and its rows.
+    """
+    n = rows.shape[0]
+    replay = np.arange(n_mc)
+    member = np.zeros((n_mc, n), dtype=bool)
+    first = n - b_tilde
+    t = rng.integers(0, first + 1, size=n_mc)
+    member[replay, t] = True
+    V = rows[t]
+    picked = np.empty_like(V)
+    for j in range(first + 1, n):
+        t = rng.integers(0, j + 1, size=n_mc)
+        t = np.where(member[replay, t], j, t)
+        member[replay, t] = True
+        V += np.take(rows, t, axis=0, out=picked, mode="clip")
+    V /= b_tilde
+    return V
+
+
 def check_variance_recursion_unrolled(
     prob: ProblemInstance,
     trajectory: np.ndarray,
@@ -188,7 +216,8 @@ def check_variance_recursion_unrolled(
     estimated is conditional on the path (the frozen-trajectory surrogate for
     the full bound).  ``v0`` is either a fixed initial direction (an array) or
     an integer batch size, in which case every replay draws a fresh
-    without-replacement initial batch and the bound's initial term uses the
+    without-replacement initial batch by Floyd's algorithm, all replays at
+    once (:func:`_floyd_batch_means`), and the bound's initial term uses the
     exact without-replacement variance.
     """
     _require_certified(prob, "the unrolled variance check")
@@ -211,13 +240,7 @@ def check_variance_recursion_unrolled(
         b_tilde = int(v0)
         if not 1 <= b_tilde <= n:
             raise ValueError(f"initial batch size must lie in [1, {n}], got {b_tilde}")
-        if b_tilde == 1:
-            batch = rng.integers(0, n, size=(n_mc, 1))
-        else:
-            batch = rng.permuted(
-                np.broadcast_to(all_ids, (n_mc, n)).copy(), axis=1
-            )[:, :b_tilde]
-        V = rows0[batch].mean(axis=1)
+        V = _floyd_batch_means(rows0, b_tilde, n_mc, rng)
         init_term = initial_direction_variance(prob, x0, b_tilde)
         v0_record = b_tilde
     else:

@@ -3,6 +3,9 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
+from vrprox import experiment
 from vrprox.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -69,6 +72,77 @@ def test_divergent_run_writes_no_runtime_warning(tmp_path):
     assert proc.returncode == 2, proc.stderr
     assert "Warning" not in proc.stderr
     assert "divergent:2" in (tmp_path / "o" / "summary.csv").read_text()
+
+
+ERROR_CFG = """\
+problem = quad:15:4:1.0
+estimator = momentum_sarah
+T = 25,40
+seeds = 5,6,7
+"""
+
+
+def _fail_at(monkeypatch, T, seed):
+    """Make the run for (T, seed) raise; pool workers inherit it by fork."""
+    real = experiment.run
+
+    def flaky(prob, psi, hp, rng, **kw):
+        if hp.T == T and rng == seed:
+            raise RuntimeError("injected")
+        return real(prob, psi, hp, rng, **kw)
+
+    monkeypatch.setattr(experiment, "run", flaky)
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_run_error_in_one_task_keeps_the_sweep(tmp_path, capsys, monkeypatch, jobs):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(ERROR_CFG)
+    main(["run", "--config", str(cfg), "--output", str(tmp_path / "clean")])
+    _fail_at(monkeypatch, 40, 6)
+    capsys.readouterr()
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg), "--output", str(out), "--jobs", jobs]) == 4
+    err = capsys.readouterr().err
+    assert "run error: T=40 seed=6 estimator=momentum_sarah: RuntimeError: injected" in err
+    assert "Traceback" in err and 'raise RuntimeError("injected")' in err
+    summary = (out / "summary.csv").read_text().splitlines()
+    clean = (tmp_path / "clean" / "summary.csv").read_text().splitlines()
+    assert summary[:2] == clean[:2]
+    assert summary[2].startswith("40,3,") and summary[2].endswith(",error(RuntimeError):1")
+    assert (out / "run_meta.txt").exists()
+    traces = sorted(f.name for f in out.glob("trace_*.csv"))
+    assert traces == sorted(f.name for f in (tmp_path / "clean").glob("trace_*.csv")
+                            if f.name != "trace_T40_s6.csv")
+    for name in traces:
+        assert (out / name).read_bytes() == (tmp_path / "clean" / name).read_bytes()
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_compare_error_in_one_task_keeps_the_sweep(tmp_path, capsys, monkeypatch, jobs):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(ERROR_CFG)
+    argv = ["compare", "--config", str(cfg), "--estimators", "momentum_sarah,sgd"]
+    main(argv + ["--output", str(tmp_path / "clean")])
+    _fail_at(monkeypatch, 25, 7)
+    capsys.readouterr()
+    out = tmp_path / "out"
+    assert main(argv + ["--output", str(out), "--jobs", jobs]) == 4
+    err = capsys.readouterr().err.splitlines()
+    assert [line for line in err if line.startswith("run error:")] == [
+        f"run error: T=25 seed=7 estimator={kind}: RuntimeError: injected"
+        for kind in ("momentum_sarah", "sgd")
+    ]
+    rows = (out / "compare.csv").read_text().splitlines()
+    clean = (tmp_path / "clean" / "compare.csv").read_text().splitlines()
+    failed = {i for i, row in enumerate(rows) if row.startswith("25,7,")}
+    assert failed == {5, 6}
+    for i in failed:
+        assert rows[i].endswith(",,,,error(RuntimeError)")
+    assert [r for i, r in enumerate(rows) if i not in failed] == [
+        r for i, r in enumerate(clean) if i not in failed
+    ]
+    assert (out / "run_meta.txt").exists()
 
 
 def test_missing_required_flag_exits_one(capsys):

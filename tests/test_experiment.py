@@ -10,6 +10,7 @@ from vrprox.experiment import (
     SUMMARY_HEADER,
     TRACE_HEADER,
     _fmt,
+    _summary_status,
     _write_trace,
     compare_experiment,
     expand_seeds,
@@ -268,3 +269,11 @@ def test_serial_experiment_builds_each_problem_once(tmp_path, monkeypatch):
     compare_experiment(cfg, kinds=["sgd", "sarah"], output_dir=tmp_path / "cmp", jobs=1)
     assert builds == [("quad:20:5:1.0", 4)]
     experiment._problem.cache_clear()
+
+
+def test_summary_status_counts_each_kind_of_failed_run():
+    rows = [{"status": s} for s in
+            ("ok", "error(ValueError)", "divergent(t=3)", "ok", "divergent(t=9)")]
+    assert _summary_status(rows) == "divergent:2;error(ValueError):1"
+    assert _summary_status(rows[3:]) == "divergent:1"
+    assert _summary_status(rows[:1]) == "ok"

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -318,3 +318,31 @@ def test_property_prox_nonexpansive_row_wise(psi, pair, tau):
     # of the inputs' norms.
     slack = 1e-15 * (np.linalg.norm(Z1, axis=1) + np.linalg.norm(Z2, axis=1))
     assert np.all(d_out <= d_in + slack)
+
+
+@pytest.mark.parametrize("psi", VARIANTS, ids=lambda p: type(p).__name__)
+@settings(deadline=None)
+@given(
+    case=st.integers(1, 8).flatmap(
+        lambda p: st.tuples(
+            hnp.arrays(np.float64, p, elements=st.floats(-10.0, 10.0)),
+            hnp.arrays(np.float64, st.tuples(st.integers(1, 10), st.just(p)),
+                       elements=st.floats(-1.0, 1.0)),
+        )
+    ),
+    tau=st.floats(1e-2, 10.0),
+    radius=st.floats(1e-3, 0.1),
+)
+def test_property_prox_optimality(psi, case, tau, radius):
+    # u = prox(psi, z, tau) beats every point at distance `radius` from it on
+    # the prox objective, up to test_optimality_certificate's 1e-12 slack.
+    # The objective's strong convexity puts those points at least
+    # radius^2 / (2 tau) >= 5e-8 above u, far above rounding.
+    z, directions = case
+    norms = np.linalg.norm(directions, axis=1)
+    assume(np.all(norms > 1e-6))
+    u = prox(psi, z, tau)
+    W = u + radius * directions / norms[:, None]
+    f_u = psi_value(psi, u) + np.sum((u - z) ** 2) / (2 * tau)
+    f_w = psi_value(psi, W) + np.sum((W - z) ** 2, axis=1) / (2 * tau)
+    assert np.all(f_u <= f_w + 1e-12)

@@ -1,9 +1,15 @@
+import itertools
+
 import numpy as np
 import pytest
 
 import vrprox as vp
 from vrprox.oracle import gradient_rows
-from vrprox.validation import initial_direction_variance, variance_recursion_rhs
+from vrprox.validation import (
+    _floyd_batch_means,
+    initial_direction_variance,
+    variance_recursion_rhs,
+)
 
 
 @pytest.fixture(scope="module")
@@ -92,12 +98,19 @@ class TestUnrolled:
     def test_zero_length_trajectory_estimates_initial_variance(self, quad, rng):
         # k = 0 with a drawn initial batch: the replay directly estimates the
         # exact without-replacement variance.
-        x0 = rng.normal(0, 1, quad.dim)
-        b = 5
-        rep = vp.check_variance_recursion_unrolled(quad, x0[None, :], b, 0.5, n_mc=20_000, rng=rng)
-        exact = initial_direction_variance(quad, x0, b)
-        assert abs(rep.lhs_mc - exact) <= 3 * rep.stderr
-        assert rep.passed
+        n = quad.num_components
+        for b in (5, 2, n - 1, n):
+            x0 = rng.normal(0, 1, quad.dim)
+            rep = vp.check_variance_recursion_unrolled(
+                quad, x0[None, :], b, 0.5, n_mc=20_000, rng=rng
+            )
+            exact = initial_direction_variance(quad, x0, b)
+            if b == n:
+                # Every batch is the whole sum: the error is rounding only.
+                assert exact == 0.0 and rep.lhs_mc <= 1e-24
+            else:
+                assert abs(rep.lhs_mc - exact) <= 3 * rep.stderr
+            assert rep.passed
 
     def test_random_trajectories_pass(self, quad):
         rng = np.random.default_rng(7)
@@ -119,6 +132,23 @@ class TestUnrolled:
         assert initial_direction_variance(single, np.zeros(3), 1) == 0.0
 
 
+def _reference_floyd_batch(n, b, n_mc, rng):
+    """Floyd's without-replacement draw written per replay with Python sets,
+    consuming the stream as the check does: one (n_mc,) draw per j.  Returns
+    each replay's ids in the order they are taken, shape (n_mc, b)."""
+    draws = [rng.integers(0, j + 1, size=n_mc) for j in range(n - b, n)]
+    order = np.empty((n_mc, b), dtype=np.int64)
+    for r in range(n_mc):
+        taken = set()
+        for c, j in enumerate(range(n - b, n)):
+            t = int(draws[c][r])
+            if t in taken:
+                t = j
+            taken.add(t)
+            order[r, c] = t
+    return order
+
+
 def _reference_unrolled(prob, trajectory, v0, beta, n_mc, rng):
     """The unrolled replay written out of place, drawing what the check draws
     in the same order; returns (lhs_mc, stderr, rhs)."""
@@ -127,11 +157,11 @@ def _reference_unrolled(prob, trajectory, v0, beta, n_mc, rng):
     all_ids = np.arange(n)
     rows0 = gradient_rows(prob, trajectory[0], all_ids)
     if np.ndim(v0) == 0:
-        if v0 == 1:
-            batch = rng.integers(0, n, size=(n_mc, 1))
-        else:
-            batch = rng.permuted(np.broadcast_to(all_ids, (n_mc, n)).copy(), axis=1)[:, :v0]
-        V = rows0[batch].mean(axis=1)
+        order = _reference_floyd_batch(n, v0, n_mc, rng)
+        V = rows0[order[:, 0]]
+        for c in range(1, v0):
+            V = V + rows0[order[:, c]]
+        V = V / v0
         init_term = initial_direction_variance(prob, trajectory[0], v0)
     else:
         V = np.broadcast_to(v0, (n_mc, prob.dim)).copy()
@@ -173,6 +203,47 @@ def test_unrolled_matches_an_out_of_place_replay_bitwise(quad, v0_form):
         rep = vp.check_variance_recursion_unrolled(quad, traj, v0, beta, n_mc=n_mc, rng=rng_used)
         assert (rep.lhs_mc, rep.stderr, rep.rhs) == expected
         assert rng_used.bit_generator.state == ref_rng.bit_generator.state
+
+
+class TestFloydBatch:
+    # Identity rows: each replay's mean is its subset's indicator over b.
+    N = 8
+
+    def _subsets(self, b, n_mc, seed):
+        V = _floyd_batch_means(np.eye(self.N), b, n_mc, np.random.default_rng(seed))
+        member = V > 0.0
+        np.testing.assert_array_equal(V, member / b)
+        return member
+
+    @pytest.mark.parametrize("b", range(1, 9))
+    def test_each_replay_takes_b_distinct_ids(self, b):
+        member = self._subsets(b, 5000, seed=b)
+        assert np.all(member.sum(axis=1) == b)
+
+    def test_subsets_are_uniform(self):
+        # 56 subsets of 3 out of 8, 200 expected draws each.  The chi-square
+        # statistic (55 degrees of freedom) stays below its 0.999 quantile,
+        # 93.17, and each id's inclusion count lies within 4 standard
+        # deviations of its binomial mean n_mc * 3/8.
+        b, n_mc = 3, 56 * 200
+        member = self._subsets(b, n_mc, seed=2024)
+        codes = member.astype(np.int64) @ (1 << np.arange(self.N))
+        subsets = [sum(1 << i for i in c) for c in itertools.combinations(range(self.N), b)]
+        counts = np.array([np.count_nonzero(codes == c) for c in subsets])
+        assert counts.sum() == n_mc
+        expected = n_mc / len(subsets)
+        assert np.sum((counts - expected) ** 2 / expected) < 93.17
+        q = b / self.N
+        inclusion = member.sum(axis=0)
+        assert np.all(np.abs(inclusion - n_mc * q) <= 4 * np.sqrt(n_mc * q * (1 - q)))
+
+    def test_single_id_batch_is_one_integers_draw(self):
+        rows = np.random.default_rng(3).normal(size=(self.N, 5))
+        ours, ref = np.random.default_rng(11), np.random.default_rng(11)
+        V = _floyd_batch_means(rows, 1, 777, ours)
+        batch = ref.integers(0, self.N, size=(777, 1))
+        assert V.tobytes() == rows[batch].mean(axis=1).tobytes()
+        assert ours.bit_generator.state == ref.bit_generator.state
 
 
 class TestScheduleConstraint:
