@@ -27,7 +27,6 @@ from .optimizer import (
     schedule_from_T,
 )
 from .oracle import (
-    DiagnosticUnsupportedError,
     ProblemInstance,
     estimate_sigma2,
     full_gradient,
@@ -66,7 +65,6 @@ from .validation import (
 __all__ = [
     "__version__",
     "BoxIndicator",
-    "DiagnosticUnsupportedError",
     "DivergenceError",
     "ElasticNet",
     "HYBRID_SARAH",

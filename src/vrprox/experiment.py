@@ -91,10 +91,8 @@ def expand_seeds(seeds, master_seed: int = 0) -> list[int]:
     return [int(s) for s in seeds]
 
 
-def stationarity_bound_rhs(
-    prob: ProblemInstance, psi, T: int, x0: np.ndarray | None = None
-) -> float | None:
-    """A-priori bound (4 L [F(x0) - F*] + 4 sigma^2) / (T+1)^{2/3}.
+def stationarity_bound_rhs(prob: ProblemInstance, psi, T: int) -> float | None:
+    """A-priori bound (4 L [F(x0) - F*] + 4 sigma^2) / (T+1)^{2/3} from x0 = 0.
 
     Only available when L and sigma^2 are certified and the known minimum
     applies to the composite objective, i.e. with the zero regularizer.
@@ -106,8 +104,7 @@ def stationarity_bound_rhs(
         return None
     if prob.sigma_bound is None or prob.f_star_ref is None:
         return None
-    if x0 is None:
-        x0 = prob.x0 if prob.x0 is not None else np.zeros(prob.dim)
+    x0 = np.zeros(prob.dim)
     gap = full_value(prob, x0) + psi_value(psi, x0) - prob.f_star_ref
     return float(
         (4.0 * prob.lipschitz_L * gap + 4.0 * prob.sigma_bound)
@@ -278,10 +275,8 @@ def run_experiment(
         ok = [r for r in t_rows if r["status"] == "ok"]
         means = [r["mean_gms"] for r in ok if r["mean_gms"] is not None]
         mean = float(np.mean(means)) if means else None
-        stderr = (
-            float(np.std(means, ddof=1) / np.sqrt(len(means))) if len(means) > 1 else
-            (0.0 if means else None)
-        )
+        # Fewer than two finished runs give no spread: stderr stays empty.
+        stderr = float(np.std(means, ddof=1) / np.sqrt(len(means))) if len(means) > 1 else None
         # The a-priori bound is the auto schedule's; a manual eta, beta and
         # b_tilde carry no such guarantee.
         bound = stationarity_bound_rhs(prob, psi, T) if cfg.schedule == "auto" else None

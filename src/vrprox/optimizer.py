@@ -49,7 +49,6 @@ from .estimators import (
     init_estimator,
 )
 from .oracle import (
-    DiagnosticUnsupportedError,
     ProblemInstance,
     draw_step_ids,
     full_gradient,
@@ -131,7 +130,7 @@ def schedule_from_T(T: int, L: float) -> HyperParams:
 def gradient_mapping(
     prob: ProblemInstance, psi: PsiSpec, x: np.ndarray, eta: float
 ) -> np.ndarray:
-    """G_eta(x) = (x - prox_{eta psi}(x - eta grad f(x))) / eta; finite-sum only."""
+    """G_eta(x) = (x - prox_{eta psi}(x - eta grad f(x))) / eta."""
     if not (eta > 0 and np.isfinite(eta)):
         raise ValueError(f"eta must be a positive finite scalar, got {eta}")
     x = np.asarray(x, dtype=float)
@@ -204,11 +203,8 @@ def run(
     direction recursion; ``sarah`` runs the same-sample recursion with weight
     0 regardless of ``hp.beta``, and ``sgd`` ignores the weight entirely.
     Every evaluation uses a single sample, which is what the schedule assumes.
-
-    Diagnostics (stationarity, objective, estimator error per iteration)
-    require a finite-sum instance; requesting them on a streaming one raises
-    :class:`DiagnosticUnsupportedError`.  An iterate or step that leaves the
-    finite range raises :class:`DivergenceError`.
+    The run starts at ``x0``, the origin unless given.  An iterate or step
+    that leaves the finite range raises :class:`DivergenceError`.
 
     The inputs are validated once, here; the loop then runs on plain arrays
     with operators resolved up front, and draws from ``rng`` exactly as the
@@ -228,15 +224,8 @@ def run(
     if isinstance(rng, (int, np.integer)):
         seed = int(rng)
         rng = np.random.Generator(np.random.PCG64(seed))
-    if diagnostics and not prob.is_finite_sum:
-        raise DiagnosticUnsupportedError(
-            "per-iteration diagnostics need exact full gradients (finite-sum only); "
-            "rerun with diagnostics off"
-        )
 
-    if x0 is None:
-        x0 = prob.x0 if prob.x0 is not None else np.zeros(prob.dim)
-    x = np.asarray(x0, dtype=float).copy()
+    x = np.zeros(prob.dim) if x0 is None else np.asarray(x0, dtype=float).copy()
     if x.shape != (prob.dim,) or not np.all(np.isfinite(x)):
         raise ValueError("x0 must be a finite point of the problem dimension")
     if is_psi_infinite(psi_value(psi, x)):

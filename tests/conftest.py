@@ -6,47 +6,22 @@ import pytest
 import vrprox as vp
 
 
-def make_streaming_quadratic(p: int = 4, spread: float = 1.0, instance_seed: int = 0):
-    """Streaming objective f_xi(x) = 0.5 ||x - c_xi||^2 where the center c_xi
-    comes from a counter-based stream keyed by the sample id, so the same id
-    always reproduces the same realization."""
-
-    def center(i):
-        g = np.random.Generator(np.random.Philox(key=[instance_seed, int(i)]))
-        return spread * g.standard_normal(p)
-
-    def grad_sample(x, i):
-        return x - center(i)
-
-    def value_sample(x, i):
-        d = x - center(i)
-        return 0.5 * float(d @ d)
-
-    return vp.ProblemInstance(
-        name="streaming-quadratic",
-        dim=p,
-        num_components=None,
-        grad_sample=grad_sample,
-        value_sample=value_sample,
-        lipschitz_L=1.0,
-        lipschitz_certified=True,
-        sigma_bound=None,
-        sigma_certified=False,
-    )
-
-
 def counting_quadratic(n: int = 10, p: int = 4, seed: int = 0):
-    """Quadratic instance whose per-sample gradient calls are counted (the
-    batched fast path is disabled so every evaluation goes through it)."""
+    """Quadratic instance that counts its sample-gradient evaluations: one per
+    ``grad_sample`` call and one per id of a ``grad_batch`` call."""
     prob = vp.make_quadratic(n, p, 1.0, seed=seed)
     calls = {"grad": 0}
-    inner = prob.grad_sample
+    sample, batch = prob.grad_sample, prob.grad_batch
 
-    def counted(x, i):
+    def counted_sample(x, i):
         calls["grad"] += 1
-        return inner(x, i)
+        return sample(x, i)
 
-    return replace(prob, grad_sample=counted, grad_batch=None, mean_grad=None), calls
+    def counted_batch(x, ids):
+        calls["grad"] += len(ids)
+        return batch(x, ids)
+
+    return replace(prob, grad_sample=counted_sample, grad_batch=counted_batch), calls
 
 
 @pytest.fixture

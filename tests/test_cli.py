@@ -7,6 +7,7 @@ import pytest
 
 from vrprox import experiment
 from vrprox.cli import main
+from vrprox.config import parse_config
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -116,6 +117,22 @@ def test_run_error_in_one_task_keeps_the_sweep(tmp_path, capsys, monkeypatch, jo
                             if f.name != "trace_T40_s6.csv")
     for name in traces:
         assert (out / name).read_bytes() == (tmp_path / "clean" / name).read_bytes()
+
+
+def test_stderr_is_empty_below_two_finished_runs(tmp_path, monkeypatch):
+    # A horizon with one finished run has a mean but no spread: its stderr is
+    # None in summary_rows and empty in summary.csv, not 0.
+    def summary(seeds, out):
+        cfg = parse_config(ERROR_CFG.replace("seeds = 5,6,7", f"seeds = {seeds}"))
+        rows = experiment.run_experiment(cfg, output_dir=tmp_path / out).summary_rows
+        lines = (tmp_path / out / "summary.csv").read_text().splitlines()[1:]
+        return [r["stderr"] for r in rows], [line.split(",")[3] for line in lines]
+
+    assert summary("1", "one") == ([None, None], ["", ""])
+    _fail_at(monkeypatch, 40, 6)
+    stderr, cells = summary("5,6", "err")
+    assert stderr[0] > 0 and float(cells[0]) == stderr[0]
+    assert stderr[1] is None and cells[1] == ""
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])

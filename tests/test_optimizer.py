@@ -9,10 +9,8 @@ from hypothesis import strategies as st
 import vrprox as vp
 from vrprox.estimators import HYBRID_SARAH, MOMENTUM_SARAH, SARAH, SGD
 from vrprox.optimizer import BLOCK, DivergenceError, MAX_ITERATE_NORM, _guard
-from vrprox.oracle import DiagnosticUnsupportedError, draw_sample_ids
+from vrprox.oracle import draw_sample_ids
 from vrprox.prox import BoxIndicator, L1, Zero, add_psi
-
-from conftest import make_streaming_quadratic
 
 
 class TestSchedule:
@@ -104,11 +102,6 @@ class TestGradientMapping:
             gm = vp.gradient_mapping(prob, psi, np.array([1.0]), eta)
             assert np.abs(gm[0]) <= 1e-10
 
-    def test_streaming_rejected(self):
-        prob = make_streaming_quadratic()
-        with pytest.raises(DiagnosticUnsupportedError):
-            vp.gradient_mapping(prob, Zero(), np.zeros(prob.dim), 0.1)
-
 
 def _hp(eta=0.1, beta=0.5, b=4, T=60):
     return vp.HyperParams(eta=eta, beta=beta, b_tilde=b, T=T)
@@ -190,18 +183,6 @@ class TestRun:
             vp.run(quad_small, Zero(), hp, rng=2, diagnostics=False)
         assert err.value.t >= 1
         assert err.value.norm > MAX_ITERATE_NORM or not np.isfinite(err.value.norm)
-
-    def test_streaming_runs_without_diagnostics(self):
-        prob = make_streaming_quadratic(p=3, spread=0.5, instance_seed=2)
-        hp = _hp(eta=0.2, b=3, T=40)
-        trace = vp.run(prob, Zero(), hp, rng=11, diagnostics=False)
-        assert trace.grad_map_sq is None
-        assert trace.oracle_calls == 3 + 80
-        assert np.all(np.isfinite(trace.step_sq))
-        hybrid = vp.run(prob, Zero(), hp, rng=11, diagnostics=False, kind=HYBRID_SARAH)
-        assert hybrid.oracle_calls == 3 + 120
-        with pytest.raises(DiagnosticUnsupportedError):
-            vp.run(prob, Zero(), hp, rng=11, diagnostics=True)
 
     def test_unknown_kind_rejected(self, quad_small):
         with pytest.raises(ValueError, match="unknown estimator kind"):
@@ -311,7 +292,7 @@ def _reference_run(prob, psi, hp, seed, kind):
     """run() rebuilt on the public oracle and prox functions, with the four
     direction recursions written out in the library's operation order."""
     rng = np.random.Generator(np.random.PCG64(seed))
-    x = np.asarray(prob.x0 if prob.x0 is not None else np.zeros(prob.dim), dtype=float).copy()
+    x = np.zeros(prob.dim)
     v = vp.minibatch_gradient(prob, x, draw_sample_ids(prob, hp.b_tilde, rng))
     calls = hp.b_tilde
     output_index = int(rng.integers(0, hp.T + 1))

@@ -1,18 +1,16 @@
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import vrprox as vp
 from vrprox.oracle import (
-    DiagnosticUnsupportedError,
     draw_sample_ids,
     draw_step_ids,
     gradient_rows,
     sigma2_at,
 )
-
-from conftest import make_streaming_quadratic
 
 
 def test_quadratic_sample_gradient_closed_form(quad_small, rng):
@@ -100,6 +98,12 @@ def test_estimate_sigma2_respects_certified_bound(quad_small, rng):
     assert vp.estimate_sigma2(quad_small, xs) <= quad_small.sigma_bound + 1e-12
 
 
+@pytest.mark.parametrize("bad", [None, 0, 2.5])
+def test_num_components_must_be_a_positive_integer(quad_small, bad):
+    with pytest.raises(ValueError, match="num_components must be an integer >= 1"):
+        replace(quad_small, num_components=bad)
+
+
 def test_sample_id_validation(quad_small):
     x = np.zeros(quad_small.dim)
     with pytest.raises(ValueError):
@@ -108,33 +112,6 @@ def test_sample_id_validation(quad_small):
         vp.sample_gradient(quad_small, x, -1)
     with pytest.raises(ValueError):
         vp.sample_gradient(quad_small, np.zeros(quad_small.dim + 1), 0)
-
-
-def test_streaming_rejects_exact_diagnostics():
-    prob = make_streaming_quadratic()
-    with pytest.raises(DiagnosticUnsupportedError):
-        vp.full_gradient(prob, np.zeros(prob.dim))
-    with pytest.raises(DiagnosticUnsupportedError):
-        vp.full_value(prob, np.zeros(prob.dim))
-
-
-def test_streaming_sample_is_reproducible():
-    prob = make_streaming_quadratic(instance_seed=9)
-    x = np.ones(prob.dim)
-    a = vp.sample_gradient(prob, x, 123456789)
-    b = vp.sample_gradient(prob, x, 123456789)
-    np.testing.assert_array_equal(a, b)
-    assert not np.array_equal(a, vp.sample_gradient(prob, x, 123456790))
-
-
-def test_streaming_sigma2_needs_mc_budget():
-    prob = make_streaming_quadratic(p=3, spread=0.5, instance_seed=4)
-    rng = np.random.default_rng(0)
-    est = sigma2_at(prob, np.zeros(3), n_mc=4000, rng=rng)
-    # E||c_xi||^2 = spread^2 * p for gaussian centers
-    assert est == pytest.approx(0.25 * 3, rel=0.15)
-    with pytest.raises(ValueError):
-        sigma2_at(prob, np.zeros(3), n_mc=1, rng=rng)
 
 
 def test_determinism_across_rebuilds(rng):
@@ -204,13 +181,11 @@ def test_nonfinite_points_rejected(quad_small, bad):
         vp.full_value(quad_small, x)
 
 
-@pytest.mark.parametrize("streaming", [False, True])
 @pytest.mark.parametrize("size", [1, 7, 255, 256, 257])
-def test_draw_step_ids_consumes_like_single_draws(quad_small, streaming, size):
-    prob = make_streaming_quadratic() if streaming else quad_small
+def test_draw_step_ids_consumes_like_single_draws(quad_small, size):
     a = np.random.default_rng(9)
     b = np.random.default_rng(9)
     for _ in range(3):
-        single = [int(draw_sample_ids(prob, 1, a)[0]) for _ in range(size)]
-        assert draw_step_ids(prob, size, b).tolist() == single
+        single = [int(draw_sample_ids(quad_small, 1, a)[0]) for _ in range(size)]
+        assert draw_step_ids(quad_small, size, b).tolist() == single
     assert a.bit_generator.state == b.bit_generator.state

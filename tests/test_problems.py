@@ -127,6 +127,19 @@ def test_empirical_sigma_dominates_interior_estimate(rng):
     assert vp.estimate_sigma2(prob, [np.zeros(5)]) <= prob.sigma_bound
 
 
+@pytest.mark.parametrize("key", ["quad:60:5:1.0", "sigmoid:60:5", "robust:60:5"])
+def test_closed_form_means_match_enumerated_samples(key):
+    # The closed forms are the only path to the exact mean gradient and value;
+    # they must equal the per-sample means over all n ids.
+    prob = from_key(key, seed=0)
+    n = prob.num_components
+    for x in np.random.default_rng(8).uniform(-10.0, 10.0, (200, prob.dim)):
+        grad = np.mean([prob.grad_sample(x, i) for i in range(n)], axis=0)
+        assert np.max(np.abs(vp.full_gradient(prob, x) - grad)) <= 1e-12 * np.max(np.abs(grad))
+        value = np.mean([prob.value_sample(x, i) for i in range(n)])
+        assert abs(vp.full_value(prob, x) - value) <= 1e-12 * abs(value)
+
+
 def test_generation_deterministic_in_seed(rng):
     x = rng.normal(0, 1, 6)
     for key in ("quad:12:6:1.0", "sigmoid:12:6", "robust:12:6"):
