@@ -1,5 +1,5 @@
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -11,6 +11,7 @@ from vrprox.oracle import (
     gradient_rows,
     sigma2_at,
 )
+from vrprox.problems import from_key
 
 
 def test_quadratic_sample_gradient_closed_form(quad_small, rng):
@@ -102,6 +103,25 @@ def test_estimate_sigma2_respects_certified_bound(quad_small, rng):
 def test_num_components_must_be_a_positive_integer(quad_small, bad):
     with pytest.raises(ValueError, match="num_components must be an integer >= 1"):
         replace(quad_small, num_components=bad)
+
+
+@pytest.mark.parametrize("name", ["grad_batch", "mean_grad", "mean_value"])
+def test_closed_forms_are_required_fields(quad_small, name):
+    kwargs = {f.name: getattr(quad_small, f.name) for f in fields(quad_small) if f.name != name}
+    with pytest.raises(TypeError, match=name):
+        vp.ProblemInstance(**kwargs)
+
+
+@pytest.mark.parametrize("key", ["quad:20:4:1.0", "sigmoid:20:4", "robust:20:4"])
+def test_sigma2_at_enumerates_every_component(key, rng):
+    # sigma2_at is exact: the scatter of all n per-sample gradients about
+    # their mean, with no Monte-Carlo draw.
+    prob = from_key(key, seed=3)
+    for x in rng.uniform(-5.0, 5.0, (5, prob.dim)):
+        grads = np.array([prob.grad_sample(x, i) for i in range(prob.num_components)])
+        dev = grads - grads.mean(axis=0)
+        expected = np.mean(np.sum(dev * dev, axis=1))
+        assert sigma2_at(prob, x) == pytest.approx(expected, rel=1e-10, abs=1e-14)
 
 
 def test_sample_id_validation(quad_small):

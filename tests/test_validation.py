@@ -51,6 +51,23 @@ class TestOneStep:
             assert rep.passed
             assert rep.lhs_mc <= rep.rhs
 
+    def test_lhs_enumerates_every_component(self, quad, rng):
+        # The one-step check is exact: lhs is the mean over all n fresh
+        # samples, stderr is 0, and it passes exactly when lhs <= rhs.
+        x_prev = rng.normal(0, 1, quad.dim)
+        x_curr = x_prev + rng.normal(0, 0.5, quad.dim)
+        v_prev = rng.normal(0, 2, quad.dim)
+        beta = 0.35
+        g = vp.full_gradient(quad, x_curr)
+        sq = []
+        for i in range(quad.num_components):
+            v = quad.grad_sample(x_curr, i) + (1 - beta) * (v_prev - quad.grad_sample(x_prev, i))
+            sq.append(np.sum((v - g) ** 2))
+        rep = vp.check_variance_recursion_step(quad, x_prev, x_curr, v_prev, beta)
+        assert rep.lhs_mc == pytest.approx(np.mean(sq), rel=1e-12)
+        assert rep.stderr == 0.0
+        assert rep.passed == (rep.lhs_mc <= rep.rhs)
+
     def test_refuses_uncertified_constants(self, rng):
         sig = vp.make_nonconvex_sigmoid(10, 4, seed=0)
         with pytest.raises(ValueError, match="certified"):
