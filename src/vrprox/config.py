@@ -17,7 +17,8 @@ Required keys: ``problem``, ``estimator``, ``T``, ``seeds``.  Defaults:
 ``seeds`` is either a count (expanded deterministically from the master seed)
 or an explicit comma list; write a trailing comma (``seeds = 7,``) for a
 single explicit seed.  A manual schedule needs ``eta``, ``beta`` and
-``b_tilde``; the auto schedule needs a problem with certified L.
+``b_tilde``.  Every run starts at x0 = 0, so ``psi`` must be finite there: a
+box must contain the origin.
 """
 
 from __future__ import annotations
@@ -26,9 +27,11 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from . import problems
 from .estimators import KINDS
-from .prox import parse_psi
+from .prox import is_psi_infinite, parse_psi, psi_value
 
 
 class ConfigError(ValueError):
@@ -129,9 +132,15 @@ def parse_config(text: str) -> ExperimentConfig:
             values[key] = raw
         elif key == "psi":
             try:
-                parse_psi(raw)
+                psi = parse_psi(raw)
             except ValueError as exc:
                 raise ConfigError(f"line {lineno}: {exc}") from None
+            # A config's bounds are scalars, so one coordinate stands for any
+            # dimension.
+            if is_psi_infinite(psi_value(psi, np.zeros(1))):
+                raise ConfigError(
+                    f"line {lineno}: key 'psi' = {raw!r} is infinite at the start point x0 = 0"
+                )
             values[key] = raw
         elif key == "estimator":
             if raw not in KINDS:

@@ -33,6 +33,8 @@ from .prox import Zero, parse_psi, psi_value
 TRACE_HEADER = "t,grad_map_sq,obj,est_err_sq,step_sq"
 SUMMARY_HEADER = "T,seeds,mean_grad_map_sq,stderr,bound_rhs,oracle_calls,status"
 COMPARE_HEADER = "T,seed,estimator,mean_grad_map_sq,obj_final,oracle_calls,status"
+# The keys of a run's row that fill COMPARE_HEADER's columns.
+COMPARE_FIELDS = ("T", "seed", "estimator", "mean_gms", "obj_final", "oracle_calls", "status")
 
 
 @dataclass
@@ -72,6 +74,8 @@ def _summary_status(t_rows) -> str:
 def _fmt(value) -> str:
     if value is None:
         return ""
+    if isinstance(value, str):
+        return value
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     return f"{float(value):.17g}"
@@ -94,13 +98,11 @@ def expand_seeds(seeds, master_seed: int = 0) -> list[int]:
 def stationarity_bound_rhs(prob: ProblemInstance, psi, T: int) -> float | None:
     """A-priori bound (4 L [F(x0) - F*] + 4 sigma^2) / (T+1)^{2/3} from x0 = 0.
 
-    Only available when L and sigma^2 are certified and the known minimum
-    applies to the composite objective, i.e. with the zero regularizer.
-    None otherwise.
+    Only available when sigma^2 is certified and the known minimum applies
+    to the composite objective, i.e. with the zero regularizer.  None
+    otherwise.
     """
-    if not isinstance(psi, Zero):
-        return None
-    if not (prob.lipschitz_certified and prob.sigma_certified):
+    if not isinstance(psi, Zero) or not prob.sigma_certified:
         return None
     if prob.sigma_bound is None or prob.f_star_ref is None:
         return None
@@ -197,11 +199,6 @@ def _run_tasks(tasks: list[dict], jobs: int) -> list[dict]:
 
 def _hyperparams_for(cfg: ExperimentConfig, prob: ProblemInstance, T: int) -> HyperParams:
     if cfg.schedule == "auto":
-        if not prob.lipschitz_certified:
-            raise ConfigError(
-                "schedule = auto needs a problem with certified L; "
-                f"{prob.name!r} carries an empirical constant"
-            )
         hp = schedule_from_T(T, prob.lipschitz_L)
         check_initial_batch(hp.b_tilde, cfg.problem, f"b_tilde (schedule = auto, T = {T})")
         return hp
@@ -281,7 +278,6 @@ def run_experiment(
         # b_tilde carry no such guarantee.
         bound = stationarity_bound_rhs(prob, psi, T) if cfg.schedule == "auto" else None
         calls = ok[0]["oracle_calls"] if ok else None
-        status = _summary_status(t_rows)
         record = {
             "T": T,
             "seeds": len(t_rows),
@@ -289,22 +285,10 @@ def run_experiment(
             "stderr": stderr,
             "bound_rhs": bound,
             "oracle_calls": calls,
-            "status": status,
+            "status": _summary_status(t_rows),
         }
         summary_rows.append(record)
-        summary_lines.append(
-            ",".join(
-                [
-                    str(T),
-                    str(len(t_rows)),
-                    _fmt(mean),
-                    _fmt(stderr),
-                    _fmt(bound),
-                    _fmt(calls),
-                    status,
-                ]
-            )
-        )
+        summary_lines.append(",".join(map(_fmt, record.values())))
     (out / "summary.csv").write_text("\n".join(summary_lines) + "\n")
     _write_meta(out / "run_meta.txt", cfg, seeds, master_seed)
     return _result(out, summary_rows, rows)
@@ -337,19 +321,7 @@ def compare_experiment(
 
     lines = [COMPARE_HEADER]
     for row in rows:
-        lines.append(
-            ",".join(
-                [
-                    str(row["T"]),
-                    str(row["seed"]),
-                    row["estimator"],
-                    _fmt(row["mean_gms"]),
-                    _fmt(row["obj_final"]),
-                    _fmt(row["oracle_calls"]),
-                    row["status"],
-                ]
-            )
-        )
+        lines.append(",".join(_fmt(row[key]) for key in COMPARE_FIELDS))
     (out / "compare.csv").write_text("\n".join(lines) + "\n")
     _write_meta(out / "run_meta.txt", cfg, seeds, master_seed)
     return _result(out, rows, rows)

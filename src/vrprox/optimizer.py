@@ -50,6 +50,7 @@ from .estimators import (
 )
 from .oracle import (
     ProblemInstance,
+    _is_integer,
     draw_step_ids,
     full_gradient,
     full_value,
@@ -98,10 +99,21 @@ class HyperParams:
             raise ValueError(f"eta must be a positive finite scalar, got {self.eta}")
         if not 0.0 <= self.beta <= 1.0:
             raise ValueError(f"beta must lie in [0, 1], got {self.beta}")
-        if self.b_tilde < 1:
-            raise ValueError(f"b_tilde must be >= 1, got {self.b_tilde}")
-        if self.T < 1:
-            raise ValueError(f"T must be >= 1, got {self.T}")
+        _check_count("b_tilde", self.b_tilde)
+        _check_count("T", self.T)
+
+
+def _check_count(name: str, value) -> None:
+    if not _is_integer(value) or value < 1:
+        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+
+
+def _eta_beta(T, L: float):
+    """The schedule's step size and weight, eta = 1 / (2 L c) and
+    beta = 1 / c^2 with c = (T+1)^{1/3}, for one horizon or an array of them;
+    tests pin that both give the same bits."""
+    c = np.cbrt(T + 1.0)
+    return 1.0 / (2.0 * L * c), 1.0 / (c * c)
 
 
 def schedule_from_T(T: int, L: float) -> HyperParams:
@@ -111,20 +123,17 @@ def schedule_from_T(T: int, L: float) -> HyperParams:
     (ceil((T+1)^{1/3} / 2) equals the least m with 8 m^3 >= T+1), so float
     cube roots can never misround it at perfect cubes.
     """
+    _check_count("T", T)
     T = int(T)
-    if T < 1:
-        raise ValueError(f"T must be >= 1, got {T}")
     if not (L > 0 and np.isfinite(L)):
         raise ValueError(f"L must be a positive finite scalar, got {L}")
-    c = float(np.cbrt(T + 1.0))
-    eta = 1.0 / (2.0 * L * c)
-    beta = 1.0 / (c * c)
+    eta, beta = _eta_beta(T, L)
     m = max(int(np.ceil(np.cbrt((T + 1) / 8.0))), 1)
     while 8 * m**3 < T + 1:
         m += 1
     while m > 1 and 8 * (m - 1) ** 3 >= T + 1:
         m -= 1
-    return HyperParams(eta=eta, beta=beta, b_tilde=m, T=T)
+    return HyperParams(eta=float(eta), beta=float(beta), b_tilde=m, T=T)
 
 
 def gradient_mapping(
@@ -152,7 +161,7 @@ class RunTrace:
 
     T: int
     kind: str
-    seed: int | None
+    seed: int
     output_index: int
     output_x: np.ndarray
     oracle_calls: int
@@ -198,8 +207,8 @@ def run(
 ) -> RunTrace:
     """Execute one T-step run and return its trace.
 
-    ``rng`` is a numpy Generator or an integer seed (an integer is recorded in
-    the trace, which makes reruns bit-reproducible).  ``kind`` selects the
+    ``rng`` is the run's integer seed (recorded in the trace; the same seed
+    reruns bit for bit), anything else is a ``TypeError``.  ``kind`` selects the
     direction recursion; ``sarah`` runs the same-sample recursion with weight
     0 regardless of ``hp.beta``, and ``sgd`` ignores the weight entirely.
     Every evaluation uses a single sample, which is what the schedule assumes.
@@ -207,23 +216,18 @@ def run(
     that leaves the finite range raises :class:`DivergenceError`.
 
     The inputs are validated once, here; the loop then runs on plain arrays
-    with operators resolved up front, and draws from ``rng`` exactly as the
-    public oracle functions would.  Diagnostics come from one exact
-    ``full_gradient`` and ``full_value`` per iterate, and are reduced a
+    with operators resolved up front, and draws from the seeded generator
+    exactly as the public oracle functions would.  Diagnostics come from one
+    exact ``full_gradient`` and ``full_value`` per iterate, and are reduced a
     block of ``BLOCK`` iterates at a time, so memory stays O(BLOCK * p)
     whatever T is; the traces have the bits of a per-step computation.
-
-    Sample ids are drawn a block at a time: after a :class:`DivergenceError`
-    a caller-supplied Generator has drawn the ids up to the end of the
-    diverging step's block, not only up to that step.  An integer seed
-    (what every caller in this package passes) leaves nothing behind.
     """
     if kind not in KINDS:
         raise ValueError(f"unknown estimator kind {kind!r}; expected one of {KINDS}")
-    seed = None
-    if isinstance(rng, (int, np.integer)):
-        seed = int(rng)
-        rng = np.random.Generator(np.random.PCG64(seed))
+    if not _is_integer(rng):
+        raise TypeError(f"rng must be an integer seed, got {rng!r}")
+    seed = int(rng)
+    rng = np.random.Generator(np.random.PCG64(seed))
 
     x = np.zeros(prob.dim) if x0 is None else np.asarray(x0, dtype=float).copy()
     if x.shape != (prob.dim,) or not np.all(np.isfinite(x)):

@@ -16,6 +16,12 @@ from typing import Callable
 import numpy as np
 
 
+def _is_integer(value) -> bool:
+    """True for a Python or numpy integer; False for anything else, ``bool``
+    included."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class ProblemInstance:
     """A smooth finite sum of ``num_components`` summands with certified constants.
@@ -25,12 +31,12 @@ class ProblemInstance:
     ``mean_grad(x)`` and ``mean_value(x)`` give the exact mean gradient and
     value (1/n) sum_i of the summands in closed form.  All five must agree.
 
-    ``lipschitz_L`` must upper-bound the mean-square Lipschitz constant of the
-    sample gradients, E||grad f_i(x) - grad f_i(y)||^2 <= L^2 ||x - y||^2;
-    ``sigma_bound`` bounds E||grad f_i(x) - grad f(x)||^2.  The
-    ``*_certified`` flags record whether those constants are analytic bounds
-    or empirical estimates; bound checks that need true constants refuse
-    uncertified instances.
+    ``lipschitz_L`` must be a certified upper bound on the mean-square
+    Lipschitz constant of the sample gradients,
+    E||grad f_i(x) - grad f_i(y)||^2 <= L^2 ||x - y||^2.  ``sigma_bound``
+    bounds E||grad f_i(x) - grad f(x)||^2; ``sigma_certified`` records whether
+    it is an analytic bound or an empirical estimate, and bound checks that
+    need the true sigma^2 refuse uncertified instances.
 
     ``f_star_ref`` is the minimum of f alone (no regularizer), when known.
     """
@@ -44,7 +50,6 @@ class ProblemInstance:
     mean_grad: Callable[[np.ndarray], np.ndarray]
     mean_value: Callable[[np.ndarray], float]
     lipschitz_L: float
-    lipschitz_certified: bool = True
     sigma_bound: float | None = None
     sigma_certified: bool = False
     f_star_ref: float | None = None
@@ -55,7 +60,7 @@ class ProblemInstance:
         if self.dim < 1:
             raise ValueError(f"dim must be >= 1, got {self.dim}")
         n = self.num_components
-        if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
+        if not _is_integer(n) or n < 1:
             raise ValueError(f"num_components must be an integer >= 1, got {n!r}")
         if not (self.lipschitz_L > 0 and np.isfinite(self.lipschitz_L)):
             raise ValueError(f"lipschitz_L must be a positive finite scalar, got {self.lipschitz_L}")
@@ -161,17 +166,15 @@ def draw_sample_ids(prob: ProblemInstance, size: int, rng) -> np.ndarray:
     return rng.integers(0, n, size=size)
 
 
-def smoothness_spot_check(
-    prob: ProblemInstance, rng, n_pairs: int = 1000, radius: float | None = None
-) -> dict:
+def smoothness_spot_check(prob: ProblemInstance, rng, n_pairs: int = 1000) -> dict:
     """Monte-Carlo check of the mean-square Lipschitz bound on sample gradients.
 
-    Draws ``n_pairs`` random point pairs in a ball of the given radius and one
-    uniform sample per pair, and compares the Monte-Carlo mean of
-    ||grad f_xi(x) - grad f_xi(y)||^2 / (L^2 ||x - y||^2) against 1 with a
-    three-standard-error allowance.
+    Draws ``n_pairs`` random point pairs in the cube of half-width
+    ``prob.sampling_radius`` and one uniform sample per pair, and compares the
+    Monte-Carlo mean of ||grad f_xi(x) - grad f_xi(y)||^2 / (L^2 ||x - y||^2)
+    against 1 with a three-standard-error allowance.
     """
-    radius = prob.sampling_radius if radius is None else radius
+    radius = prob.sampling_radius
     L2 = prob.lipschitz_L**2
     ratios = np.empty(n_pairs)
     for k in range(n_pairs):

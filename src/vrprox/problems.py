@@ -93,7 +93,6 @@ def make_quadratic(
         grad_sample=grad_sample,
         value_sample=value_sample,
         lipschitz_L=1.0,
-        lipschitz_certified=True,
         sigma_bound=sigma2,
         sigma_certified=True,
         f_star_ref=0.5 * sigma2,
@@ -201,7 +200,6 @@ def make_nonconvex_sigmoid(n: int, p: int, seed: int = 0) -> ProblemInstance:
         grad_sample=grad_sample,
         value_sample=value_sample,
         lipschitz_L=float(SIGMOID_CURVATURE_BOUND * np.max(np.sum(A * A, axis=1))),
-        lipschitz_certified=True,
         sigma_bound=None,
         sigma_certified=False,
         grad_batch=grad_batch,
@@ -258,7 +256,6 @@ def make_robust_regression(n: int, p: int, seed: int = 0) -> ProblemInstance:
         grad_sample=grad_sample,
         value_sample=value_sample,
         lipschitz_L=float(REDESCENDING_CURVATURE_BOUND * np.max(np.sum(A * A, axis=1))),
-        lipschitz_certified=True,
         sigma_bound=None,
         sigma_certified=False,
         grad_batch=grad_batch,

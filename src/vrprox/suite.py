@@ -16,6 +16,7 @@ reduced horizon grid here, the full grid lives in the test suite).
 from __future__ import annotations
 
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -46,10 +47,11 @@ def _row(check: str, passed: bool, value, threshold: str, detail: str = "") -> d
     }
 
 
-def central_difference_gradient(prob, x: np.ndarray, sample_id: int, h: float = 1e-5) -> np.ndarray:
-    """Per-sample gradient by central differences of value_sample (the
-    independent oracle for gradient checks)."""
+def central_difference_gradient(prob, x: np.ndarray, sample_id: int) -> np.ndarray:
+    """Per-sample gradient by central differences of value_sample at step
+    h = 1e-5 (the independent oracle for gradient checks)."""
     x = np.asarray(x, dtype=float)
+    h = 1e-5
     g = np.empty_like(x)
     for j in range(x.size):
         e = np.zeros_like(x)
@@ -69,7 +71,7 @@ def _check_schedule(quick: bool) -> dict:
     # per horizon.
     Ts = np.arange(1, horizon + 1)
     for L in (0.1, 1.0, 10.0):
-        rep = check_schedule_constraint(Ts, L, keep_margins=True)
+        rep = check_schedule_constraint(Ts, L)
         margins[L] = rep.margins
         all_pass &= rep.passed
         worst = min(worst, rep.worst_margin)
@@ -240,16 +242,37 @@ def _check_sigma_consistency(seed: int) -> dict:
     )
 
 
+def _counting(prob):
+    """``prob`` with its sample-gradient evaluations counted, one per
+    ``grad_sample`` call and one per id of a ``grad_batch`` call; returns the
+    counting instance and its ``{"grad": count}`` tally."""
+    calls = {"grad": 0}
+    sample, batch = prob.grad_sample, prob.grad_batch
+
+    def counted_sample(x, i):
+        calls["grad"] += 1
+        return sample(x, i)
+
+    def counted_batch(x, ids):
+        calls["grad"] += len(ids)
+        return batch(x, ids)
+
+    return replace(prob, grad_sample=counted_sample, grad_batch=counted_batch), calls
+
+
 def _check_oracle_accounting(seed: int) -> dict:
     prob = make_quadratic(20, 5, 1.0, seed=seed)
     hp = HyperParams(eta=0.1, beta=0.5, b_tilde=4, T=25)
     expected = {MOMENTUM_SARAH: hp.b_tilde + 2 * hp.T, SARAH: hp.b_tilde + 2 * hp.T,
                 HYBRID_SARAH: hp.b_tilde + 3 * hp.T, SGD: hp.b_tilde + hp.T}
-    got = {
-        kind: run(prob, Zero(), hp, rng=7, diagnostics=False, kind=kind).oracle_calls
-        for kind in expected
-    }
-    ok = got == expected
+    # The evaluations are counted, so a run that spends more than it reports
+    # fails here.
+    got, ok = {}, True
+    for kind in expected:
+        counted, calls = _counting(prob)
+        trace = run(counted, Zero(), hp, rng=7, diagnostics=False, kind=kind)
+        got[kind] = calls["grad"]
+        ok &= got[kind] == trace.oracle_calls == expected[kind]
     return _row(
         "oracle_accounting",
         ok,

@@ -20,8 +20,8 @@ This module verifies what desk-scale computation *can* verify:
 * the empirical decay exponent of the averaged squared gradient mapping.
 
 All statistical checks pass at three standard errors; the inequalities are
-one-sided bounds, which leaves headroom.  Checks that need true constants
-refuse instances whose (L, sigma^2) are not certified.
+one-sided bounds, which leaves headroom.  Checks that need the true sigma^2
+refuse instances whose sigma^2 is not certified.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .optimizer import schedule_from_T
+from .optimizer import _eta_beta
 from .oracle import (
     ProblemInstance,
     full_gradient,
@@ -58,20 +58,21 @@ class VarianceBoundReport:
 
 @dataclass(frozen=True)
 class ScheduleReport:
-    """Worst-case margin of beta - 2 L^2 eta^2 / (1 - L eta) over a horizon range."""
+    """Worst-case margin of beta - 2 L^2 eta^2 / (1 - L eta) over a horizon
+    range; ``margins`` holds the margin of every horizon, in range order."""
 
     passed: bool
     worst_margin: float
     worst_T: int
     n_checked: int
-    margins: np.ndarray | None = None
+    margins: np.ndarray
 
 
 def _require_certified(prob: ProblemInstance, what: str) -> None:
-    if not (prob.lipschitz_certified and prob.sigma_certified and prob.sigma_bound is not None):
+    if not (prob.sigma_certified and prob.sigma_bound is not None):
         raise ValueError(
-            f"{what} needs certified L and exact sigma^2; "
-            f"instance {prob.name!r} carries empirical constants only"
+            f"{what} needs a certified sigma^2; "
+            f"instance {prob.name!r} carries an empirical estimate only"
         )
 
 
@@ -182,8 +183,8 @@ def check_variance_recursion_unrolled(
     trajectory: np.ndarray,
     v0,
     beta: float,
+    rng,
     n_mc: int = 10_000,
-    rng=None,
 ) -> VarianceBoundReport:
     """Replay the recursion along a frozen trajectory and compare against the
     unrolled variance bound.
@@ -199,8 +200,6 @@ def check_variance_recursion_unrolled(
     """
     _require_certified(prob, "the unrolled variance check")
     beta = _check_beta_open(beta)
-    if rng is None:
-        raise ValueError("the unrolled check needs an rng")
     if n_mc < 2:
         raise ValueError("need n_mc >= 2 replays")
     trajectory = np.asarray(trajectory, dtype=float)
@@ -263,43 +262,25 @@ def check_variance_recursion_unrolled(
     )
 
 
-def check_schedule_constraint(
-    T_range, L: float, slack: float = 1e-12, keep_margins: bool = False
-) -> ScheduleReport:
-    """Verify beta >= 2 L^2 eta^2 / (1 - L eta) for every horizon in ``T_range``.
+def check_schedule_constraint(T_range, L: float) -> ScheduleReport:
+    """Verify beta >= 2 L^2 eta^2 / (1 - L eta), to within 1e-12, for every
+    horizon in ``T_range``.
 
-    The whole range is evaluated vectorized with the same float operations the
-    scalar schedule uses, and a deterministic subsample is cross-checked
-    bitwise against :func:`schedule_from_T` to pin the two paths together.
+    The whole range is evaluated at once by the formula
+    :func:`~vrprox.optimizer.schedule_from_T` uses; the report keeps every
+    margin.
     """
     Ts = np.asarray(T_range, dtype=np.int64)
     if Ts.size == 0:
         raise ValueError("empty horizon range")
     if np.any(Ts < 1):
         raise ValueError("horizons must be >= 1")
-    c = np.cbrt(Ts + 1.0)
-    eta = 1.0 / (2.0 * L * c)
-    beta = 1.0 / (c * c)
+    eta, beta = _eta_beta(Ts, L)
     q = L * eta
     constraint = 2.0 * (L * L) * (eta * eta) / (1.0 - q)
     margins = beta - constraint
 
-    ok = bool(
-        np.all(constraint > 0.0) and np.all(beta < 1.0) and np.all(margins >= -slack)
-    )
-
-    # Bind the vectorized formulas to the scalar schedule on a subsample.
-    probe = np.unique(
-        np.concatenate(
-            [[0, Ts.size - 1], np.arange(0, Ts.size, max(1, Ts.size // 97))]
-        )
-    )
-    for i in probe:
-        hp = schedule_from_T(int(Ts[i]), L)
-        if hp.eta != eta[i] or hp.beta != beta[i]:
-            raise AssertionError(
-                f"vectorized schedule disagrees with schedule_from_T at T={Ts[i]}"
-            )
+    ok = bool(np.all(constraint > 0.0) and np.all(beta < 1.0) and np.all(margins >= -1e-12))
 
     worst = int(np.argmin(margins))
     return ScheduleReport(
@@ -307,7 +288,7 @@ def check_schedule_constraint(
         worst_margin=float(margins[worst]),
         worst_T=int(Ts[worst]),
         n_checked=int(Ts.size),
-        margins=margins if keep_margins else None,
+        margins=margins,
     )
 
 

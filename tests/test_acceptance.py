@@ -12,7 +12,7 @@ import vrprox as vp
 from vrprox.estimators import HYBRID_SARAH, MOMENTUM_SARAH, SARAH, SGD, _recursion
 from vrprox.experiment import run_experiment, stationarity_bound_rhs
 from vrprox.prox import BoxIndicator, ElasticNet, L1, Zero, prox
-from vrprox.suite import central_difference_gradient
+from vrprox.suite import _counting, central_difference_gradient
 from vrprox.config import parse_config
 
 
@@ -76,7 +76,7 @@ def test_criterion_3_schedule_constraint():
     margins = {}
     all_pass = True
     for L in (0.1, 1.0, 10.0):
-        rep = vp.check_schedule_constraint(horizon, L, keep_margins=True)
+        rep = vp.check_schedule_constraint(horizon, L)
         all_pass &= rep.passed and rep.worst_margin >= 0.0
         margins[L] = rep.margins
     spread = max(
@@ -137,17 +137,21 @@ def test_criterion_5_rate_exponent():
 def test_criterion_6_oracle_accounting():
     prob = vp.make_quadratic(40, 8, 1.0, seed=1)
     checked = []
+
+    def counted_calls(hp, seed, kind):
+        # The evaluations the run makes, counted, and the number it reports
+        # must both equal the formula.
+        counted, calls = _counting(prob)
+        trace = vp.run(counted, Zero(), hp, rng=seed, kind=kind, diagnostics=False)
+        return calls["grad"] if calls["grad"] == trace.oracle_calls else None
+
     for T in (37, 200):
         hp = vp.schedule_from_T(T, prob.lipschitz_L)
-        mom = vp.run(prob, Zero(), hp, rng=3, kind=MOMENTUM_SARAH, diagnostics=False)
-        hyb = vp.run(prob, Zero(), hp, rng=3, kind=HYBRID_SARAH, diagnostics=False)
-        checked.append(mom.oracle_calls == hp.b_tilde + 2 * T)
-        checked.append(hyb.oracle_calls == hp.b_tilde + 3 * T)
+        checked.append(counted_calls(hp, 3, MOMENTUM_SARAH) == hp.b_tilde + 2 * T)
+        checked.append(counted_calls(hp, 3, HYBRID_SARAH) == hp.b_tilde + 3 * T)
     hp = vp.HyperParams(eta=0.1, beta=0.4, b_tilde=9, T=55)
-    mom = vp.run(prob, Zero(), hp, rng=4, kind=MOMENTUM_SARAH, diagnostics=False)
-    hyb = vp.run(prob, Zero(), hp, rng=4, kind=HYBRID_SARAH, diagnostics=False)
-    checked.append(mom.oracle_calls == 9 + 110)
-    checked.append(hyb.oracle_calls == 9 + 165)
+    checked.append(counted_calls(hp, 4, MOMENTUM_SARAH) == 9 + 110)
+    checked.append(counted_calls(hp, 4, HYBRID_SARAH) == 9 + 165)
     _report(
         6,
         "oracle-call accounting",
@@ -293,7 +297,7 @@ def test_criterion_9_gradient_correctness():
             x = rng.uniform(-2, 2, prob.dim)
             i = int(rng.integers(0, prob.num_components))
             g = vp.sample_gradient(prob, x, i)
-            fd = central_difference_gradient(prob, x, i, h=1e-5)
+            fd = central_difference_gradient(prob, x, i)
             w = max(w, float(np.linalg.norm(fd - g) / max(np.linalg.norm(g), 1e-8)))
         worst[name] = w
     _report(

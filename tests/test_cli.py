@@ -230,6 +230,17 @@ def test_auto_initial_batch_larger_than_n_is_config_error(tmp_path, capsys):
                                             tmp_path / command, capsys)
 
 
+def test_box_excluding_the_origin_is_config_error(tmp_path, capsys):
+    cfg = tmp_path / "box.cfg"
+    cfg.write_text(CFG + "psi = box:0.5:1\n")
+    for command in ("run", "compare"):
+        out_dir = tmp_path / command
+        assert main([command, "--config", str(cfg), "--output", str(out_dir)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "'psi'" in err and "Traceback" not in err
+        assert not out_dir.exists()
+
+
 def test_negative_master_seed_is_config_error(tmp_path, capsys):
     cfg = tmp_path / "exp.cfg"
     cfg.write_text(CFG)

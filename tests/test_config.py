@@ -94,6 +94,15 @@ def test_bad_psi_key_reports_line():
         parse_config(MINIMAL + "psi = l3:1.0\n")
 
 
+def test_psi_must_be_finite_at_the_origin():
+    # Every run starts at x0 = 0, which a box must contain; on a face counts.
+    for psi in ("box:0.5:1", "box:-2:-0.1"):
+        with pytest.raises(ConfigError, match=r"line 5: key 'psi'.*x0 = 0"):
+            parse_config(MINIMAL + f"psi = {psi}\n")
+    for psi in ("box:0:1", "box:-1:0", "box:0:0"):
+        assert parse_config(MINIMAL + f"psi = {psi}\n").psi == psi
+
+
 def test_manual_initial_batch_cannot_exceed_components():
     manual = MINIMAL + "schedule = manual\neta = 0.1\nbeta = 0.5\n"
     assert parse_config(manual + "b_tilde = 10\n").b_tilde == 10  # n = 10

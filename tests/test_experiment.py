@@ -203,18 +203,6 @@ def test_nonconvex_families_run_under_auto_schedule(tmp_path):
     assert float(row[2]) >= 0.0
 
 
-def test_auto_schedule_requires_certified_L(quad_small):
-    from dataclasses import replace
-
-    from vrprox.config import ConfigError
-    from vrprox.experiment import _hyperparams_for
-
-    cfg = parse_config(CFG)
-    uncertified = replace(quad_small, lipschitz_certified=False)
-    with pytest.raises(ConfigError, match="certified L"):
-        _hyperparams_for(cfg, uncertified, 30)
-
-
 def test_trace_floats_have_full_precision(tmp_path):
     cfg = parse_config(CFG.replace("T = 30,60", "T = 12").replace("seeds = 3", "seeds = 1"))
     run_experiment(cfg, output_dir=tmp_path, master_seed=0)

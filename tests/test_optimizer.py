@@ -64,16 +64,32 @@ class TestSchedule:
         with pytest.raises(ValueError):
             vp.schedule_from_T(10, 0.0)
 
+    @pytest.mark.parametrize("T", [10.7, 10.0, True, "10"])
+    def test_horizon_must_be_an_integer(self, T):
+        with pytest.raises(ValueError, match="T must be an integer"):
+            vp.schedule_from_T(T, 1.0)
+
+    def test_numpy_integer_horizon(self):
+        hp = vp.schedule_from_T(np.int64(999), 1.0)
+        assert hp == vp.schedule_from_T(999, 1.0)
+        assert type(hp.T) is int and type(hp.eta) is float
+
 
 class TestHyperParams:
     def test_one_constant_step(self):
         assert [f.name for f in fields(vp.HyperParams)] == ["eta", "beta", "b_tilde", "T"]
 
     @pytest.mark.parametrize("bad", [dict(eta=0.0), dict(eta=np.inf), dict(beta=-0.1),
-                                     dict(beta=1.1), dict(b_tilde=0), dict(T=0)])
+                                     dict(beta=1.1), dict(b_tilde=0), dict(T=0),
+                                     dict(b_tilde=2.5), dict(T=10.5), dict(b_tilde=2.0),
+                                     dict(b_tilde=True), dict(T=True)])
     def test_rejects_bad_values(self, bad):
         with pytest.raises(ValueError):
             vp.HyperParams(**{**dict(eta=0.1, beta=0.5, b_tilde=2, T=10), **bad})
+
+    def test_accepts_numpy_integers(self):
+        hp = vp.HyperParams(eta=0.1, beta=0.5, b_tilde=np.int64(2), T=np.int32(10))
+        assert (hp.b_tilde, hp.T) == (2, 10)
 
 
 class TestGradientMapping:
@@ -187,6 +203,17 @@ class TestRun:
     def test_unknown_kind_rejected(self, quad_small):
         with pytest.raises(ValueError, match="unknown estimator kind"):
             vp.run(quad_small, Zero(), _hp(), rng=0, kind="warp_drive")
+
+    @pytest.mark.parametrize("rng", [3.7, 3.0, True, None, "3", np.random.default_rng(3)])
+    def test_rng_must_be_an_integer_seed(self, quad_small, rng):
+        with pytest.raises(TypeError, match="integer seed"):
+            vp.run(quad_small, Zero(), _hp(T=5), rng=rng)
+
+    def test_numpy_integer_seed_is_recorded_as_int(self, quad_small):
+        trace = vp.run(quad_small, Zero(), _hp(T=5), rng=np.int64(3))
+        assert type(trace.seed) is int and trace.seed == 3
+        same = vp.run(quad_small, Zero(), _hp(T=5), rng=3)
+        assert trace.step_sq.tobytes() == same.step_sq.tobytes()
 
     def test_x0_outside_domain_rejected(self, quad_small):
         box = BoxIndicator(lo=np.zeros(quad_small.dim), hi=np.ones(quad_small.dim))

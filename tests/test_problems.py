@@ -66,7 +66,7 @@ def test_gradient_against_finite_differences(factory, rng):
         x = rng.uniform(-2, 2, prob.dim)
         i = int(rng.integers(0, prob.num_components))
         g = vp.sample_gradient(prob, x, i)
-        fd = central_difference_gradient(prob, x, i, h=1e-5)
+        fd = central_difference_gradient(prob, x, i)
         assert np.linalg.norm(fd - g) <= 1e-6 * max(np.linalg.norm(g), 1e-8)
 
 
@@ -108,12 +108,11 @@ def test_robust_loss_bounded():
 
 def test_certification_labels():
     quad = vp.make_quadratic(5, 3, 1.0, seed=0)
-    assert quad.lipschitz_certified and quad.sigma_certified
+    assert quad.sigma_certified
     assert quad.lipschitz_L == 1.0
     sig = vp.make_nonconvex_sigmoid(5, 3, seed=0)
     rob = vp.make_robust_regression(5, 3, seed=0)
     for prob in (sig, rob):
-        assert prob.lipschitz_certified
         assert not prob.sigma_certified
         assert prob.sigma_bound is not None and prob.sigma_bound > 0
         assert prob.f_star_ref is None

@@ -265,7 +265,7 @@ class TestFloydBatch:
 
 class TestScheduleConstraint:
     def test_small_horizon_margin(self):
-        rep = vp.check_schedule_constraint([7], 1.0, keep_margins=True)
+        rep = vp.check_schedule_constraint([7], 1.0)
         # beta - 2 L^2 eta^2 / (1 - L eta) = 1/4 - (2/16)/(3/4) = 1/12
         assert rep.passed
         assert rep.margins[0] == pytest.approx(1.0 / 12.0, rel=1e-12)
@@ -279,14 +279,30 @@ class TestScheduleConstraint:
     def test_margin_L_invariant(self):
         Ts = range(1, 20_001)
         margins = {
-            L: vp.check_schedule_constraint(Ts, L, keep_margins=True).margins
+            L: vp.check_schedule_constraint(Ts, L).margins
             for L in (0.1, 1.0, 10.0)
         }
         assert np.max(np.abs(margins[0.1] - margins[1.0])) <= 1e-12
         assert np.max(np.abs(margins[10.0] - margins[1.0])) <= 1e-12
         # The suite passes its horizons as an array; same bits as the range.
-        arr = vp.check_schedule_constraint(np.arange(1, 20_001), 1.0, keep_margins=True)
+        arr = vp.check_schedule_constraint(np.arange(1, 20_001), 1.0)
         assert arr.margins.tobytes() == margins[1.0].tobytes()
+
+    def test_margins_match_the_scalar_schedule(self):
+        # The range check and schedule_from_T share one formula: margins
+        # rebuilt from the scalar schedule have the same bits, at about 100
+        # horizons spread over T = 1..10^6.
+        Ts = np.arange(1, 10**6 + 1)
+        probe = np.unique(
+            np.concatenate([[0, Ts.size - 1], np.arange(0, Ts.size, Ts.size // 97)])
+        )
+        for L in (0.1, 1.0, 10.0):
+            rep = vp.check_schedule_constraint(Ts, L)
+            rebuilt = []
+            for i in probe:
+                hp = vp.schedule_from_T(int(Ts[i]), L)
+                rebuilt.append(hp.beta - 2.0 * (L * L) * (hp.eta * hp.eta) / (1.0 - L * hp.eta))
+            assert np.array(rebuilt).tobytes() == rep.margins[probe].tobytes()
 
     def test_rejects_bad_range(self):
         with pytest.raises(ValueError):
