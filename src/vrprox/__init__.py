@@ -28,7 +28,6 @@ from .optimizer import (
 )
 from .oracle import (
     ProblemInstance,
-    estimate_sigma2,
     full_gradient,
     full_value,
     minibatch_gradient,
@@ -84,7 +83,6 @@ __all__ = [
     "check_variance_recursion_step",
     "check_variance_recursion_unrolled",
     "check_schedule_constraint",
-    "estimate_sigma2",
     "from_key",
     "full_gradient",
     "full_value",

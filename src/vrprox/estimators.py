@@ -41,9 +41,6 @@ def init_estimator(prob: ProblemInstance, x0: np.ndarray, b_tilde: int, rng) -> 
     Finite-sum batches are drawn uniformly without replacement, so
     ``b_tilde = n`` gives the exact full gradient.
     """
-    b_tilde = int(b_tilde)
-    if b_tilde < 1:
-        raise ValueError(f"initial batch size must be >= 1, got {b_tilde}")
     x0 = np.asarray(x0, dtype=float)
     return minibatch_gradient(prob, x0, draw_sample_ids(prob, b_tilde, rng))
 

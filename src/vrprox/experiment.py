@@ -102,9 +102,7 @@ def stationarity_bound_rhs(prob: ProblemInstance, psi, T: int) -> float | None:
     to the composite objective, i.e. with the zero regularizer.  None
     otherwise.
     """
-    if not isinstance(psi, Zero) or not prob.sigma_certified:
-        return None
-    if prob.sigma_bound is None or prob.f_star_ref is None:
+    if not isinstance(psi, Zero) or prob.sigma_bound is None or prob.f_star_ref is None:
         return None
     x0 = np.zeros(prob.dim)
     gap = full_value(prob, x0) + psi_value(psi, x0) - prob.f_star_ref

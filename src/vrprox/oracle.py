@@ -33,10 +33,10 @@ class ProblemInstance:
 
     ``lipschitz_L`` must be a certified upper bound on the mean-square
     Lipschitz constant of the sample gradients,
-    E||grad f_i(x) - grad f_i(y)||^2 <= L^2 ||x - y||^2.  ``sigma_bound``
-    bounds E||grad f_i(x) - grad f(x)||^2; ``sigma_certified`` records whether
-    it is an analytic bound or an empirical estimate, and bound checks that
-    need the true sigma^2 refuse uncertified instances.
+    E||grad f_i(x) - grad f_i(y)||^2 <= L^2 ||x - y||^2.  ``sigma_bound``,
+    when given, must be a certified bound on E||grad f_i(x) - grad f(x)||^2
+    at every x; ``None`` means none is known, and bound checks that need
+    sigma^2 refuse the instance.
 
     ``f_star_ref`` is the minimum of f alone (no regularizer), when known.
     """
@@ -51,7 +51,6 @@ class ProblemInstance:
     mean_value: Callable[[np.ndarray], float]
     lipschitz_L: float
     sigma_bound: float | None = None
-    sigma_certified: bool = False
     f_star_ref: float | None = None
     sampling_radius: float = 10.0
     meta: dict = field(default_factory=dict)
@@ -64,6 +63,8 @@ class ProblemInstance:
             raise ValueError(f"num_components must be an integer >= 1, got {n!r}")
         if not (self.lipschitz_L > 0 and np.isfinite(self.lipschitz_L)):
             raise ValueError(f"lipschitz_L must be a positive finite scalar, got {self.lipschitz_L}")
+        if self.sigma_bound is not None and not 0 <= self.sigma_bound < np.inf:
+            raise ValueError(f"sigma_bound must be None or a finite scalar >= 0, got {self.sigma_bound}")
 
 
 @functools.lru_cache(maxsize=8)
@@ -86,7 +87,11 @@ def _check_point(prob: ProblemInstance, x: np.ndarray) -> np.ndarray:
 
 
 def _check_id(prob: ProblemInstance, sample_id: int) -> int:
-    sample_id = int(sample_id)
+    # The run loop passes Python ints; anything else must be an integer too.
+    if type(sample_id) is not int:
+        if not _is_integer(sample_id):
+            raise ValueError(f"sample id must be an integer, got {sample_id!r}")
+        sample_id = int(sample_id)
     if not 0 <= sample_id < prob.num_components:
         raise ValueError(
             f"sample id {sample_id} out of range [0, {prob.num_components})"
@@ -102,7 +107,7 @@ def sample_gradient(prob: ProblemInstance, x: np.ndarray, sample_id: int) -> np.
 
 def minibatch_gradient(prob: ProblemInstance, x: np.ndarray, ids) -> np.ndarray:
     """Arithmetic mean of sample gradients over a batch of ids."""
-    ids = np.atleast_1d(np.asarray(ids, dtype=np.int64))
+    ids = np.atleast_1d(np.asarray(ids))
     if ids.size == 0:
         raise ValueError("mini-batch must contain at least one sample id")
     x = _check_point(prob, x)
@@ -111,7 +116,9 @@ def minibatch_gradient(prob: ProblemInstance, x: np.ndarray, ids) -> np.ndarray:
 
 def gradient_rows(prob: ProblemInstance, x: np.ndarray, ids: np.ndarray) -> np.ndarray:
     """Stack per-sample gradients for ``ids`` into a (len(ids), dim) matrix."""
-    ids = np.asarray(ids, dtype=np.int64)
+    ids = np.asarray(ids)
+    if ids.dtype.kind not in "iu":
+        raise ValueError(f"sample ids must be integers, got dtype {ids.dtype}")
     if ids.size and (ids.min() < 0 or ids.max() >= prob.num_components):
         raise ValueError("sample id out of range")
     return prob.grad_batch(x, ids)
@@ -135,14 +142,6 @@ def sigma2_at(prob: ProblemInstance, x: np.ndarray) -> float:
     return float(np.mean(np.sum(dev * dev, axis=1)))
 
 
-def estimate_sigma2(prob: ProblemInstance, xs) -> float:
-    """Max over ``xs`` of the per-point gradient variance (lower bound on sigma^2)."""
-    xs = list(xs)
-    if not xs:
-        raise ValueError("estimate_sigma2 needs at least one evaluation point")
-    return max(sigma2_at(prob, x) for x in xs)
-
-
 def draw_step_ids(prob: ProblemInstance, size: int, rng) -> np.ndarray:
     """Draw ``size`` independent uniform sample ids at once (with replacement).
 
@@ -155,8 +154,8 @@ def draw_step_ids(prob: ProblemInstance, size: int, rng) -> np.ndarray:
 
 def draw_sample_ids(prob: ProblemInstance, size: int, rng) -> np.ndarray:
     """Draw ``size`` sample ids for one oracle batch, uniformly without replacement."""
-    if size < 1:
-        raise ValueError("batch size must be >= 1")
+    if not _is_integer(size) or size < 1:
+        raise ValueError(f"batch size must be an integer >= 1, got {size!r}")
     n = prob.num_components
     if size > n:
         raise ValueError(f"batch size {size} exceeds the {n} components")

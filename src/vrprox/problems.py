@@ -14,28 +14,22 @@ Three families, all deterministic in their seed:
   r_i = <a_i, x> - b_i, a smooth redescending loss.  Certified
   L = 2 * max_i ||a_i||^2 since |phi''(r)| = |2(1 - 3r^2)/(1 + r^2)^3| <= 2.
 
-The quadratic family carries fully certified (L, sigma^2, f*) and is the one
-bound checks run on.  For the nonconvex families sigma^2 is an empirical
-estimate (enumerated on a sampling ball of radius 10 and inflated by 1.5) and
-is labeled uncertified.
+Only the quadratic family has a certified sigma^2 (and f*); the nonconvex
+families set ``sigma_bound = None``, so bound checks that need sigma^2 run on
+the quadratic family only.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .oracle import ProblemInstance, estimate_sigma2
+from .oracle import ProblemInstance
 
 # max |s''| for the logistic sigmoid s(u) = 1 / (1 + exp(-u)).
 SIGMOID_CURVATURE_BOUND = 1.0 / (6.0 * np.sqrt(3.0))
 
 # max |phi''| for phi(r) = r^2 / (1 + r^2), attained at r = 0.
 REDESCENDING_CURVATURE_BOUND = 2.0
-
-# Radius of the ball the empirical sigma^2 surrogate samples; variance outside
-# it is not certified (documented caveat for the nonconvex families).
-SIGMA_ESTIMATION_RADIUS = 10.0
-SIGMA_INFLATION = 1.5
 
 
 def _ball_points(rng, count: int, dim: int, radius: float) -> np.ndarray:
@@ -58,8 +52,8 @@ def make_quadratic(
     if n < 1 or p < 1:
         raise ValueError("need n >= 1 and p >= 1")
     if centers is None:
-        if not spread > 0:
-            raise ValueError(f"spread must be positive, got {spread}")
+        if not 0.0 < spread < np.inf:
+            raise ValueError(f"spread must be positive and finite, got {spread}")
         rng = np.random.Generator(np.random.PCG64(seed))
         centers = _ball_points(rng, n, p, spread)
     else:
@@ -94,7 +88,6 @@ def make_quadratic(
         value_sample=value_sample,
         lipschitz_L=1.0,
         sigma_bound=sigma2,
-        sigma_certified=True,
         f_star_ref=0.5 * sigma2,
         grad_batch=grad_batch,
         mean_grad=mean_grad,
@@ -147,20 +140,12 @@ def _link_memo(link):
     return at
 
 
-def _empirical_sigma2(prob: ProblemInstance, seed: int) -> float:
-    """Enumerated gradient variance on the sampling ball, inflated x1.5."""
-    rng = np.random.Generator(np.random.PCG64([seed, 0x5167]))
-    xs = [np.zeros(prob.dim)]
-    xs.extend(_ball_points(rng, 32, prob.dim, SIGMA_ESTIMATION_RADIUS))
-    return SIGMA_INFLATION * estimate_sigma2(prob, xs)
-
-
 def make_nonconvex_sigmoid(n: int, p: int, seed: int = 0) -> ProblemInstance:
     """Nonconvex binary-classification loss f_i(x) = s(-y_i <a_i, x>).
 
     Features a_i have ||a_i|| <= 1; labels come from a planted direction with
-    flip noise.  Certified L = max|s''| * max_i ||a_i||^2.  sigma^2 is an
-    empirical (uncertified) estimate on the sampling ball.
+    flip noise.  Certified L = max|s''| * max_i ||a_i||^2; no certified
+    sigma^2.
     """
     if n < 1 or p < 1:
         raise ValueError("need n >= 1 and p >= 1")
@@ -193,22 +178,18 @@ def make_nonconvex_sigmoid(n: int, p: int, seed: int = 0) -> ProblemInstance:
     def mean_value(x):
         return float(np.mean(link(x)))
 
-    prob = ProblemInstance(
+    return ProblemInstance(
         name=f"sigmoid(n={n},p={p})",
         dim=p,
         num_components=n,
         grad_sample=grad_sample,
         value_sample=value_sample,
         lipschitz_L=float(SIGMOID_CURVATURE_BOUND * np.max(np.sum(A * A, axis=1))),
-        sigma_bound=None,
-        sigma_certified=False,
         grad_batch=grad_batch,
         mean_grad=mean_grad,
         mean_value=mean_value,
-        sampling_radius=SIGMA_ESTIMATION_RADIUS,
         meta={"family": "sigmoid", "n": n, "p": p, "seed": seed, "A": A, "y": y},
     )
-    return _with_empirical_sigma(prob, seed)
 
 
 def make_robust_regression(n: int, p: int, seed: int = 0) -> ProblemInstance:
@@ -216,7 +197,7 @@ def make_robust_regression(n: int, p: int, seed: int = 0) -> ProblemInstance:
 
     Targets follow a planted model with Gaussian noise plus a 10% fraction of
     gross outliers (the regime this loss is built for).  Certified
-    L = 2 * max_i ||a_i||^2.  sigma^2 is empirical, as for the sigmoid family.
+    L = 2 * max_i ||a_i||^2; no certified sigma^2, as for the sigmoid family.
     """
     if n < 1 or p < 1:
         raise ValueError("need n >= 1 and p >= 1")
@@ -249,28 +230,18 @@ def make_robust_regression(n: int, p: int, seed: int = 0) -> ProblemInstance:
         r = residual(x)
         return float(np.mean(r * r / (1.0 + r * r)))
 
-    prob = ProblemInstance(
+    return ProblemInstance(
         name=f"robust(n={n},p={p})",
         dim=p,
         num_components=n,
         grad_sample=grad_sample,
         value_sample=value_sample,
         lipschitz_L=float(REDESCENDING_CURVATURE_BOUND * np.max(np.sum(A * A, axis=1))),
-        sigma_bound=None,
-        sigma_certified=False,
         grad_batch=grad_batch,
         mean_grad=mean_grad,
         mean_value=mean_value,
-        sampling_radius=SIGMA_ESTIMATION_RADIUS,
         meta={"family": "robust", "n": n, "p": p, "seed": seed, "A": A, "b": b},
     )
-    return _with_empirical_sigma(prob, seed)
-
-
-def _with_empirical_sigma(prob: ProblemInstance, seed: int) -> ProblemInstance:
-    from dataclasses import replace
-
-    return replace(prob, sigma_bound=_empirical_sigma2(prob, seed), sigma_certified=False)
 
 
 def parse_key(key: str) -> dict:
@@ -293,8 +264,8 @@ def parse_key(key: str) -> dict:
             raise ValueError("unrecognized form")
         if fields["n"] < 1 or fields["p"] < 1:
             raise ValueError("need n >= 1 and p >= 1")
-        if fields.get("spread", 1.0) <= 0:
-            raise ValueError("spread must be positive")
+        if not 0.0 < fields.get("spread", 1.0) < np.inf:
+            raise ValueError("spread must be positive and finite")
     except ValueError as exc:
         raise ValueError(
             f"bad problem key {key!r} ({exc}); expected "

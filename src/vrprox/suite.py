@@ -26,10 +26,10 @@ from .estimators import HYBRID_SARAH, MOMENTUM_SARAH, SARAH, SGD, _recursion, in
 from .experiment import run_experiment, stationarity_bound_rhs
 from .optimizer import HyperParams, gradient_mapping, mean_grad_map_sq, run, schedule_from_T
 from .oracle import (
-    estimate_sigma2,
     full_gradient,
     minibatch_gradient,
     sample_gradient,
+    sigma2_at,
     smoothness_spot_check,
 )
 from .problems import make_nonconvex_sigmoid, make_quadratic, make_robust_regression
@@ -232,7 +232,7 @@ def _check_sigma_consistency(seed: int) -> dict:
     prob = make_quadratic(50, 10, 1.0, seed=seed)
     rng = np.random.Generator(np.random.PCG64([seed, 5]))
     xs = [rng.normal(0.0, 3.0, prob.dim) for _ in range(10)]
-    est = estimate_sigma2(prob, xs)
+    est = max(sigma2_at(prob, x) for x in xs)
     err = abs(est - prob.sigma_bound)
     return _row(
         "sigma2_enumeration",

@@ -20,8 +20,8 @@ This module verifies what desk-scale computation *can* verify:
 * the empirical decay exponent of the averaged squared gradient mapping.
 
 All statistical checks pass at three standard errors; the inequalities are
-one-sided bounds, which leaves headroom.  Checks that need the true sigma^2
-refuse instances whose sigma^2 is not certified.
+one-sided bounds, which leaves headroom.  Checks that need sigma^2 refuse
+instances without a certified one (``sigma_bound is None``).
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ import numpy as np
 from .optimizer import _eta_beta
 from .oracle import (
     ProblemInstance,
+    _is_integer,
     full_gradient,
     gradient_rows,
     sigma2_at,
@@ -69,11 +70,8 @@ class ScheduleReport:
 
 
 def _require_certified(prob: ProblemInstance, what: str) -> None:
-    if not (prob.sigma_certified and prob.sigma_bound is not None):
-        raise ValueError(
-            f"{what} needs a certified sigma^2; "
-            f"instance {prob.name!r} carries an empirical estimate only"
-        )
+    if prob.sigma_bound is None:
+        raise ValueError(f"{what} needs a certified sigma^2; instance {prob.name!r} has none")
 
 
 def _check_beta_open(beta: float) -> float:
@@ -143,8 +141,8 @@ def initial_direction_variance(prob: ProblemInstance, x0: np.ndarray, b_tilde: i
     per-point scatter s2 has variance (s2 / b) * (n - b) / (n - 1).
     """
     n = prob.num_components
-    if not 1 <= b_tilde <= n:
-        raise ValueError(f"b_tilde must lie in [1, {n}], got {b_tilde}")
+    if not _is_integer(b_tilde) or not 1 <= b_tilde <= n:
+        raise ValueError(f"initial batch size must be an integer in [1, {n}], got {b_tilde!r}")
     if n == 1 or b_tilde == n:
         return 0.0
     return sigma2_at(prob, x0) * (n - b_tilde) / (b_tilde * (n - 1))
@@ -213,11 +211,9 @@ def check_variance_recursion_unrolled(
     x0 = trajectory[0]
     rows0 = gradient_rows(prob, x0, all_ids)
     if np.ndim(v0) == 0:
+        init_term = initial_direction_variance(prob, x0, v0)
         b_tilde = int(v0)
-        if not 1 <= b_tilde <= n:
-            raise ValueError(f"initial batch size must lie in [1, {n}], got {b_tilde}")
         V = _floyd_batch_means(rows0, b_tilde, n_mc, rng)
-        init_term = initial_direction_variance(prob, x0, b_tilde)
         v0_record = b_tilde
     else:
         v0 = np.asarray(v0, dtype=float)

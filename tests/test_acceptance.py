@@ -24,7 +24,7 @@ def _report(num: int, name: str, passed: bool, detail: str) -> None:
 def test_criterion_1_variance_recursion_one_step():
     start = time.perf_counter()
     prob = vp.make_quadratic(50, 10, 1.0, seed=0)
-    assert prob.lipschitz_L == 1.0 and prob.sigma_certified
+    assert prob.lipschitz_L == 1.0 and prob.sigma_bound is not None
     rng = np.random.default_rng(2024)
     worst_slack = np.inf
     n_pass = 0
@@ -96,7 +96,7 @@ def test_criterion_3_schedule_constraint():
 def test_criterion_4_stationarity_bound():
     start = time.perf_counter()
     prob = vp.make_quadratic(100, 20, 1.0, seed=0)
-    assert prob.lipschitz_L == 1.0 and prob.sigma_certified and prob.f_star_ref is not None
+    assert prob.lipschitz_L == 1.0 and prob.sigma_bound is not None and prob.f_star_ref is not None
     psi = Zero()
     T = 1000
     hp = vp.schedule_from_T(T, prob.lipschitz_L)

@@ -241,6 +241,15 @@ def test_box_excluding_the_origin_is_config_error(tmp_path, capsys):
         assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("spread", ["nan", "inf"])
+def test_nonfinite_quad_spread_is_config_error(tmp_path, capsys, spread):
+    cfg = tmp_path / "spread.cfg"
+    cfg.write_text(CFG.replace("quad:15:4:1.0", f"quad:15:4:{spread}"))
+    for command in ("run", "compare"):
+        _assert_config_error_without_output([command, "--config", str(cfg)],
+                                            tmp_path / command, capsys)
+
+
 def test_negative_master_seed_is_config_error(tmp_path, capsys):
     cfg = tmp_path / "exp.cfg"
     cfg.write_text(CFG)

@@ -103,6 +103,12 @@ def test_psi_must_be_finite_at_the_origin():
         assert parse_config(MINIMAL + f"psi = {psi}\n").psi == psi
 
 
+@pytest.mark.parametrize("spread", ["nan", "inf"])
+def test_quad_spread_must_be_finite(spread):
+    with pytest.raises(ConfigError, match=r"line 1: bad problem key.*positive and finite"):
+        parse_config(MINIMAL.replace("quad:10:4:1.0", f"quad:10:4:{spread}"))
+
+
 def test_manual_initial_batch_cannot_exceed_components():
     manual = MINIMAL + "schedule = manual\neta = 0.1\nbeta = 0.5\n"
     assert parse_config(manual + "b_tilde = 10\n").b_tilde == 10  # n = 10

@@ -46,6 +46,18 @@ def test_init_batch_too_large_errors(quad_small, rng):
         vp.init_estimator(quad_small, np.zeros(quad_small.dim), 0, rng)
 
 
+@pytest.mark.parametrize("bad", [2.5, 2.0, True])
+def test_init_batch_size_must_be_an_integer(quad_small, rng, bad):
+    with pytest.raises(ValueError, match="batch size must be an integer"):
+        vp.init_estimator(quad_small, np.zeros(quad_small.dim), bad, rng)
+
+
+def test_init_numpy_integer_batch_size(quad_small):
+    x0 = np.ones(quad_small.dim)
+    v = vp.init_estimator(quad_small, x0, np.int64(3), np.random.default_rng(5))
+    np.testing.assert_array_equal(v, vp.init_estimator(quad_small, x0, 3, np.random.default_rng(5)))
+
+
 def test_init_variance_monte_carlo():
     # E||v0 - grad f(x0)||^2 over re-initializations against the exact
     # without-replacement value; enumeration gives sigma^2 for this family.

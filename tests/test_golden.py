@@ -24,6 +24,23 @@ QUAD_SWEEP_SUMMARY = "907d13a25a234aca68e7f91d3f6b862212fb7cb1987108fdead9a588e6
 # sorted by name: summary.csv and the 40 traces.
 QUAD_SWEEP_FILES = "febed1917d5cbd4c5892ef03e2309fb91fe6d30fc8f683af0ec35903037241e6"
 
+# The nonconvex families, T = 50,200 and 3 seeds at --master-seed 0:
+# (config text, summary.csv, listing of summary.csv and the 6 traces).  The
+# robust config is the one tools/output_digests.py runs.
+NONCONVEX_RUNS = {
+    "sigmoid": (
+        "problem = sigmoid:200:10\npsi = l1:0.01\nestimator = hybrid_sarah\n"
+        "T = 50,200\nseeds = 3\n",
+        "5fa5545c48e88f6c852d32bcc3afdfff11f21c1d0d99ef8e5327bfa4a207d74e",
+        "8e74abf368caad40be9921c61def299c5e76250404c947d327e921e4ca5dd82d",
+    ),
+    "robust": (
+        (ROOT / "demos" / "configs" / "robust_run.cfg").read_text(),
+        "e2ba0ec3372f4d6d02477586b08de22b1b748ffe7e460f61b762869fd6dde050",
+        "0ce421cb313a5c0212f04b79e0cd030d781f1afe9afc544af0530490e3aae00f",
+    ),
+}
+
 pytestmark = pytest.mark.skipif(
     np.__version__ != NUMPY_VERSION,
     reason=f"digests recorded with numpy {NUMPY_VERSION}; this is numpy {np.__version__}",
@@ -39,12 +56,23 @@ def test_validate_quick_stdout(capsys):
     assert _sha256(capsys.readouterr().out.encode()) == VALIDATE_QUICK_SEED0
 
 
-def test_quad_sweep_files(tmp_path):
-    out = tmp_path / "quad_sweep"
-    cfg = ROOT / "demos" / "configs" / "quad_sweep.cfg"
+def _check_run_files(cfg, out, n_files, summary, listing_digest):
     assert main(["run", "--config", str(cfg), "--output", str(out), "--master-seed", "0"]) == 0
     files = sorted(p for p in out.iterdir() if p.name != "run_meta.txt")
-    assert len(files) == 41
-    assert _sha256((out / "summary.csv").read_bytes()) == QUAD_SWEEP_SUMMARY
+    assert len(files) == n_files
+    assert _sha256((out / "summary.csv").read_bytes()) == summary
     listing = "".join(f"{_sha256(p.read_bytes())}  {p.name}\n" for p in files)
-    assert _sha256(listing.encode()) == QUAD_SWEEP_FILES
+    assert _sha256(listing.encode()) == listing_digest
+
+
+def test_quad_sweep_files(tmp_path):
+    cfg = ROOT / "demos" / "configs" / "quad_sweep.cfg"
+    _check_run_files(cfg, tmp_path / "quad_sweep", 41, QUAD_SWEEP_SUMMARY, QUAD_SWEEP_FILES)
+
+
+@pytest.mark.parametrize("family", sorted(NONCONVEX_RUNS))
+def test_nonconvex_run_files(tmp_path, family):
+    text, summary, listing = NONCONVEX_RUNS[family]
+    cfg = tmp_path / f"{family}.cfg"
+    cfg.write_text(text)
+    _check_run_files(cfg, tmp_path / family, 7, summary, listing)

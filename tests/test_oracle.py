@@ -77,32 +77,43 @@ def test_minibatch_variance_over_redraws():
     assert errs.mean() <= prob.sigma_bound / b + 3 * se
 
 
-def test_estimate_sigma2_exact_enumeration(rng):
+def test_sigma2_at_exact_enumeration(rng):
     prob = vp.make_quadratic(30, 8, 1.5, seed=21)
     xs = [rng.normal(0, 3, prob.dim) for _ in range(10)]
     # Exact enumeration, x-independent for this family: every point gives the
     # closed-form center scatter.
     for x in xs:
         assert sigma2_at(prob, x) == pytest.approx(prob.sigma_bound, abs=1e-12)
-    assert vp.estimate_sigma2(prob, xs) == pytest.approx(prob.sigma_bound, abs=1e-12)
 
 
-def test_estimate_sigma2_zero_for_deterministic_instance():
+def test_sigma2_at_zero_for_deterministic_instance():
     centers = np.tile(np.array([[1.0, -2.0]]), (4, 1))
     prob = vp.make_quadratic(4, 2, centers=centers)
-    assert vp.estimate_sigma2(prob, [np.zeros(2)]) == 0.0
+    assert sigma2_at(prob, np.zeros(2)) == 0.0
     assert prob.sigma_bound == 0.0
 
 
-def test_estimate_sigma2_respects_certified_bound(quad_small, rng):
-    xs = [rng.normal(0, 5, quad_small.dim) for _ in range(5)]
-    assert vp.estimate_sigma2(quad_small, xs) <= quad_small.sigma_bound + 1e-12
+def test_sigma2_at_respects_certified_bound(quad_small, rng):
+    for _ in range(5):
+        x = rng.normal(0, 5, quad_small.dim)
+        assert sigma2_at(quad_small, x) <= quad_small.sigma_bound + 1e-12
 
 
 @pytest.mark.parametrize("bad", [None, 0, 2.5])
 def test_num_components_must_be_a_positive_integer(quad_small, bad):
     with pytest.raises(ValueError, match="num_components must be an integer >= 1"):
         replace(quad_small, num_components=bad)
+
+
+@pytest.mark.parametrize("bad", [np.nan, -1.0, np.inf])
+def test_sigma_bound_must_be_finite_and_nonnegative(quad_small, bad):
+    with pytest.raises(ValueError, match="sigma_bound must be None or a finite scalar >= 0"):
+        replace(quad_small, sigma_bound=bad)
+
+
+def test_nonfinite_centers_are_rejected():
+    with pytest.raises(ValueError, match="sigma_bound"):
+        vp.make_quadratic(2, 2, centers=[[np.nan, 0.0], [1.0, 1.0]])
 
 
 @pytest.mark.parametrize("name", ["grad_batch", "mean_grad", "mean_value"])
@@ -132,6 +143,37 @@ def test_sample_id_validation(quad_small):
         vp.sample_gradient(quad_small, x, -1)
     with pytest.raises(ValueError):
         vp.sample_gradient(quad_small, np.zeros(quad_small.dim + 1), 0)
+
+
+@pytest.mark.parametrize("bad", [2.9, 2.0, True, "2", None])
+def test_sample_id_must_be_an_integer(quad_small, bad):
+    x = np.zeros(quad_small.dim)
+    with pytest.raises(ValueError, match="sample id must be an integer"):
+        vp.sample_gradient(quad_small, x, bad)
+
+
+@pytest.mark.parametrize("bad", [[1.7], [True], [0, 2.0], np.array([0.5, 2.2]),
+                                 np.array([True, False])])
+def test_batch_ids_must_be_integers(quad_small, bad):
+    x = np.zeros(quad_small.dim)
+    with pytest.raises(ValueError, match="sample ids must be integers"):
+        vp.minibatch_gradient(quad_small, x, bad)
+    with pytest.raises(ValueError, match="sample ids must be integers"):
+        gradient_rows(quad_small, x, np.asarray(bad))
+
+
+def test_numpy_integer_ids_are_accepted(quad_small):
+    x = np.ones(quad_small.dim)
+    g = vp.sample_gradient(quad_small, x, 3)
+    np.testing.assert_array_equal(vp.sample_gradient(quad_small, x, np.int64(3)), g)
+    np.testing.assert_array_equal(vp.sample_gradient(quad_small, x, np.uint8(3)), g)
+    for ids in (np.array([3], dtype=np.int32), np.array([3], dtype=np.uint64), [np.int64(3)]):
+        np.testing.assert_array_equal(vp.minibatch_gradient(quad_small, x, ids), g)
+
+
+def test_empty_batch_is_rejected(quad_small):
+    with pytest.raises(ValueError, match="at least one sample id"):
+        vp.minibatch_gradient(quad_small, np.zeros(quad_small.dim), [])
 
 
 def test_determinism_across_rebuilds(rng):

@@ -8,6 +8,7 @@ from vrprox.problems import (
     from_key,
     parse_key,
 )
+from vrprox.oracle import sigma2_at
 from vrprox.suite import central_difference_gradient
 
 
@@ -32,8 +33,9 @@ def test_quadratic_two_symmetric_centers():
 
 def test_quadratic_sigma_matches_enumeration(rng):
     prob = vp.make_quadratic(40, 7, 2.0, seed=13)
-    xs = [rng.normal(0, 3, 7) for _ in range(10)]
-    assert vp.estimate_sigma2(prob, xs) == pytest.approx(prob.sigma_bound, abs=1e-12)
+    for _ in range(10):
+        x = rng.normal(0, 3, 7)
+        assert sigma2_at(prob, x) == pytest.approx(prob.sigma_bound, abs=1e-12)
 
 
 def test_sigmoid_values_at_origin():
@@ -108,22 +110,16 @@ def test_robust_loss_bounded():
 
 def test_certification_labels():
     quad = vp.make_quadratic(5, 3, 1.0, seed=0)
-    assert quad.sigma_certified
+    assert quad.sigma_bound is not None
     assert quad.lipschitz_L == 1.0
     sig = vp.make_nonconvex_sigmoid(5, 3, seed=0)
     rob = vp.make_robust_regression(5, 3, seed=0)
     for prob in (sig, rob):
-        assert not prob.sigma_certified
-        assert prob.sigma_bound is not None and prob.sigma_bound > 0
+        assert prob.sigma_bound is None
         assert prob.f_star_ref is None
     # constants documented: curvature bound times max feature norm squared
     assert sig.lipschitz_L <= SIGMOID_CURVATURE_BOUND + 1e-12
     assert rob.lipschitz_L <= REDESCENDING_CURVATURE_BOUND + 1e-12
-
-
-def test_empirical_sigma_dominates_interior_estimate(rng):
-    prob = vp.make_nonconvex_sigmoid(20, 5, seed=3)
-    assert vp.estimate_sigma2(prob, [np.zeros(5)]) <= prob.sigma_bound
 
 
 @pytest.mark.parametrize("key", ["quad:60:5:1.0", "sigmoid:60:5", "robust:60:5"])
@@ -154,6 +150,13 @@ def test_parse_key():
         "family": "quad", "n": 50, "p": 10, "spread": 1.5
     }
     assert parse_key("sigmoid:10:3") == {"family": "sigmoid", "n": 10, "p": 3}
-    for bad in ("quad:50:10", "sigmoid:10", "cubic:1:2", "quad:0:10:1.0", "quad:a:b:c"):
+    for bad in ("quad:50:10", "sigmoid:10", "cubic:1:2", "quad:0:10:1.0", "quad:a:b:c",
+                "quad:10:3:0", "quad:10:3:nan", "quad:10:3:inf"):
         with pytest.raises(ValueError):
             parse_key(bad)
+
+
+@pytest.mark.parametrize("spread", [np.nan, np.inf, 0.0, -1.0])
+def test_quadratic_spread_must_be_positive_and_finite(spread):
+    with pytest.raises(ValueError, match="spread must be positive and finite"):
+        vp.make_quadratic(10, 3, spread)

@@ -139,6 +139,25 @@ class TestUnrolled:
             rep = vp.check_variance_recursion_unrolled(quad, traj, v0, beta, n_mc=4000, rng=rng)
             assert rep.passed
 
+    @pytest.mark.parametrize("bad", [2.5, 2.0, True])
+    def test_initial_batch_size_must_be_an_integer(self, quad, bad):
+        traj = np.zeros((3, quad.dim))
+        rng = np.random.default_rng(0)
+        with pytest.raises(ValueError, match="initial batch size must be an integer"):
+            vp.check_variance_recursion_unrolled(quad, traj, bad, 0.5, n_mc=100, rng=rng)
+        with pytest.raises(ValueError, match="initial batch size must be an integer"):
+            initial_direction_variance(quad, traj[0], bad)
+
+    def test_numpy_integer_initial_batch_size(self, quad):
+        traj = np.zeros((3, quad.dim))
+        reps = [
+            vp.check_variance_recursion_unrolled(
+                quad, traj, v0, 0.5, n_mc=100, rng=np.random.default_rng(0))
+            for v0 in (3, np.int64(3))
+        ]
+        assert reps[1].inputs["v0"] == 3
+        assert (reps[1].lhs_mc, reps[1].rhs) == (reps[0].lhs_mc, reps[0].rhs)
+
     def test_initial_variance_formula_edges(self, quad, rng):
         x0 = np.zeros(quad.dim)
         assert initial_direction_variance(quad, x0, quad.num_components) == 0.0
