@@ -50,6 +50,8 @@ from .estimators import (
 )
 from .oracle import (
     ProblemInstance,
+    _check_count,
+    _check_positive_finite,
     _is_integer,
     draw_step_ids,
     full_gradient,
@@ -95,17 +97,11 @@ class HyperParams:
     T: int
 
     def __post_init__(self):
-        if not (self.eta > 0 and np.isfinite(self.eta)):
-            raise ValueError(f"eta must be a positive finite scalar, got {self.eta}")
+        _check_positive_finite("eta", self.eta)
         if not 0.0 <= self.beta <= 1.0:
             raise ValueError(f"beta must lie in [0, 1], got {self.beta}")
         _check_count("b_tilde", self.b_tilde)
         _check_count("T", self.T)
-
-
-def _check_count(name: str, value) -> None:
-    if not _is_integer(value) or value < 1:
-        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
 
 
 def _eta_beta(T, L: float):
@@ -125,8 +121,7 @@ def schedule_from_T(T: int, L: float) -> HyperParams:
     """
     _check_count("T", T)
     T = int(T)
-    if not (L > 0 and np.isfinite(L)):
-        raise ValueError(f"L must be a positive finite scalar, got {L}")
+    _check_positive_finite("L", L)
     eta, beta = _eta_beta(T, L)
     m = max(int(np.ceil(np.cbrt((T + 1) / 8.0))), 1)
     while 8 * m**3 < T + 1:
@@ -140,8 +135,7 @@ def gradient_mapping(
     prob: ProblemInstance, psi: PsiSpec, x: np.ndarray, eta: float
 ) -> np.ndarray:
     """G_eta(x) = (x - prox_{eta psi}(x - eta grad f(x))) / eta."""
-    if not (eta > 0 and np.isfinite(eta)):
-        raise ValueError(f"eta must be a positive finite scalar, got {eta}")
+    _check_positive_finite("eta", eta)
     x = np.asarray(x, dtype=float)
     g = full_gradient(prob, x)
     return (x - prox(psi, x - eta * g, eta)) / eta

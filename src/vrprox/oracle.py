@@ -22,6 +22,16 @@ def _is_integer(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+def _check_count(name: str, value) -> None:
+    if not _is_integer(value) or value < 1:
+        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+
+
+def _check_positive_finite(name: str, value) -> None:
+    if not (value > 0 and np.isfinite(value)):
+        raise ValueError(f"{name} must be a positive finite scalar, got {value}")
+
+
 @dataclass(frozen=True)
 class ProblemInstance:
     """A smooth finite sum of ``num_components`` summands with certified constants.
@@ -56,13 +66,9 @@ class ProblemInstance:
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.dim < 1:
-            raise ValueError(f"dim must be >= 1, got {self.dim}")
-        n = self.num_components
-        if not _is_integer(n) or n < 1:
-            raise ValueError(f"num_components must be an integer >= 1, got {n!r}")
-        if not (self.lipschitz_L > 0 and np.isfinite(self.lipschitz_L)):
-            raise ValueError(f"lipschitz_L must be a positive finite scalar, got {self.lipschitz_L}")
+        _check_count("dim", self.dim)
+        _check_count("num_components", self.num_components)
+        _check_positive_finite("lipschitz_L", self.lipschitz_L)
         if self.sigma_bound is not None and not 0 <= self.sigma_bound < np.inf:
             raise ValueError(f"sigma_bound must be None or a finite scalar >= 0, got {self.sigma_bound}")
 
@@ -154,8 +160,7 @@ def draw_step_ids(prob: ProblemInstance, size: int, rng) -> np.ndarray:
 
 def draw_sample_ids(prob: ProblemInstance, size: int, rng) -> np.ndarray:
     """Draw ``size`` sample ids for one oracle batch, uniformly without replacement."""
-    if not _is_integer(size) or size < 1:
-        raise ValueError(f"batch size must be an integer >= 1, got {size!r}")
+    _check_count("batch size", size)
     n = prob.num_components
     if size > n:
         raise ValueError(f"batch size {size} exceeds the {n} components")
@@ -173,6 +178,8 @@ def smoothness_spot_check(prob: ProblemInstance, rng, n_pairs: int = 1000) -> di
     Monte-Carlo mean of ||grad f_xi(x) - grad f_xi(y)||^2 / (L^2 ||x - y||^2)
     against 1 with a three-standard-error allowance.
     """
+    if n_pairs < 2:
+        raise ValueError(f"need n_pairs >= 2 pairs, got {n_pairs}")
     radius = prob.sampling_radius
     L2 = prob.lipschitz_L**2
     ratios = np.empty(n_pairs)

@@ -14,9 +14,11 @@ Three families, all deterministic in their seed:
   r_i = <a_i, x> - b_i, a smooth redescending loss.  Certified
   L = 2 * max_i ||a_i||^2 since |phi''(r)| = |2(1 - 3r^2)/(1 + r^2)^3| <= 2.
 
-Only the quadratic family has a certified sigma^2 (and f*); the nonconvex
-families set ``sigma_bound = None``, so bound checks that need sigma^2 run on
-the quadratic family only.
+The two nonconvex families differ only in a scalar loss of a_i^T x: each
+generates its data and hands three one-line formulas to ``_linear_model``,
+which builds the closures, the certified L and a one-entry link memo.  Only
+the quadratic family has a certified sigma^2 (and f*); the others set
+``sigma_bound = None``, so bound checks that need sigma^2 refuse them.
 """
 
 from __future__ import annotations
@@ -60,6 +62,8 @@ def make_quadratic(
         centers = np.asarray(centers, dtype=float)
         if centers.shape != (n, p):
             raise ValueError(f"centers must have shape ({n}, {p}), got {centers.shape}")
+        if not np.isfinite(centers).all():
+            raise ValueError("centers must be finite")
     cbar = centers.mean(axis=0)
     sigma2 = float(np.mean(np.sum((centers - cbar) ** 2, axis=1)))
 
@@ -97,47 +101,79 @@ def make_quadratic(
     )
 
 
-def _sigmoid(u: np.ndarray) -> np.ndarray:
-    """Logistic sigmoid, branch-free and stable: with e = exp(-|u|) it is
-    1 / (1 + e) for u >= 0 and e / (1 + e) otherwise, so exp never
-    overflows.  ``minimum(u, -u)`` is -|u| that keeps a NaN's own bits."""
+def _sigmoid(u):
+    """Logistic sigmoid, stable: with e = exp(-|u|) it is 1 / (1 + e) for
+    u >= 0 and e / (1 + e) otherwise, so exp never overflows.  A ``float``
+    (numpy float64 included) takes that branch; an array stays branch-free,
+    with ``minimum(u, -u)`` as the -|u| that keeps a NaN's own bits."""
+    if isinstance(u, float):
+        if u >= 0:
+            return 1.0 / (1.0 + np.exp(-u))
+        e = np.exp(u)
+        return e / (1.0 + e)
     e = np.exp(np.minimum(u, -u))
     d = 1.0 + e
     return np.where(u >= 0, 1.0 / d, e / d)
 
 
-def _sigmoid_scalar(u):
-    """:func:`_sigmoid` of one numpy scalar, without array masking."""
-    if u >= 0:
-        return 1.0 / (1.0 + np.exp(-u))
-    e = np.exp(u)
-    return e / (1.0 + e)
+def _linear_model(family: str, A: np.ndarray, curvature: float, link, slope, loss,
+                  meta: dict) -> ProblemInstance:
+    """The finite sum f_i(x) = loss(link(a_i^T x, i)) over the rows a_i of ``A``.
 
+    ``link(z, i)`` takes z = a_i^T x for one id (a float) or for an id array
+    or ``slice(None)`` (an array); ``slope(l, i)`` is d f_i / dz at link
+    value l, so grad f_i = slope * a_i.  L = curvature * max_i ||a_i||^2 is
+    certified when |d^2 f_i / dz^2| <= curvature.
 
-def _link_memo(link):
-    """One-entry memo of ``link(x)`` keyed by the exact bytes of the point.
-
-    Per-iteration diagnostics ask for the mean gradient and then the mean
-    value at the same point; the second call reuses the link instead of a
-    second ``A @ x``.  The key is the float64 bytes, so a point changed in
-    place, or -0.0 in place of 0.0, is a miss: a miss costs time, never a
-    different result.  Key and value are stored, and read, as one tuple, so
-    a caller never pairs one point's key with another point's link.
+    The mean gradient and value share a one-entry memo of the link over all
+    n samples, keyed by the point's float64 bytes: the diagnostics ask for
+    both at one point, and the second then costs a mean instead of a second
+    ``A @ x``.  A point changed in place, or -0.0 for 0.0, is a miss, which
+    costs time, never a different result.  Key and value are stored and read
+    as one tuple, so one point's key is never paired with another's link.
     """
+    n, p = A.shape
+    every = slice(None)
     memo = (None, None)
 
-    def at(x):
+    def link_all(x):
         nonlocal memo
         x = np.asarray(x, dtype=float)
         key = x.tobytes()
         cached_key, value = memo
         if key != cached_key:
-            value = link(x)
+            value = link(A @ x, every)
             value.flags.writeable = False
             memo = (key, value)
         return value
 
-    return at
+    def grad_sample(x, i):
+        return slope(link(float(A[i] @ x), i), i) * A[i]
+
+    def value_sample(x, i):
+        return float(loss(link(float(A[i] @ x), i)))
+
+    def grad_batch(x, ids):
+        return slope(link(A[ids] @ x, ids), ids)[:, None] * A[ids]
+
+    def mean_grad(x):
+        return A.T @ slope(link_all(x), every) / n
+
+    def mean_value(x):
+        return float(np.mean(loss(link_all(x))))
+
+    return ProblemInstance(
+        name=f"{family}(n={n},p={p})",
+        dim=p,
+        num_components=n,
+        grad_sample=grad_sample,
+        value_sample=value_sample,
+        lipschitz_L=float(curvature * np.max(np.sum(A * A, axis=1))),
+        grad_batch=grad_batch,
+        mean_grad=mean_grad,
+        mean_value=mean_value,
+        meta={"family": family, "n": n, "p": p, "A": A, **meta},
+    )
 
 
 def make_nonconvex_sigmoid(n: int, p: int, seed: int = 0) -> ProblemInstance:
@@ -153,42 +189,12 @@ def make_nonconvex_sigmoid(n: int, p: int, seed: int = 0) -> ProblemInstance:
     A = _ball_points(rng, n, p, 1.0)
     w_true = rng.standard_normal(p)
     y = np.where(A @ w_true + 0.1 * rng.standard_normal(n) >= 0, 1.0, -1.0)
-
-    def margin(x, i):
-        return -y[i] * float(A[i] @ x)
-
-    def grad_sample(x, i):
-        s = _sigmoid_scalar(margin(x, i))
-        return (s * (1.0 - s) * (-y[i])) * A[i]
-
-    def value_sample(x, i):
-        return float(_sigmoid_scalar(margin(x, i)))
-
-    def grad_batch(x, ids):
-        u = -(A[ids] @ x) * y[ids]
-        s = _sigmoid(u)
-        return (s * (1.0 - s) * (-y[ids]))[:, None] * A[ids]
-
-    link = _link_memo(lambda x: _sigmoid(-(A @ x) * y))
-
-    def mean_grad(x):
-        s = link(x)
-        return A.T @ (s * (1.0 - s) * (-y)) / n
-
-    def mean_value(x):
-        return float(np.mean(link(x)))
-
-    return ProblemInstance(
-        name=f"sigmoid(n={n},p={p})",
-        dim=p,
-        num_components=n,
-        grad_sample=grad_sample,
-        value_sample=value_sample,
-        lipschitz_L=float(SIGMOID_CURVATURE_BOUND * np.max(np.sum(A * A, axis=1))),
-        grad_batch=grad_batch,
-        mean_grad=mean_grad,
-        mean_value=mean_value,
-        meta={"family": "sigmoid", "n": n, "p": p, "seed": seed, "A": A, "y": y},
+    return _linear_model(
+        "sigmoid", A, SIGMOID_CURVATURE_BOUND,
+        link=lambda z, i: _sigmoid(-z * y[i]),
+        slope=lambda s, i: s * (1.0 - s) * (-y[i]),
+        loss=lambda s: s,
+        meta={"seed": seed, "y": y},
     )
 
 
@@ -207,40 +213,12 @@ def make_robust_regression(n: int, p: int, seed: int = 0) -> ProblemInstance:
     b = A @ w_true + 0.1 * rng.standard_normal(n)
     outliers = rng.random(n) < 0.1
     b = np.where(outliers, b + rng.choice([-5.0, 5.0], size=n), b)
-
-    def grad_sample(x, i):
-        r = float(A[i] @ x) - b[i]
-        return (2.0 * r / (1.0 + r * r) ** 2) * A[i]
-
-    def value_sample(x, i):
-        r = float(A[i] @ x) - b[i]
-        return r * r / (1.0 + r * r)
-
-    def grad_batch(x, ids):
-        r = A[ids] @ x - b[ids]
-        return (2.0 * r / (1.0 + r * r) ** 2)[:, None] * A[ids]
-
-    residual = _link_memo(lambda x: A @ x - b)
-
-    def mean_grad(x):
-        r = residual(x)
-        return A.T @ (2.0 * r / (1.0 + r * r) ** 2) / n
-
-    def mean_value(x):
-        r = residual(x)
-        return float(np.mean(r * r / (1.0 + r * r)))
-
-    return ProblemInstance(
-        name=f"robust(n={n},p={p})",
-        dim=p,
-        num_components=n,
-        grad_sample=grad_sample,
-        value_sample=value_sample,
-        lipschitz_L=float(REDESCENDING_CURVATURE_BOUND * np.max(np.sum(A * A, axis=1))),
-        grad_batch=grad_batch,
-        mean_grad=mean_grad,
-        mean_value=mean_value,
-        meta={"family": "robust", "n": n, "p": p, "seed": seed, "A": A, "b": b},
+    return _linear_model(
+        "robust", A, REDESCENDING_CURVATURE_BOUND,
+        link=lambda z, i: z - b[i],
+        slope=lambda r, i: 2.0 * r / (1.0 + r * r) ** 2,
+        loss=lambda r: r * r / (1.0 + r * r),
+        meta={"seed": seed, "b": b},
     )
 
 

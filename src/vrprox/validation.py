@@ -30,9 +30,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .estimators import MOMENTUM_SARAH, _recursion
 from .optimizer import _eta_beta
 from .oracle import (
     ProblemInstance,
+    _check_positive_finite,
     _is_integer,
     full_gradient,
     gradient_rows,
@@ -109,19 +111,20 @@ def check_variance_recursion_step(
     """Check the one-step variance recursion at a single (x_prev, x_curr, v_prev).
 
     The left side is the conditional expectation over the one fresh sample,
-    enumerated exactly over all n components.
+    enumerated exactly over all n components through the estimator's own
+    momentum recursion.
     """
     _require_certified(prob, "the one-step variance check")
     beta = _check_beta_open(beta)
     x_prev = np.asarray(x_prev, dtype=float)
     x_curr = np.asarray(x_curr, dtype=float)
     v_prev = np.asarray(v_prev, dtype=float)
+    if v_prev.shape != (prob.dim,) or not np.isfinite(v_prev).all():
+        raise ValueError(f"v_prev must be a finite vector of shape ({prob.dim},)")
 
     ids = np.arange(prob.num_components)
     g_curr = full_gradient(prob, x_curr)
-    rows_curr = gradient_rows(prob, x_curr, ids)
-    rows_prev = gradient_rows(prob, x_prev, ids)
-    v_new = rows_curr + (1.0 - beta) * (v_prev - rows_prev)
+    v_new = _recursion(gradient_rows, prob, MOMENTUM_SARAH, v_prev, x_prev, x_curr, ids, None, beta)
     lhs = float(np.sum((v_new - g_curr) ** 2, axis=1).mean())
 
     rhs = variance_recursion_rhs(prob, x_prev, x_curr, v_prev, beta)
@@ -260,15 +263,18 @@ def check_variance_recursion_unrolled(
 
 def check_schedule_constraint(T_range, L: float) -> ScheduleReport:
     """Verify beta >= 2 L^2 eta^2 / (1 - L eta), to within 1e-12, for every
-    horizon in ``T_range``.
+    horizon in ``T_range`` (integers >= 1; L positive and finite).
 
     The whole range is evaluated at once by the formula
     :func:`~vrprox.optimizer.schedule_from_T` uses; the report keeps every
     margin.
     """
-    Ts = np.asarray(T_range, dtype=np.int64)
+    _check_positive_finite("L", L)
+    Ts = np.asarray(T_range)
     if Ts.size == 0:
         raise ValueError("empty horizon range")
+    if Ts.dtype.kind not in "iu":
+        raise ValueError(f"horizons must be integers, got dtype {Ts.dtype}")
     if np.any(Ts < 1):
         raise ValueError("horizons must be >= 1")
     eta, beta = _eta_beta(Ts, L)
@@ -299,6 +305,6 @@ def rate_slope(summary) -> float:
     means = np.array([m for _, m in pairs], dtype=float)
     if np.unique(Ts).size < 3:
         raise ValueError("rate fit needs at least three distinct horizons")
-    if np.any(means <= 0):
-        raise ValueError("rate fit needs positive means")
+    if not np.all((means > 0) & np.isfinite(means)):
+        raise ValueError("rate fit needs positive finite means")
     return float(np.polyfit(np.log(Ts + 1.0), np.log(means), 1)[0])

@@ -2,8 +2,9 @@
 
 The reference closures below are the straightforward kernels: a masked
 sigmoid on 0-d or 1-d arrays, and a fresh ``A @ x`` for every mean gradient
-and mean value.  The library's kernels (branch-free sigmoid, scalar
-per-sample path, one-entry link memo) must give the same bytes.
+and mean value.  The library's kernels (``_sigmoid``'s branch-free array path
+and its scalar branch, and the closures and one-entry link memo that
+``_linear_model`` builds) must give the same bytes at every finite point.
 """
 
 import numpy as np
@@ -12,7 +13,7 @@ import pytest
 import vrprox as vp
 from vrprox.estimators import HYBRID_SARAH, MOMENTUM_SARAH, SARAH, SGD
 from vrprox.oracle import ProblemInstance
-from vrprox.problems import _sigmoid, _sigmoid_scalar
+from vrprox.problems import _sigmoid
 from vrprox.prox import L1, BoxIndicator, ElasticNet, Zero
 
 
@@ -120,8 +121,10 @@ def test_sigmoid_matches_masked_reference_on_random_values():
 
 def test_scalar_sigmoid_matches_masked_reference():
     for value in np.concatenate([np.array(SPECIAL), _random_margins()[:3000]]):
-        got = np.float64(_sigmoid_scalar(value))
-        assert got.tobytes() == masked_sigmoid(value).tobytes(), value
+        for u in (value, float(value)):
+            got = _sigmoid(u)
+            assert isinstance(got, np.float64), type(u)
+            assert got.tobytes() == masked_sigmoid(value).tobytes(), value
 
 
 @pytest.mark.parametrize("family", sorted(FAMILIES))

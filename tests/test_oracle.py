@@ -105,15 +105,26 @@ def test_num_components_must_be_a_positive_integer(quad_small, bad):
         replace(quad_small, num_components=bad)
 
 
+@pytest.mark.parametrize("bad", [0, 2.5, True, None])
+def test_dim_must_be_a_positive_integer(quad_small, bad):
+    with pytest.raises(ValueError, match="dim must be an integer >= 1"):
+        replace(quad_small, dim=bad)
+
+
+def test_numpy_integer_dim_is_accepted(quad_small):
+    assert replace(quad_small, dim=np.int64(quad_small.dim)).dim == quad_small.dim
+
+
 @pytest.mark.parametrize("bad", [np.nan, -1.0, np.inf])
 def test_sigma_bound_must_be_finite_and_nonnegative(quad_small, bad):
     with pytest.raises(ValueError, match="sigma_bound must be None or a finite scalar >= 0"):
         replace(quad_small, sigma_bound=bad)
 
 
-def test_nonfinite_centers_are_rejected():
-    with pytest.raises(ValueError, match="sigma_bound"):
-        vp.make_quadratic(2, 2, centers=[[np.nan, 0.0], [1.0, 1.0]])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_nonfinite_centers_are_rejected(bad):
+    with pytest.raises(ValueError, match="centers must be finite"):
+        vp.make_quadratic(2, 2, centers=[[bad, 0.0], [1.0, 1.0]])
 
 
 @pytest.mark.parametrize("name", ["grad_batch", "mean_grad", "mean_value"])
@@ -217,6 +228,12 @@ def test_smoothness_spot_check_quadratic_is_tight(quad_small):
     assert rep["passed"]
     assert rep["mean_ratio"] == pytest.approx(1.0, abs=1e-12)
     assert rep["stderr"] == pytest.approx(0.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("n_pairs", [0, 1])
+def test_smoothness_spot_check_needs_two_pairs(quad_small, n_pairs):
+    with pytest.raises(ValueError, match="n_pairs >= 2"):
+        vp.smoothness_spot_check(quad_small, np.random.default_rng(3), n_pairs=n_pairs)
 
 
 def test_huge_finite_point_accepted_without_warning(quad_small):

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 import vrprox as vp
+from vrprox import validation
+from vrprox.estimators import MOMENTUM_SARAH, _recursion
 from vrprox.oracle import gradient_rows
 from vrprox.validation import (
     _floyd_batch_means,
@@ -67,6 +69,33 @@ class TestOneStep:
         assert rep.lhs_mc == pytest.approx(np.mean(sq), rel=1e-12)
         assert rep.stderr == 0.0
         assert rep.passed == (rep.lhs_mc <= rep.rhs)
+
+    def test_lhs_comes_from_the_estimator_recursion(self, quad, rng, monkeypatch):
+        # The check runs the optimizer's own momentum update, so a fault in
+        # that recursion reaches the reported lhs.
+        x_prev, x_curr, v_prev = (rng.normal(0, 1, quad.dim) for _ in range(3))
+        honest = vp.check_variance_recursion_step(quad, x_prev, x_curr, v_prev, 0.3)
+        calls = []
+
+        def faulty(*args):
+            calls.append(args[2])
+            return 2.0 * _recursion(*args)
+
+        monkeypatch.setattr(validation, "_recursion", faulty)
+        faulted = vp.check_variance_recursion_step(quad, x_prev, x_curr, v_prev, 0.3)
+        assert calls == [MOMENTUM_SARAH]
+        assert faulted.lhs_mc != honest.lhs_mc
+
+    @pytest.mark.parametrize("beta", [0.3, 1.0])
+    @pytest.mark.parametrize("bad", ["inf", "nan", "short"])
+    def test_rejects_nonfinite_or_misshapen_v_prev(self, quad, rng, beta, bad):
+        x_prev, x_curr, v_prev = (rng.normal(0, 1, quad.dim) for _ in range(3))
+        if bad == "short":
+            v_prev = v_prev[:1]
+        else:
+            v_prev[0] = float(bad)
+        with pytest.raises(ValueError, match="v_prev must be a finite vector"):
+            vp.check_variance_recursion_step(quad, x_prev, x_curr, v_prev, beta)
 
     def test_refuses_uncertified_constants(self, rng):
         sig = vp.make_nonconvex_sigmoid(10, 4, seed=0)
@@ -333,6 +362,22 @@ class TestScheduleConstraint:
         with pytest.raises(ValueError, match=">= 1"):
             vp.check_schedule_constraint(range(0, 5), 1.0)
 
+    @pytest.mark.parametrize("L", [-1.0, 0.0, np.nan, np.inf])
+    def test_rejects_bad_L(self, L):
+        with pytest.raises(ValueError, match="L must be a positive finite scalar"):
+            vp.check_schedule_constraint([1, 2], L)
+
+    @pytest.mark.parametrize("Ts", [[1.5, 2], np.array([1.0, 2.0]), [True, False]])
+    def test_horizons_must_be_integers(self, Ts):
+        with pytest.raises(ValueError, match="horizons must be integers"):
+            vp.check_schedule_constraint(Ts, 1.0)
+
+    def test_range_and_integer_arrays_agree(self):
+        want = vp.check_schedule_constraint(range(3, 90, 7), 1.0).margins.tobytes()
+        for Ts in ([*range(3, 90, 7)], np.arange(3, 90, 7, dtype=np.int32),
+                   np.arange(3, 90, 7, dtype=np.uint64)):
+            assert vp.check_schedule_constraint(Ts, 1.0).margins.tobytes() == want
+
 
 class TestRateSlope:
     def test_exact_power_law(self):
@@ -350,3 +395,8 @@ class TestRateSlope:
             vp.rate_slope([(10, 1.0), (100, 0.5), (100, 0.4)])
         with pytest.raises(ValueError):
             vp.rate_slope([(10, 1.0), (100, 0.5), (1000, 0.0)])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_nonfinite_means(self, bad):
+        with pytest.raises(ValueError, match="positive finite means"):
+            vp.rate_slope([(10, 1.0), (100, 0.5), (1000, bad)])
