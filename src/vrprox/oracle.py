@@ -1,10 +1,10 @@
 """Stochastic first-order oracle for finite-sum objectives.
 
 A :class:`ProblemInstance` describes a smooth finite sum
-f(x) = (1/n) sum_i f_i(x) through per-sample and batched callbacks indexed by
-an integer id in ``[0, n)``, plus its exact mean gradient and value in closed
-form.  The optimizer draws sample ids uniformly; the diagnostics and the
-variance checks use the exact expectations.
+f(x) = (1/n) sum_i f_i(x) through sample callbacks indexed by integer ids in
+``[0, n)``, plus its exact mean gradient and value in closed form, each with
+one checked entry point here.  The optimizer draws sample ids uniformly; the
+diagnostics and the variance checks use the exact expectations.
 """
 
 from __future__ import annotations
@@ -22,6 +22,22 @@ def _is_integer(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+def _integer_array(name: str, values) -> np.ndarray:
+    """``values`` as a 1-D integer array.  An ndarray is judged by its dtype.
+    numpy gives ints mixed with bools an integer dtype, so any other sequence
+    (a ``range`` holds ints only) is also searched for a Python or numpy bool."""
+    arr = np.asarray(values)
+    if arr.size == 0 and not isinstance(values, np.ndarray):
+        arr = arr.astype(np.int64)  # numpy types an empty sequence as float
+    if arr.dtype.kind not in "iu":
+        raise ValueError(f"{name} must be integers, got dtype {arr.dtype}")
+    if arr.ndim != 1:
+        raise ValueError(f"{name} must form a 1-D array, got shape {arr.shape}")
+    if not isinstance(values, (np.ndarray, range)) and {bool, np.bool_} & set(map(type, values)):
+        raise ValueError(f"{name} must be integers, got a bool among them")
+    return arr
+
+
 def _check_count(name: str, value) -> None:
     if not _is_integer(value) or value < 1:
         raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
@@ -36,10 +52,10 @@ def _check_positive_finite(name: str, value) -> None:
 class ProblemInstance:
     """A smooth finite sum of ``num_components`` summands with certified constants.
 
-    ``grad_sample(x, i)`` and ``value_sample(x, i)`` evaluate one summand;
-    ``grad_batch(x, ids) -> (len(ids), dim)`` stacks per-sample gradients;
-    ``mean_grad(x)`` and ``mean_value(x)`` give the exact mean gradient and
-    value (1/n) sum_i of the summands in closed form.  All five must agree.
+    ``grad_rows(x, ids)`` is one summand's gradient for an integer id, and the
+    ``(len(ids), dim)`` stack of them for a 1-D id array; ``value_sample(x, i)``
+    is one summand's value; ``mean_grad(x)`` and ``mean_value(x)`` give the
+    exact mean gradient and value in closed form.  All four must agree.
 
     ``lipschitz_L`` must be a certified upper bound on the mean-square
     Lipschitz constant of the sample gradients,
@@ -54,9 +70,8 @@ class ProblemInstance:
     name: str
     dim: int
     num_components: int
-    grad_sample: Callable[[np.ndarray, int], np.ndarray]
+    grad_rows: Callable[[np.ndarray, int | np.ndarray], np.ndarray]
     value_sample: Callable[[np.ndarray, int], float]
-    grad_batch: Callable[[np.ndarray, np.ndarray], np.ndarray]
     mean_grad: Callable[[np.ndarray], np.ndarray]
     mean_value: Callable[[np.ndarray], float]
     lipschitz_L: float
@@ -92,42 +107,37 @@ def _check_point(prob: ProblemInstance, x: np.ndarray) -> np.ndarray:
     return x
 
 
-def _check_id(prob: ProblemInstance, sample_id: int) -> int:
-    # The run loop passes Python ints; anything else must be an integer too.
-    if type(sample_id) is not int:
-        if not _is_integer(sample_id):
-            raise ValueError(f"sample id must be an integer, got {sample_id!r}")
-        sample_id = int(sample_id)
-    if not 0 <= sample_id < prob.num_components:
-        raise ValueError(
-            f"sample id {sample_id} out of range [0, {prob.num_components})"
-        )
-    return sample_id
+def _check_ids(prob: ProblemInstance, ids):
+    """One sample id as a Python int, or a 1-D integer id array; ids in [0, n)."""
+    n = prob.num_components
+    # The run loop passes Python ints; a list is converted once, below.
+    if type(ids) is not int:
+        if isinstance(ids, (list, tuple, range)) or np.ndim(ids):
+            ids = _integer_array("sample ids", ids)
+            if ids.size and (ids.min() < 0 or ids.max() >= n):
+                raise ValueError("sample id out of range")
+            return ids
+        if not _is_integer(ids):
+            raise ValueError(f"sample id must be an integer, got {ids!r}")
+        ids = int(ids)
+    if not 0 <= ids < n:
+        raise ValueError(f"sample id {ids} out of range [0, {n})")
+    return ids
 
 
-def sample_gradient(prob: ProblemInstance, x: np.ndarray, sample_id: int) -> np.ndarray:
-    """Gradient of one sample realization, grad f_xi(x)."""
+def sample_gradient(prob: ProblemInstance, x: np.ndarray, ids) -> np.ndarray:
+    """Gradient of one sample realization, grad f_xi(x), for an integer id;
+    the ``(len(ids), dim)`` stack of sample gradients for a 1-D id array."""
     x = _check_point(prob, x)
-    return prob.grad_sample(x, _check_id(prob, sample_id))
+    return prob.grad_rows(x, _check_ids(prob, ids))
 
 
 def minibatch_gradient(prob: ProblemInstance, x: np.ndarray, ids) -> np.ndarray:
     """Arithmetic mean of sample gradients over a batch of ids."""
-    ids = np.atleast_1d(np.asarray(ids))
-    if ids.size == 0:
+    if np.size(ids) == 0:
         raise ValueError("mini-batch must contain at least one sample id")
-    x = _check_point(prob, x)
-    return gradient_rows(prob, x, ids).mean(axis=0)
-
-
-def gradient_rows(prob: ProblemInstance, x: np.ndarray, ids: np.ndarray) -> np.ndarray:
-    """Stack per-sample gradients for ``ids`` into a (len(ids), dim) matrix."""
-    ids = np.asarray(ids)
-    if ids.dtype.kind not in "iu":
-        raise ValueError(f"sample ids must be integers, got dtype {ids.dtype}")
-    if ids.size and (ids.min() < 0 or ids.max() >= prob.num_components):
-        raise ValueError("sample id out of range")
-    return prob.grad_batch(x, ids)
+    # A single integer id is a batch of one.
+    return np.atleast_2d(sample_gradient(prob, x, ids)).mean(axis=0)
 
 
 def full_gradient(prob: ProblemInstance, x: np.ndarray) -> np.ndarray:
@@ -142,8 +152,7 @@ def full_value(prob: ProblemInstance, x: np.ndarray) -> float:
 
 def sigma2_at(prob: ProblemInstance, x: np.ndarray) -> float:
     """E||grad f_i(x) - grad f(x)||^2 at one point, by enumerating all n components."""
-    x = _check_point(prob, x)
-    rows = gradient_rows(prob, x, np.arange(prob.num_components))
+    rows = sample_gradient(prob, x, np.arange(prob.num_components))
     dev = rows - rows.mean(axis=0)
     return float(np.mean(np.sum(dev * dev, axis=1)))
 
@@ -187,7 +196,7 @@ def smoothness_spot_check(prob: ProblemInstance, rng, n_pairs: int = 1000) -> di
         x = rng.uniform(-radius, radius, size=prob.dim)
         y = rng.uniform(-radius, radius, size=prob.dim)
         i = int(draw_sample_ids(prob, 1, rng)[0])
-        diff = prob.grad_sample(x, i) - prob.grad_sample(y, i)
+        diff = prob.grad_rows(x, i) - prob.grad_rows(y, i)
         ratios[k] = np.sum(diff * diff) / (L2 * np.sum((x - y) ** 2))
     mean = float(ratios.mean())
     stderr = float(ratios.std(ddof=1) / np.sqrt(n_pairs))

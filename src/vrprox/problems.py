@@ -67,15 +67,12 @@ def make_quadratic(
     cbar = centers.mean(axis=0)
     sigma2 = float(np.mean(np.sum((centers - cbar) ** 2, axis=1)))
 
-    def grad_sample(x, i):
-        return x - centers[i]
+    def grad_rows(x, ids):
+        return x - centers[ids]
 
     def value_sample(x, i):
         d = x - centers[i]
         return 0.5 * float(d @ d)
-
-    def grad_batch(x, ids):
-        return x - centers[ids]
 
     def mean_grad(x):
         return x - cbar
@@ -88,12 +85,11 @@ def make_quadratic(
         name=f"quadratic(n={n},p={p})",
         dim=p,
         num_components=n,
-        grad_sample=grad_sample,
+        grad_rows=grad_rows,
         value_sample=value_sample,
         lipschitz_L=1.0,
         sigma_bound=sigma2,
         f_star_ref=0.5 * sigma2,
-        grad_batch=grad_batch,
         mean_grad=mean_grad,
         mean_value=mean_value,
         sampling_radius=max(10.0 * float(np.max(np.abs(centers))), 1.0),
@@ -147,14 +143,12 @@ def _linear_model(family: str, A: np.ndarray, curvature: float, link, slope, los
             memo = (key, value)
         return value
 
-    def grad_sample(x, i):
-        return slope(link(float(A[i] @ x), i), i) * A[i]
+    def grad_rows(x, ids):
+        a = A[ids]
+        return slope(link(a @ x, ids), ids)[..., None] * a
 
     def value_sample(x, i):
         return float(loss(link(float(A[i] @ x), i)))
-
-    def grad_batch(x, ids):
-        return slope(link(A[ids] @ x, ids), ids)[:, None] * A[ids]
 
     def mean_grad(x):
         return A.T @ slope(link_all(x), every) / n
@@ -166,10 +160,9 @@ def _linear_model(family: str, A: np.ndarray, curvature: float, link, slope, los
         name=f"{family}(n={n},p={p})",
         dim=p,
         num_components=n,
-        grad_sample=grad_sample,
+        grad_rows=grad_rows,
         value_sample=value_sample,
         lipschitz_L=float(curvature * np.max(np.sum(A * A, axis=1))),
-        grad_batch=grad_batch,
         mean_grad=mean_grad,
         mean_value=mean_value,
         meta={"family": family, "n": n, "p": p, "A": A, **meta},

@@ -243,21 +243,16 @@ def _check_sigma_consistency(seed: int) -> dict:
 
 
 def _counting(prob):
-    """``prob`` with its sample-gradient evaluations counted, one per
-    ``grad_sample`` call and one per id of a ``grad_batch`` call; returns the
-    counting instance and its ``{"grad": count}`` tally."""
+    """``prob`` with its sample-gradient evaluations counted, one per id of
+    a ``grad_rows`` call; returns the counting instance and its
+    ``{"grad": count}`` tally."""
     calls = {"grad": 0}
-    sample, batch = prob.grad_sample, prob.grad_batch
 
-    def counted_sample(x, i):
-        calls["grad"] += 1
-        return sample(x, i)
+    def counted(x, ids):
+        calls["grad"] += np.size(ids)
+        return prob.grad_rows(x, ids)
 
-    def counted_batch(x, ids):
-        calls["grad"] += len(ids)
-        return batch(x, ids)
-
-    return replace(prob, grad_sample=counted_sample, grad_batch=counted_batch), calls
+    return replace(prob, grad_rows=counted), calls
 
 
 def _check_oracle_accounting(seed: int) -> dict:
@@ -313,7 +308,7 @@ def _check_degenerate_equivalences(seed: int) -> dict:
 
     all_ids = np.arange(prob.num_components)
     x = rng.normal(0.0, 1.0, prob.dim)
-    v = prob.grad_batch(x, all_ids).mean(axis=0)
+    v = prob.grad_rows(x, all_ids).mean(axis=0)
     worst_exact = error_sq(v, x)
     for _ in range(10):
         x_new = x + rng.normal(0.0, 0.3, prob.dim)

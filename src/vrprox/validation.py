@@ -34,10 +34,12 @@ from .estimators import MOMENTUM_SARAH, _recursion
 from .optimizer import _eta_beta
 from .oracle import (
     ProblemInstance,
+    _check_count,
     _check_positive_finite,
+    _integer_array,
     _is_integer,
     full_gradient,
-    gradient_rows,
+    sample_gradient,
     sigma2_at,
 )
 
@@ -124,7 +126,7 @@ def check_variance_recursion_step(
 
     ids = np.arange(prob.num_components)
     g_curr = full_gradient(prob, x_curr)
-    v_new = _recursion(gradient_rows, prob, MOMENTUM_SARAH, v_prev, x_prev, x_curr, ids, None, beta)
+    v_new = _recursion(sample_gradient, prob, MOMENTUM_SARAH, v_prev, x_prev, x_curr, ids, None, beta)
     lhs = float(np.sum((v_new - g_curr) ** 2, axis=1).mean())
 
     rhs = variance_recursion_rhs(prob, x_prev, x_curr, v_prev, beta)
@@ -212,7 +214,7 @@ def check_variance_recursion_unrolled(
 
     # Initial directions, one per replay.
     x0 = trajectory[0]
-    rows0 = gradient_rows(prob, x0, all_ids)
+    rows0 = sample_gradient(prob, x0, all_ids)
     if np.ndim(v0) == 0:
         init_term = initial_direction_variance(prob, x0, v0)
         b_tilde = int(v0)
@@ -232,7 +234,7 @@ def check_variance_recursion_unrolled(
     rows_prev = rows0
     picked = np.empty_like(V)
     for i in range(1, k + 1):
-        rows_curr = gradient_rows(prob, trajectory[i], all_ids)
+        rows_curr = sample_gradient(prob, trajectory[i], all_ids)
         ids = rng.integers(0, n, size=n_mc)
         V -= np.take(rows_prev, ids, axis=0, out=picked, mode="clip")
         V *= 1.0 - beta
@@ -263,18 +265,16 @@ def check_variance_recursion_unrolled(
 
 def check_schedule_constraint(T_range, L: float) -> ScheduleReport:
     """Verify beta >= 2 L^2 eta^2 / (1 - L eta), to within 1e-12, for every
-    horizon in ``T_range`` (integers >= 1; L positive and finite).
+    horizon in ``T_range`` (1-D, integers >= 1; L positive and finite).
 
     The whole range is evaluated at once by the formula
     :func:`~vrprox.optimizer.schedule_from_T` uses; the report keeps every
     margin.
     """
     _check_positive_finite("L", L)
-    Ts = np.asarray(T_range)
+    Ts = _integer_array("horizons", T_range)
     if Ts.size == 0:
         raise ValueError("empty horizon range")
-    if Ts.dtype.kind not in "iu":
-        raise ValueError(f"horizons must be integers, got dtype {Ts.dtype}")
     if np.any(Ts < 1):
         raise ValueError("horizons must be >= 1")
     eta, beta = _eta_beta(Ts, L)
@@ -298,9 +298,11 @@ def rate_slope(summary) -> float:
     """Least-squares slope of log(mean ||G||^2) against log(T+1).
 
     ``summary`` is a sequence of (T, seed-averaged mean squared gradient
-    mapping) pairs covering at least three distinct horizons.
+    mapping) pairs covering at least three distinct horizons, integers >= 1.
     """
-    pairs = [(int(T), float(m)) for T, m in summary]
+    pairs = [(T, float(m)) for T, m in summary]
+    for T, _ in pairs:
+        _check_count("horizon T", T)
     Ts = np.array([T for T, _ in pairs], dtype=float)
     means = np.array([m for _, m in pairs], dtype=float)
     if np.unique(Ts).size < 3:

@@ -7,7 +7,7 @@ from vrprox.suite import _counting
 
 def counting_quadratic(n: int = 10, p: int = 4, seed: int = 0):
     """Quadratic instance that counts its sample-gradient evaluations: one per
-    ``grad_sample`` call and one per id of a ``grad_batch`` call."""
+    id of a ``grad_rows`` call."""
     return _counting(vp.make_quadratic(n, p, 1.0, seed=seed))
 
 

@@ -41,6 +41,9 @@ NONCONVEX_RUNS = {
     ),
 }
 
+# compare.csv of the robust config above, every estimator kind, --master-seed 0.
+ROBUST_COMPARE = "16f0153b28ed0bf3ed751965e6bd1e7a12db6994d64d28e9f95d2921d6992f71"
+
 pytestmark = pytest.mark.skipif(
     np.__version__ != NUMPY_VERSION,
     reason=f"digests recorded with numpy {NUMPY_VERSION}; this is numpy {np.__version__}",
@@ -76,3 +79,10 @@ def test_nonconvex_run_files(tmp_path, family):
     cfg = tmp_path / f"{family}.cfg"
     cfg.write_text(text)
     _check_run_files(cfg, tmp_path / family, 7, summary, listing)
+
+
+def test_robust_compare_csv(tmp_path):
+    out = tmp_path / "compare"
+    cfg = ROOT / "demos" / "configs" / "robust_run.cfg"
+    assert main(["compare", "--config", str(cfg), "--output", str(out), "--master-seed", "0"]) == 0
+    assert _sha256((out / "compare.csv").read_bytes()) == ROBUST_COMPARE

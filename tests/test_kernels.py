@@ -1,10 +1,12 @@
 """The sigmoid and robust kernels against their plain reference forms, bit for bit.
 
 The reference closures below are the straightforward kernels: a masked
-sigmoid on 0-d or 1-d arrays, and a fresh ``A @ x`` for every mean gradient
-and mean value.  The library's kernels (``_sigmoid``'s branch-free array path
-and its scalar branch, and the closures and one-entry link memo that
-``_linear_model`` builds) must give the same bytes at every finite point.
+sigmoid on 0-d or 1-d arrays, separate one-id and id-array forms of the
+sample gradient behind one dispatching ``grad_rows``, and a fresh ``A @ x``
+for every mean gradient and mean value.  The library's kernels
+(``_sigmoid``'s branch-free array path and its scalar branch, and the
+closures and one-entry link memo that ``_linear_model`` builds) must give
+the same bytes at every finite point.
 """
 
 import numpy as np
@@ -33,16 +35,15 @@ def reference_sigmoid_problem(prob):
     def margin(x, i):
         return -y[i] * float(A[i] @ x)
 
-    def grad_sample(x, i):
-        s = masked_sigmoid(margin(x, i))
-        return (s * (1.0 - s) * (-y[i])) * A[i]
+    def grad_rows(x, ids):
+        if np.ndim(ids) == 0:
+            s = masked_sigmoid(margin(x, ids))
+            return (s * (1.0 - s) * (-y[ids])) * A[ids]
+        s = masked_sigmoid(-(A[ids] @ x) * y[ids])
+        return (s * (1.0 - s) * (-y[ids]))[:, None] * A[ids]
 
     def value_sample(x, i):
         return float(masked_sigmoid(margin(x, i)))
-
-    def grad_batch(x, ids):
-        s = masked_sigmoid(-(A[ids] @ x) * y[ids])
-        return (s * (1.0 - s) * (-y[ids]))[:, None] * A[ids]
 
     def mean_grad(x):
         s = masked_sigmoid(-(A @ x) * y)
@@ -51,23 +52,22 @@ def reference_sigmoid_problem(prob):
     def mean_value(x):
         return float(np.mean(masked_sigmoid(-(A @ x) * y)))
 
-    return _reference(prob, grad_sample, value_sample, grad_batch, mean_grad, mean_value)
+    return _reference(prob, grad_rows, value_sample, mean_grad, mean_value)
 
 
 def reference_robust_problem(prob):
     A, b, n = prob.meta["A"], prob.meta["b"], prob.num_components
 
-    def grad_sample(x, i):
-        r = float(A[i] @ x) - b[i]
-        return (2.0 * r / (1.0 + r * r) ** 2) * A[i]
+    def grad_rows(x, ids):
+        if np.ndim(ids) == 0:
+            r = float(A[ids] @ x) - b[ids]
+            return (2.0 * r / (1.0 + r * r) ** 2) * A[ids]
+        r = A[ids] @ x - b[ids]
+        return (2.0 * r / (1.0 + r * r) ** 2)[:, None] * A[ids]
 
     def value_sample(x, i):
         r = float(A[i] @ x) - b[i]
         return r * r / (1.0 + r * r)
-
-    def grad_batch(x, ids):
-        r = A[ids] @ x - b[ids]
-        return (2.0 * r / (1.0 + r * r) ** 2)[:, None] * A[ids]
 
     def mean_grad(x):
         r = A @ x - b
@@ -77,19 +77,18 @@ def reference_robust_problem(prob):
         r = A @ x - b
         return float(np.mean(r * r / (1.0 + r * r)))
 
-    return _reference(prob, grad_sample, value_sample, grad_batch, mean_grad, mean_value)
+    return _reference(prob, grad_rows, value_sample, mean_grad, mean_value)
 
 
-def _reference(prob, grad_sample, value_sample, grad_batch, mean_grad, mean_value):
+def _reference(prob, grad_rows, value_sample, mean_grad, mean_value):
     return ProblemInstance(
         name="reference-" + prob.name,
         dim=prob.dim,
         num_components=prob.num_components,
-        grad_sample=grad_sample,
+        grad_rows=grad_rows,
         value_sample=value_sample,
         lipschitz_L=prob.lipschitz_L,
         sigma_bound=prob.sigma_bound,
-        grad_batch=grad_batch,
         mean_grad=mean_grad,
         mean_value=mean_value,
     )
@@ -136,9 +135,9 @@ def test_per_sample_and_mean_kernels_match_reference(family):
     ids = np.arange(prob.num_components)
     for x in rng.uniform(-12, 12, (40, prob.dim)):
         for i in (0, 17, prob.num_components - 1):
-            assert prob.grad_sample(x, i).tobytes() == ref.grad_sample(x, i).tobytes()
+            assert prob.grad_rows(x, i).tobytes() == ref.grad_rows(x, i).tobytes()
             assert prob.value_sample(x, i) == ref.value_sample(x, i)
-        assert prob.grad_batch(x, ids).tobytes() == ref.grad_batch(x, ids).tobytes()
+        assert prob.grad_rows(x, ids).tobytes() == ref.grad_rows(x, ids).tobytes()
         assert vp.full_gradient(prob, x).tobytes() == vp.full_gradient(ref, x).tobytes()
         assert vp.full_value(prob, x) == vp.full_value(ref, x)
 

@@ -8,7 +8,6 @@ import vrprox as vp
 from vrprox.oracle import (
     draw_sample_ids,
     draw_step_ids,
-    gradient_rows,
     sigma2_at,
 )
 from vrprox.problems import from_key
@@ -127,7 +126,7 @@ def test_nonfinite_centers_are_rejected(bad):
         vp.make_quadratic(2, 2, centers=[[bad, 0.0], [1.0, 1.0]])
 
 
-@pytest.mark.parametrize("name", ["grad_batch", "mean_grad", "mean_value"])
+@pytest.mark.parametrize("name", ["grad_rows", "mean_grad", "mean_value"])
 def test_closed_forms_are_required_fields(quad_small, name):
     kwargs = {f.name: getattr(quad_small, f.name) for f in fields(quad_small) if f.name != name}
     with pytest.raises(TypeError, match=name):
@@ -140,20 +139,21 @@ def test_sigma2_at_enumerates_every_component(key, rng):
     # their mean, with no Monte-Carlo draw.
     prob = from_key(key, seed=3)
     for x in rng.uniform(-5.0, 5.0, (5, prob.dim)):
-        grads = np.array([prob.grad_sample(x, i) for i in range(prob.num_components)])
+        grads = np.array([prob.grad_rows(x, i) for i in range(prob.num_components)])
         dev = grads - grads.mean(axis=0)
         expected = np.mean(np.sum(dev * dev, axis=1))
         assert sigma2_at(prob, x) == pytest.approx(expected, rel=1e-10, abs=1e-14)
 
 
-def test_sample_id_validation(quad_small):
+@pytest.mark.parametrize("wrap", [lambda i: i, lambda i: [0, i]], ids=["id", "array"])
+def test_sample_id_validation(quad_small, wrap):
     x = np.zeros(quad_small.dim)
-    with pytest.raises(ValueError):
-        vp.sample_gradient(quad_small, x, quad_small.num_components)
-    with pytest.raises(ValueError):
-        vp.sample_gradient(quad_small, x, -1)
-    with pytest.raises(ValueError):
-        vp.sample_gradient(quad_small, np.zeros(quad_small.dim + 1), 0)
+    with pytest.raises(ValueError, match="out of range"):
+        vp.sample_gradient(quad_small, x, wrap(quad_small.num_components))
+    with pytest.raises(ValueError, match="out of range"):
+        vp.sample_gradient(quad_small, x, wrap(-1))
+    with pytest.raises(ValueError, match="point has shape"):
+        vp.sample_gradient(quad_small, np.zeros(quad_small.dim + 1), wrap(0))
 
 
 @pytest.mark.parametrize("bad", [2.9, 2.0, True, "2", None])
@@ -164,13 +164,25 @@ def test_sample_id_must_be_an_integer(quad_small, bad):
 
 
 @pytest.mark.parametrize("bad", [[1.7], [True], [0, 2.0], np.array([0.5, 2.2]),
-                                 np.array([True, False])])
+                                 np.array([True, False]), [True, 2], (2, np.True_),
+                                 [np.int64(2), False]])
 def test_batch_ids_must_be_integers(quad_small, bad):
     x = np.zeros(quad_small.dim)
     with pytest.raises(ValueError, match="sample ids must be integers"):
         vp.minibatch_gradient(quad_small, x, bad)
     with pytest.raises(ValueError, match="sample ids must be integers"):
-        gradient_rows(quad_small, x, np.asarray(bad))
+        vp.sample_gradient(quad_small, x, bad)
+
+
+@pytest.mark.parametrize("key", ["quad:5:3:1.0", "sigmoid:5:3", "robust:5:3"])
+@pytest.mark.parametrize("bad", [[[1, 2], [3, 4]], np.array([[1], [2]])])
+def test_id_arrays_must_be_one_dimensional(key, bad):
+    prob = from_key(key)
+    x = np.zeros(prob.dim)
+    with pytest.raises(ValueError, match="sample ids must form a 1-D array"):
+        vp.sample_gradient(prob, x, bad)
+    with pytest.raises(ValueError, match="sample ids must form a 1-D array"):
+        vp.minibatch_gradient(prob, x, bad)
 
 
 def test_numpy_integer_ids_are_accepted(quad_small):
@@ -180,6 +192,7 @@ def test_numpy_integer_ids_are_accepted(quad_small):
     np.testing.assert_array_equal(vp.sample_gradient(quad_small, x, np.uint8(3)), g)
     for ids in (np.array([3], dtype=np.int32), np.array([3], dtype=np.uint64), [np.int64(3)]):
         np.testing.assert_array_equal(vp.minibatch_gradient(quad_small, x, ids), g)
+        np.testing.assert_array_equal(vp.sample_gradient(quad_small, x, ids), [g])
 
 
 def test_empty_batch_is_rejected(quad_small):
@@ -195,21 +208,25 @@ def test_determinism_across_rebuilds(rng):
         np.testing.assert_array_equal(vp.sample_gradient(a, x, i), vp.sample_gradient(b, x, i))
 
 
-def test_gradient_rows_matches_per_sample_calls(rng):
+@pytest.mark.parametrize("key", ["quad:15:5:1.0", "sigmoid:15:5", "robust:15:5"])
+def test_sample_gradient_id_array_matches_per_id_calls(key, rng):
     # The quadratic path is pure subtraction (bitwise equal); the nonlinear
     # families go through a BLAS matvec whose summation order may differ from
     # the scalar dot, so those agree to rounding.
+    prob = from_key(key, seed=2)
     x = rng.normal(0, 1, 5)
-    ids = np.array([0, 3, 3, 14])
-    quad = vp.make_quadratic(15, 5, 1.0, seed=2)
-    for row, i in zip(gradient_rows(quad, x, ids), ids):
-        np.testing.assert_array_equal(row, quad.grad_sample(x, int(i)))
-    for prob in (
-        vp.make_nonconvex_sigmoid(15, 5, seed=2),
-        vp.make_robust_regression(15, 5, seed=2),
-    ):
-        for row, i in zip(gradient_rows(prob, x, ids), ids):
-            np.testing.assert_allclose(row, prob.grad_sample(x, int(i)), rtol=0, atol=1e-13)
+    for ids in (np.array([0, 3, 3, 14]), [0, 3, 3, 14], range(15)):
+        rows = vp.sample_gradient(prob, x, ids)
+        assert rows.shape == (len(ids), prob.dim)
+        for row, i in zip(rows, ids):
+            one = vp.sample_gradient(prob, x, int(i))
+            assert one.shape == (prob.dim,)
+            if key.startswith("quad"):
+                np.testing.assert_array_equal(row, one)
+            else:
+                np.testing.assert_allclose(row, one, rtol=0, atol=1e-13)
+    empty = vp.sample_gradient(prob, x, np.array([], dtype=np.int64))
+    assert empty.shape == (0, prob.dim)
 
 
 def test_draw_sample_ids_without_replacement(quad_small, rng):

@@ -129,7 +129,7 @@ def test_closed_form_means_match_enumerated_samples(key):
     prob = from_key(key, seed=0)
     n = prob.num_components
     for x in np.random.default_rng(8).uniform(-10.0, 10.0, (200, prob.dim)):
-        grad = np.mean([prob.grad_sample(x, i) for i in range(n)], axis=0)
+        grad = np.mean([prob.grad_rows(x, i) for i in range(n)], axis=0)
         assert np.max(np.abs(vp.full_gradient(prob, x) - grad)) <= 1e-12 * np.max(np.abs(grad))
         value = np.mean([prob.value_sample(x, i) for i in range(n)])
         assert abs(vp.full_value(prob, x) - value) <= 1e-12 * abs(value)
@@ -141,8 +141,8 @@ def test_generation_deterministic_in_seed(rng):
         a = from_key(key, seed=42)
         b = from_key(key, seed=42)
         c = from_key(key, seed=43)
-        np.testing.assert_array_equal(a.grad_sample(x, 3), b.grad_sample(x, 3))
-        assert not np.array_equal(a.grad_sample(x, 3), c.grad_sample(x, 3))
+        np.testing.assert_array_equal(a.grad_rows(x, 3), b.grad_rows(x, 3))
+        assert not np.array_equal(a.grad_rows(x, 3), c.grad_rows(x, 3))
 
 
 def test_parse_key():

@@ -6,7 +6,6 @@ import pytest
 import vrprox as vp
 from vrprox import validation
 from vrprox.estimators import MOMENTUM_SARAH, _recursion
-from vrprox.oracle import gradient_rows
 from vrprox.validation import (
     _floyd_batch_means,
     initial_direction_variance,
@@ -63,7 +62,7 @@ class TestOneStep:
         g = vp.full_gradient(quad, x_curr)
         sq = []
         for i in range(quad.num_components):
-            v = quad.grad_sample(x_curr, i) + (1 - beta) * (v_prev - quad.grad_sample(x_prev, i))
+            v = quad.grad_rows(x_curr, i) + (1 - beta) * (v_prev - quad.grad_rows(x_prev, i))
             sq.append(np.sum((v - g) ** 2))
         rep = vp.check_variance_recursion_step(quad, x_prev, x_curr, v_prev, beta)
         assert rep.lhs_mc == pytest.approx(np.mean(sq), rel=1e-12)
@@ -220,7 +219,7 @@ def _reference_unrolled(prob, trajectory, v0, beta, n_mc, rng):
     k = trajectory.shape[0] - 1
     n = prob.num_components
     all_ids = np.arange(n)
-    rows0 = gradient_rows(prob, trajectory[0], all_ids)
+    rows0 = vp.sample_gradient(prob, trajectory[0], all_ids)
     if np.ndim(v0) == 0:
         order = _reference_floyd_batch(n, v0, n_mc, rng)
         V = rows0[order[:, 0]]
@@ -233,8 +232,8 @@ def _reference_unrolled(prob, trajectory, v0, beta, n_mc, rng):
         d0 = v0 - rows0.mean(axis=0)
         init_term = float(d0 @ d0)
     for i in range(1, k + 1):
-        rows_curr = gradient_rows(prob, trajectory[i], all_ids)
-        rows_prev = gradient_rows(prob, trajectory[i - 1], all_ids)
+        rows_curr = vp.sample_gradient(prob, trajectory[i], all_ids)
+        rows_prev = vp.sample_gradient(prob, trajectory[i - 1], all_ids)
         ids = rng.integers(0, n, size=n_mc)
         V = rows_curr[ids] + (1.0 - beta) * (V - rows_prev[ids])
     errs = np.sum((V - vp.full_gradient(prob, trajectory[k])) ** 2, axis=1)
@@ -367,9 +366,15 @@ class TestScheduleConstraint:
         with pytest.raises(ValueError, match="L must be a positive finite scalar"):
             vp.check_schedule_constraint([1, 2], L)
 
-    @pytest.mark.parametrize("Ts", [[1.5, 2], np.array([1.0, 2.0]), [True, False]])
+    @pytest.mark.parametrize("Ts", [[1.5, 2], np.array([1.0, 2.0]), [True, False], [True, 2],
+                                    (2, np.True_)])
     def test_horizons_must_be_integers(self, Ts):
         with pytest.raises(ValueError, match="horizons must be integers"):
+            vp.check_schedule_constraint(Ts, 1.0)
+
+    @pytest.mark.parametrize("Ts", [[[1, 2], [3, 4]], np.array(5)])
+    def test_horizons_must_form_a_1d_array(self, Ts):
+        with pytest.raises(ValueError, match="horizons must form a 1-D array"):
             vp.check_schedule_constraint(Ts, 1.0)
 
     def test_range_and_integer_arrays_agree(self):
@@ -395,6 +400,11 @@ class TestRateSlope:
             vp.rate_slope([(10, 1.0), (100, 0.5), (100, 0.4)])
         with pytest.raises(ValueError):
             vp.rate_slope([(10, 1.0), (100, 0.5), (1000, 0.0)])
+
+    @pytest.mark.parametrize("T", [100.7, True, 0, -1])
+    def test_horizons_must_be_integers_at_least_one(self, T):
+        with pytest.raises(ValueError, match="horizon T must be an integer >= 1"):
+            vp.rate_slope([(10, 1.0), (T, 0.5), (1000, 0.2)])
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_rejects_nonfinite_means(self, bad):
