@@ -25,11 +25,14 @@ per-iteration diagnostics computed from exact full gradients; diagnostic
 evaluations are counted separately and never enter the oracle-call tally.
 
 The loop runs in blocks of ``BLOCK`` steps.  Each step does only the
-recursion, one exact full gradient and value at its iterate (with
-diagnostics on), and the guarded prox step; the block's sample ids are drawn
-in one call before it, and its diagnostics and step norms are computed after
-it with row-wise operations on the stacked iterates.  A run holds
-O(BLOCK * p) memory whatever T is.
+recursion, the guarded prox step and, with diagnostics on, one exact
+``full_gradient`` at its iterate plus the problem's ``mean_value`` at the
+array that call has just checked; the block's sample ids are drawn in one
+call before it, and its diagnostics and step norms are computed after it
+with row-wise operations on the stacked iterates.  ``sample_gradient`` and
+``full_gradient`` stay checked oracle calls inside the loop: the traced
+benchmark counts one span of each per evaluation and per iterate.  A run
+holds O(BLOCK * p) memory whatever T is.
 """
 
 from __future__ import annotations
@@ -55,7 +58,6 @@ from .oracle import (
     _is_integer,
     draw_step_ids,
     full_gradient,
-    full_value,
     sample_gradient,
 )
 from .prox import (
@@ -212,9 +214,12 @@ def run(
     The inputs are validated once, here; the loop then runs on plain arrays
     with operators resolved up front, and draws from the seeded generator
     exactly as the public oracle functions would.  Diagnostics come from one
-    exact ``full_gradient`` and ``full_value`` per iterate, and are reduced a
-    block of ``BLOCK`` iterates at a time, so memory stays O(BLOCK * p)
-    whatever T is; the traces have the bits of a per-step computation.
+    exact ``full_gradient`` per iterate and the problem's ``mean_value`` at
+    the iterate that call has just checked, and are reduced a block of
+    ``BLOCK`` iterates at a time, so memory stays O(BLOCK * p) whatever T is;
+    the traces have the bits of a per-step computation.  The loop's
+    ``sample_gradient`` and ``full_gradient`` calls stay checked, one per
+    evaluation and one per iterate, because the traced benchmark counts them.
     """
     if kind not in KINDS:
         raise ValueError(f"unknown estimator kind {kind!r}; expected one of {KINDS}")
@@ -269,7 +274,8 @@ def run(
             if diagnostics:
                 vs.append(v)
                 gs.append(full_gradient(prob, x))
-                fs.append(full_value(prob, x))
+                # f(x_t) at the array full_gradient has just checked.
+                fs.append(prob.mean_value(x))
             # x_{t+1} = prox(x_t - eta v_t), guarded.
             z = x - eta * v
             x_next = prox_eta(z)

@@ -187,8 +187,9 @@ def smoothness_spot_check(prob: ProblemInstance, rng, n_pairs: int = 1000) -> di
     Monte-Carlo mean of ||grad f_xi(x) - grad f_xi(y)||^2 / (L^2 ||x - y||^2)
     against 1 with a three-standard-error allowance.
     """
-    if n_pairs < 2:
+    if _is_integer(n_pairs) and n_pairs < 2:
         raise ValueError(f"need n_pairs >= 2 pairs, got {n_pairs}")
+    _check_count("n_pairs", n_pairs)
     radius = prob.sampling_radius
     L2 = prob.lipschitz_L**2
     ratios = np.empty(n_pairs)

@@ -79,7 +79,7 @@ def make_quadratic(
 
     def mean_value(x):
         d = x - cbar
-        return 0.5 * float(d @ d) + 0.5 * sigma2
+        return 0.5 * float(d.dot(d)) + 0.5 * sigma2
 
     return ProblemInstance(
         name=f"quadratic(n={n},p={p})",
@@ -123,7 +123,7 @@ def _linear_model(family: str, A: np.ndarray, curvature: float, link, slope, los
 
     The mean gradient and value share a one-entry memo of the link over all
     n samples, keyed by the point's float64 bytes: the diagnostics ask for
-    both at one point, and the second then costs a mean instead of a second
+    both at one point, and the second then costs a sum instead of a second
     ``A @ x``.  A point changed in place, or -0.0 for 0.0, is a miss, which
     costs time, never a different result.  Key and value are stored and read
     as one tuple, so one point's key is never paired with another's link.
@@ -145,7 +145,7 @@ def _linear_model(family: str, A: np.ndarray, curvature: float, link, slope, los
 
     def grad_rows(x, ids):
         a = A[ids]
-        return slope(link(a @ x, ids), ids)[..., None] * a
+        return slope(link(a.dot(x), ids), ids)[..., None] * a
 
     def value_sample(x, i):
         return float(loss(link(float(A[i] @ x), i)))
@@ -154,7 +154,7 @@ def _linear_model(family: str, A: np.ndarray, curvature: float, link, slope, los
         return A.T @ slope(link_all(x), every) / n
 
     def mean_value(x):
-        return float(np.mean(loss(link_all(x))))
+        return float(loss(link_all(x)).sum() / n)
 
     return ProblemInstance(
         name=f"{family}(n={n},p={p})",

@@ -203,8 +203,9 @@ def check_variance_recursion_unrolled(
     """
     _require_certified(prob, "the unrolled variance check")
     beta = _check_beta_open(beta)
-    if n_mc < 2:
+    if _is_integer(n_mc) and n_mc < 2:
         raise ValueError("need n_mc >= 2 replays")
+    _check_count("n_mc", n_mc)
     trajectory = np.asarray(trajectory, dtype=float)
     if trajectory.ndim != 2 or trajectory.shape[1] != prob.dim:
         raise ValueError(f"trajectory must have shape (k+1, {prob.dim})")

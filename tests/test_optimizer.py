@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import vrprox as vp
-from vrprox.estimators import HYBRID_SARAH, MOMENTUM_SARAH, SARAH, SGD
+from vrprox import estimators, optimizer, oracle
+from vrprox.estimators import EVALS_PER_STEP, HYBRID_SARAH, MOMENTUM_SARAH, SARAH, SGD
 from vrprox.optimizer import BLOCK, DivergenceError, MAX_ITERATE_NORM, _guard
 from vrprox.oracle import draw_sample_ids
 from vrprox.prox import BoxIndicator, L1, Zero, add_psi
@@ -400,6 +401,41 @@ def test_run_matches_public_api_loop_bitwise(problem, psi, kind, T):
         assert trace.output_x.tobytes() == output_x.tobytes()
         assert trace.oracle_calls == calls
         assert trace.diagnostic_full_gradients == (T + 1 if diagnostics else 0)
+
+
+@pytest.mark.parametrize("kind", [MOMENTUM_SARAH, HYBRID_SARAH, SARAH, SGD])
+@pytest.mark.parametrize("diagnostics", [True, False])
+def test_run_keeps_the_call_structure_the_benchmark_traces(monkeypatch, kind, diagnostics):
+    # A traced benchmark run wraps these module attributes and checks the
+    # counts exactly: one sample_gradient per evaluation with a Python-int
+    # id, one full_gradient per iterate with diagnostics on, and one initial
+    # batch of b_tilde ids.
+    sample_ids, full_points, batches = [], [], []
+
+    def sample_gradient(prob, x, ids):
+        sample_ids.append(ids)
+        return oracle.sample_gradient(prob, x, ids)
+
+    def full_gradient(prob, x):
+        full_points.append(x)
+        return oracle.full_gradient(prob, x)
+
+    def minibatch_gradient(prob, x, ids):
+        batches.append(ids)
+        return oracle.minibatch_gradient(prob, x, ids)
+
+    monkeypatch.setattr(optimizer, "sample_gradient", sample_gradient)
+    monkeypatch.setattr(optimizer, "full_gradient", full_gradient)
+    monkeypatch.setattr(estimators, "minibatch_gradient", minibatch_gradient)
+    prob = _EQUIV_PROBLEMS["quad"]()
+    T = BLOCK + 5
+    hp = vp.schedule_from_T(T, prob.lipschitz_L)
+    trace = vp.run(prob, Zero(), hp, rng=7, kind=kind, diagnostics=diagnostics)
+    assert len(sample_ids) == EVALS_PER_STEP[kind] * T
+    assert all(type(i) is int for i in sample_ids)
+    assert len(full_points) == (T + 1 if diagnostics else 0)
+    assert len(batches) == 1 and np.size(batches[0]) == hp.b_tilde > 1
+    assert trace.oracle_calls == hp.b_tilde + len(sample_ids)
 
 
 @pytest.mark.parametrize("psi", [Zero(), L1(lam=0.01), vp.ElasticNet(0.001, 0.001)], ids=repr)

@@ -253,6 +253,12 @@ def test_smoothness_spot_check_needs_two_pairs(quad_small, n_pairs):
         vp.smoothness_spot_check(quad_small, np.random.default_rng(3), n_pairs=n_pairs)
 
 
+@pytest.mark.parametrize("n_pairs", [2.5, np.float64(3.0), True, "3"], ids=repr)
+def test_smoothness_spot_check_needs_an_integer_count(quad_small, n_pairs):
+    with pytest.raises(ValueError, match="n_pairs must be an integer"):
+        vp.smoothness_spot_check(quad_small, np.random.default_rng(3), n_pairs=n_pairs)
+
+
 def test_huge_finite_point_accepted_without_warning(quad_small):
     x = np.full(quad_small.dim, 1e200)
     with np.errstate(over="ignore"):

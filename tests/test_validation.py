@@ -176,6 +176,20 @@ class TestUnrolled:
         with pytest.raises(ValueError, match="initial batch size must be an integer"):
             initial_direction_variance(quad, traj[0], bad)
 
+    @pytest.mark.parametrize("n_mc", [2.5, np.float64(3.0), True, "3"], ids=repr)
+    def test_replay_count_must_be_an_integer(self, quad, n_mc):
+        traj = np.zeros((3, quad.dim))
+        with pytest.raises(ValueError, match="n_mc must be an integer"):
+            vp.check_variance_recursion_unrolled(
+                quad, traj, 3, 0.5, n_mc=n_mc, rng=np.random.default_rng(0))
+
+    @pytest.mark.parametrize("n_mc", [0, 1])
+    def test_replay_count_needs_two_replays(self, quad, n_mc):
+        traj = np.zeros((3, quad.dim))
+        with pytest.raises(ValueError, match="n_mc >= 2"):
+            vp.check_variance_recursion_unrolled(
+                quad, traj, 3, 0.5, n_mc=n_mc, rng=np.random.default_rng(0))
+
     def test_numpy_integer_initial_batch_size(self, quad):
         traj = np.zeros((3, quad.dim))
         reps = [
