@@ -16,9 +16,9 @@ Required keys: ``problem``, ``estimator``, ``T``, ``seeds``.  Defaults:
 ``psi=zero``, ``schedule=auto``, ``diagnostics=on``, ``problem_seed=0``.
 ``seeds`` is either a count (expanded deterministically from the master seed)
 or an explicit comma list; write a trailing comma (``seeds = 7,``) for a
-single explicit seed.  A manual schedule needs ``eta``, ``beta`` and
-``b_tilde``.  Every run starts at x0 = 0, so ``psi`` must be finite there: a
-box must contain the origin.
+single explicit seed, and a count is at most ``MAX_SEED_COUNT``.  A manual
+schedule needs ``eta``, ``beta`` and ``b_tilde``.  Every run starts at x0 = 0,
+so ``psi`` must be finite there: a box must contain the origin.
 """
 
 from __future__ import annotations
@@ -37,6 +37,9 @@ from .prox import is_psi_infinite, parse_psi, psi_value
 class ConfigError(ValueError):
     """Malformed experiment config; the message names the key and line."""
 
+
+# Largest seed count: a count expands to that many seeds and runs up front.
+MAX_SEED_COUNT = 10_000
 
 REQUIRED_KEYS = ("problem", "estimator", "T", "seeds")
 KNOWN_KEYS = REQUIRED_KEYS + (
@@ -68,13 +71,15 @@ class ExperimentConfig:
     source_text: str = field(default="", repr=False)
 
 
-def _parse_int(raw: str, key: str, lineno: int, minimum: int | None = None) -> int:
+def _parse_int(raw: str, key: str, lineno: int, minimum: int, maximum: float = math.inf) -> int:
     try:
         value = int(raw)
     except ValueError:
         raise ConfigError(f"line {lineno}: key {key!r} needs an integer, got {raw!r}") from None
-    if minimum is not None and value < minimum:
+    if value < minimum:
         raise ConfigError(f"line {lineno}: key {key!r} must be >= {minimum}, got {value}")
+    if value > maximum:
+        raise ConfigError(f"line {lineno}: key {key!r} must be <= {maximum}, got {value}")
     return value
 
 
@@ -163,16 +168,14 @@ def parse_config(text: str) -> ExperimentConfig:
                     raise ConfigError(f"line {lineno}: key 'seeds' has no value")
                 _check_distinct(values[key], key, lineno)
             else:
-                values[key] = _parse_int(raw, key, lineno, minimum=1)
+                values[key] = _parse_int(raw, key, lineno, minimum=1, maximum=MAX_SEED_COUNT)
         elif key == "problem_seed":
             values[key] = _parse_int(raw, key, lineno, minimum=0)
         elif key == "schedule":
             if raw not in ("auto", "manual"):
                 raise ConfigError(f"line {lineno}: schedule must be auto or manual, got {raw!r}")
             values[key] = raw
-        elif key == "eta":
-            values[key] = _parse_float(raw, key, lineno)
-        elif key == "beta":
+        elif key in ("eta", "beta"):
             values[key] = _parse_float(raw, key, lineno)
         elif key == "b_tilde":
             values[key] = _parse_int(raw, key, lineno, minimum=1)

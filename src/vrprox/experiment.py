@@ -3,7 +3,7 @@
 One experiment expands to a grid of (horizon, seed) runs, each written to
 ``trace_T<T>_s<seed>.csv`` with per-iteration diagnostics, plus one
 ``summary.csv`` aggregating seed means and the a-priori stationarity bound
-(when the problem's constants are certified), and a ``run_meta.txt`` pinning
+of the auto schedule, and a ``run_meta.txt`` pinning
 the config, the resolved seeds and the vrprox, numpy and Python versions.  No
 timestamps are written anywhere: identical config and master seed reproduce
 every output file byte for byte, in the same environment, regardless of the
@@ -24,11 +24,11 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, problems
-from .config import ConfigError, ExperimentConfig, check_initial_batch
+from .config import MAX_SEED_COUNT, ConfigError, ExperimentConfig, check_initial_batch
 from .estimators import KINDS
 from .optimizer import DivergenceError, HyperParams, mean_grad_map_sq, run, schedule_from_T
 from .oracle import ProblemInstance, full_value
-from .prox import Zero, parse_psi, psi_value
+from .prox import is_psi_infinite, parse_psi, psi_value
 
 TRACE_HEADER = "t,grad_map_sq,obj,est_err_sq,step_sq"
 SUMMARY_HEADER = "T,seeds,mean_grad_map_sq,stderr,bound_rhs,oracle_calls,status"
@@ -85,31 +85,29 @@ def expand_seeds(seeds, master_seed: int = 0) -> list[int]:
     """Resolve a seed list or count into explicit seeds.
 
     A count expands deterministically from the master seed, so one number
-    reproduces a whole sweep.
+    reproduces a whole sweep; it lies in [1, ``MAX_SEED_COUNT``].
     """
     if isinstance(seeds, int):
-        if seeds < 1:
-            raise ValueError(f"seed count must be >= 1, got {seeds}")
+        if not 1 <= seeds <= MAX_SEED_COUNT:
+            raise ValueError(f"seed count must lie in [1, {MAX_SEED_COUNT}], got {seeds}")
         state = np.random.SeedSequence(master_seed).generate_state(seeds, dtype=np.uint64)
         return [int(s) for s in state]
     return [int(s) for s in seeds]
 
 
-def stationarity_bound_rhs(prob: ProblemInstance, psi, T: int) -> float | None:
+def stationarity_bound_rhs(prob: ProblemInstance, psi, T: int) -> float:
     """A-priori bound (4 L [F(x0) - F*] + 4 sigma^2) / (T+1)^{2/3} from x0 = 0.
 
-    Only available when sigma^2 is certified and the known minimum applies
-    to the composite objective, i.e. with the zero regularizer.  None
-    otherwise.
+    Every regularizer is >= 0, so F* >= inf f >= ``f_lower`` and
+    F(x0) - f_lower bounds the gap.  A psi infinite at x0 raises ValueError.
     """
-    if not isinstance(psi, Zero) or prob.sigma_bound is None or prob.f_star_ref is None:
-        return None
     x0 = np.zeros(prob.dim)
-    gap = full_value(prob, x0) + psi_value(psi, x0) - prob.f_star_ref
-    return float(
-        (4.0 * prob.lipschitz_L * gap + 4.0 * prob.sigma_bound)
-        / float(np.cbrt(T + 1.0)) ** 2
-    )
+    psi0 = psi_value(psi, x0)
+    if is_psi_infinite(psi0):
+        raise ValueError("psi is infinite at the start point x0 = 0")
+    gap = full_value(prob, x0) + psi0 - prob.f_lower
+    return float((4.0 * prob.lipschitz_L * gap + 4.0 * prob.sigma_bound)
+                 / float(np.cbrt(T + 1.0)) ** 2)
 
 
 def _write_trace(path: Path, trace) -> None:

@@ -124,7 +124,9 @@ def schedule_from_T(T: int, L: float) -> HyperParams:
     _check_count("T", T)
     T = int(T)
     _check_positive_finite("L", L)
-    eta, beta = _eta_beta(T, L)
+    # A tiny L overflows eta to inf, which HyperParams refuses by name.
+    with np.errstate(over="ignore"):
+        eta, beta = _eta_beta(T, L)
     m = max(int(np.ceil(np.cbrt((T + 1) / 8.0))), 1)
     while 8 * m**3 < T + 1:
         m += 1

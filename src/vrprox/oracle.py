@@ -59,12 +59,9 @@ class ProblemInstance:
 
     ``lipschitz_L`` must be a certified upper bound on the mean-square
     Lipschitz constant of the sample gradients,
-    E||grad f_i(x) - grad f_i(y)||^2 <= L^2 ||x - y||^2.  ``sigma_bound``,
-    when given, must be a certified bound on E||grad f_i(x) - grad f(x)||^2
-    at every x; ``None`` means none is known, and bound checks that need
-    sigma^2 refuse the instance.
-
-    ``f_star_ref`` is the minimum of f alone (no regularizer), when known.
+    E||grad f_i(x) - grad f_i(y)||^2 <= L^2 ||x - y||^2.  ``sigma_bound``
+    must be a certified bound on E||grad f_i(x) - grad f(x)||^2 at every x,
+    and ``f_lower`` a certified lower bound on inf f.
     """
 
     name: str
@@ -75,8 +72,8 @@ class ProblemInstance:
     mean_grad: Callable[[np.ndarray], np.ndarray]
     mean_value: Callable[[np.ndarray], float]
     lipschitz_L: float
-    sigma_bound: float | None = None
-    f_star_ref: float | None = None
+    sigma_bound: float
+    f_lower: float
     sampling_radius: float = 10.0
     meta: dict = field(default_factory=dict)
 
@@ -84,8 +81,10 @@ class ProblemInstance:
         _check_count("dim", self.dim)
         _check_count("num_components", self.num_components)
         _check_positive_finite("lipschitz_L", self.lipschitz_L)
-        if self.sigma_bound is not None and not 0 <= self.sigma_bound < np.inf:
-            raise ValueError(f"sigma_bound must be None or a finite scalar >= 0, got {self.sigma_bound}")
+        if not 0 <= self.sigma_bound < np.inf:
+            raise ValueError(f"sigma_bound must be a finite scalar >= 0, got {self.sigma_bound}")
+        if not np.isfinite(self.f_lower):
+            raise ValueError(f"f_lower must be finite, got {self.f_lower}")
 
 
 @functools.lru_cache(maxsize=8)

@@ -16,22 +16,30 @@ Three families, all deterministic in their seed:
 
 The two nonconvex families differ only in a scalar loss of a_i^T x: each
 generates its data and hands three one-line formulas to ``_linear_model``,
-which builds the closures, the certified L and a one-entry link memo.  Only
-the quadratic family has a certified sigma^2 (and f*); the others set
-``sigma_bound = None``, so bound checks that need sigma^2 refuse them.
+which builds the closures, the certified L, sigma^2 (from the loss's slope
+bound) and f_lower = 0 (both losses are >= 0), and a one-entry link memo.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .oracle import ProblemInstance
+from .oracle import ProblemInstance, _check_count
 
-# max |s''| for the logistic sigmoid s(u) = 1 / (1 + exp(-u)).
+# max |s''| and max |s'| = max |s (1 - s)| (at u = 0) for the logistic
+# sigmoid s(u) = 1 / (1 + exp(-u)).
 SIGMOID_CURVATURE_BOUND = 1.0 / (6.0 * np.sqrt(3.0))
+SIGMOID_SLOPE_BOUND = 0.25
 
-# max |phi''| for phi(r) = r^2 / (1 + r^2), attained at r = 0.
+# max |phi''| (at r = 0) and max |phi'| = max |2r / (1 + r^2)^2| (at
+# r = 1/sqrt(3)) for phi(r) = r^2 / (1 + r^2).
 REDESCENDING_CURVATURE_BOUND = 2.0
+REDESCENDING_SLOPE_BOUND = 3.0 * np.sqrt(3.0) / 8.0
+
+
+def _check_sizes(n, p) -> None:
+    _check_count("n", n)
+    _check_count("p", p)
 
 
 def _ball_points(rng, count: int, dim: int, radius: float) -> np.ndarray:
@@ -51,8 +59,7 @@ def make_quadratic(
     explicitly.  All constants are exact: L = 1, sigma^2 is the center scatter
     (independent of x), and f* = sigma^2 / 2 at x = cbar.
     """
-    if n < 1 or p < 1:
-        raise ValueError("need n >= 1 and p >= 1")
+    _check_sizes(n, p)
     if centers is None:
         if not 0.0 < spread < np.inf:
             raise ValueError(f"spread must be positive and finite, got {spread}")
@@ -89,7 +96,7 @@ def make_quadratic(
         value_sample=value_sample,
         lipschitz_L=1.0,
         sigma_bound=sigma2,
-        f_star_ref=0.5 * sigma2,
+        f_lower=0.5 * sigma2,
         mean_grad=mean_grad,
         mean_value=mean_value,
         sampling_radius=max(10.0 * float(np.max(np.abs(centers))), 1.0),
@@ -112,14 +119,15 @@ def _sigmoid(u):
     return np.where(u >= 0, 1.0 / d, e / d)
 
 
-def _linear_model(family: str, A: np.ndarray, curvature: float, link, slope, loss,
-                  meta: dict) -> ProblemInstance:
+def _linear_model(family: str, A: np.ndarray, curvature: float, s_max: float, link, slope,
+                  loss, meta: dict) -> ProblemInstance:
     """The finite sum f_i(x) = loss(link(a_i^T x, i)) over the rows a_i of ``A``.
 
     ``link(z, i)`` takes z = a_i^T x for one id (a float) or for an id array
     or ``slice(None)`` (an array); ``slope(l, i)`` is d f_i / dz at link
     value l, so grad f_i = slope * a_i.  L = curvature * max_i ||a_i||^2 is
-    certified when |d^2 f_i / dz^2| <= curvature.
+    certified when |d^2 f_i / dz^2| <= curvature, and sigma^2 <= E||grad f_i||^2
+    <= s_max^2 * mean_i ||a_i||^2 when |slope| <= s_max; the loss is >= 0.
 
     The mean gradient and value share a one-entry memo of the link over all
     n samples, keyed by the point's float64 bytes: the diagnostics ask for
@@ -129,6 +137,7 @@ def _linear_model(family: str, A: np.ndarray, curvature: float, link, slope, los
     as one tuple, so one point's key is never paired with another's link.
     """
     n, p = A.shape
+    row_sq = np.sum(A * A, axis=1)
     every = slice(None)
     memo = (None, None)
 
@@ -162,7 +171,9 @@ def _linear_model(family: str, A: np.ndarray, curvature: float, link, slope, los
         num_components=n,
         grad_rows=grad_rows,
         value_sample=value_sample,
-        lipschitz_L=float(curvature * np.max(np.sum(A * A, axis=1))),
+        lipschitz_L=float(curvature * np.max(row_sq)),
+        sigma_bound=float(s_max**2 * np.mean(row_sq)),
+        f_lower=0.0,
         mean_grad=mean_grad,
         mean_value=mean_value,
         meta={"family": family, "n": n, "p": p, "A": A, **meta},
@@ -173,17 +184,16 @@ def make_nonconvex_sigmoid(n: int, p: int, seed: int = 0) -> ProblemInstance:
     """Nonconvex binary-classification loss f_i(x) = s(-y_i <a_i, x>).
 
     Features a_i have ||a_i|| <= 1; labels come from a planted direction with
-    flip noise.  Certified L = max|s''| * max_i ||a_i||^2; no certified
-    sigma^2.
+    flip noise.  Certified L = max|s''| * max_i ||a_i||^2 and
+    sigma^2 <= max|s'|^2 * mean_i ||a_i||^2.
     """
-    if n < 1 or p < 1:
-        raise ValueError("need n >= 1 and p >= 1")
+    _check_sizes(n, p)
     rng = np.random.Generator(np.random.PCG64(seed))
     A = _ball_points(rng, n, p, 1.0)
     w_true = rng.standard_normal(p)
     y = np.where(A @ w_true + 0.1 * rng.standard_normal(n) >= 0, 1.0, -1.0)
     return _linear_model(
-        "sigmoid", A, SIGMOID_CURVATURE_BOUND,
+        "sigmoid", A, SIGMOID_CURVATURE_BOUND, SIGMOID_SLOPE_BOUND,
         link=lambda z, i: _sigmoid(-z * y[i]),
         slope=lambda s, i: s * (1.0 - s) * (-y[i]),
         loss=lambda s: s,
@@ -196,10 +206,9 @@ def make_robust_regression(n: int, p: int, seed: int = 0) -> ProblemInstance:
 
     Targets follow a planted model with Gaussian noise plus a 10% fraction of
     gross outliers (the regime this loss is built for).  Certified
-    L = 2 * max_i ||a_i||^2; no certified sigma^2, as for the sigmoid family.
+    L = 2 * max_i ||a_i||^2 and sigma^2 <= max|phi'|^2 * mean_i ||a_i||^2.
     """
-    if n < 1 or p < 1:
-        raise ValueError("need n >= 1 and p >= 1")
+    _check_sizes(n, p)
     rng = np.random.Generator(np.random.PCG64(seed))
     A = _ball_points(rng, n, p, 1.0)
     w_true = rng.standard_normal(p)
@@ -207,7 +216,7 @@ def make_robust_regression(n: int, p: int, seed: int = 0) -> ProblemInstance:
     outliers = rng.random(n) < 0.1
     b = np.where(outliers, b + rng.choice([-5.0, 5.0], size=n), b)
     return _linear_model(
-        "robust", A, REDESCENDING_CURVATURE_BOUND,
+        "robust", A, REDESCENDING_CURVATURE_BOUND, REDESCENDING_SLOPE_BOUND,
         link=lambda z, i: z - b[i],
         slope=lambda r, i: 2.0 * r / (1.0 + r * r) ** 2,
         loss=lambda r: r * r / (1.0 + r * r),
@@ -224,17 +233,12 @@ def parse_key(key: str) -> dict:
     parts = key.strip().split(":")
     family = parts[0]
     try:
-        if family == "quad" and len(parts) == 4:
-            fields = {"family": "quad", "n": int(parts[1]), "p": int(parts[2]),
-                    "spread": float(parts[3])}
-        elif family == "sigmoid" and len(parts) == 3:
-            fields = {"family": "sigmoid", "n": int(parts[1]), "p": int(parts[2])}
-        elif family == "robust" and len(parts) == 3:
-            fields = {"family": "robust", "n": int(parts[1]), "p": int(parts[2])}
-        else:
+        if (family, len(parts)) not in (("quad", 4), ("sigmoid", 3), ("robust", 3)):
             raise ValueError("unrecognized form")
-        if fields["n"] < 1 or fields["p"] < 1:
-            raise ValueError("need n >= 1 and p >= 1")
+        fields = {"family": family, "n": int(parts[1]), "p": int(parts[2])}
+        if family == "quad":
+            fields["spread"] = float(parts[3])
+        _check_sizes(fields["n"], fields["p"])
         if not 0.0 < fields.get("spread", 1.0) < np.inf:
             raise ValueError("spread must be positive and finite")
     except ValueError as exc:

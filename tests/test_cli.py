@@ -7,7 +7,7 @@ import pytest
 
 from vrprox import experiment
 from vrprox.cli import main
-from vrprox.config import parse_config
+from vrprox.config import MAX_SEED_COUNT, parse_config
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -27,6 +27,18 @@ def test_schedule_prints_hyperparameters(capsys):
 def test_schedule_bad_T_is_config_error(capsys):
     assert main(["schedule", "--T", "0", "--L", "1"]) == 1
     assert "config error" in capsys.readouterr().err
+
+
+def test_schedule_with_a_subnormal_L_prints_only_the_config_error():
+    # eta = 1 / (2 L (T+1)^{1/3}) overflows for L = 1e-320; the refusal
+    # names eta, and no numpy warning precedes it on stderr.
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run(
+        [sys.executable, "-m", "vrprox", "schedule", "--T", "10", "--L", "1e-320"],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("config error:") and "Warning" not in proc.stderr
 
 
 def test_run_subcommand(tmp_path, capsys):
@@ -288,3 +300,17 @@ def test_repeated_seed_or_horizon_is_config_error(tmp_path, capsys):
         for command in ("run", "compare"):
             _assert_config_error_without_output(
                 [command, "--config", str(cfg)], tmp_path / command, capsys)
+
+
+def test_oversized_seed_count_is_config_error(tmp_path, capsys):
+    # Only counts above the maximum: they fail in parsing, before any seed
+    # is expanded.
+    for count in (MAX_SEED_COUNT + 1, 99999999999999999999):
+        cfg = tmp_path / "seeds.cfg"
+        cfg.write_text(CFG.replace("seeds = 2", f"seeds = {count}"))
+        for command in ("run", "compare"):
+            out_dir = tmp_path / command
+            assert main([command, "--config", str(cfg), "--output", str(out_dir)]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("config error:") and "'seeds'" in err
+            assert not out_dir.exists()

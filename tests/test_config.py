@@ -1,6 +1,6 @@
 import pytest
 
-from vrprox.config import ConfigError, parse_config
+from vrprox.config import MAX_SEED_COUNT, ConfigError, parse_config
 
 MINIMAL = """\
 problem = quad:10:4:1.0
@@ -134,3 +134,10 @@ def test_repeated_horizon_rejected():
         parse_config(MINIMAL.replace("T = 100", "T = 25,25"))
     with pytest.raises(ConfigError, match=r"repeats 10, 30"):
         parse_config(MINIMAL.replace("T = 100", "T = 30,10,30,20,10"))
+
+
+def test_seed_count_above_the_maximum_rejected():
+    # Only counts above the maximum: parsing refuses them, so nothing is drawn.
+    for count in (MAX_SEED_COUNT + 1, 99999999999999999999):
+        with pytest.raises(ConfigError, match=rf"line 4: key 'seeds' must be <= {MAX_SEED_COUNT}"):
+            parse_config(MINIMAL.replace("seeds = 5", f"seeds = {count}"))

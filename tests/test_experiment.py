@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import vrprox as vp
-from vrprox.config import parse_config
+from vrprox.config import MAX_SEED_COUNT, parse_config
 from vrprox.experiment import (
     COMPARE_HEADER,
     SUMMARY_HEADER,
@@ -17,7 +17,7 @@ from vrprox.experiment import (
     run_experiment,
     stationarity_bound_rhs,
 )
-from vrprox.prox import L1, Zero
+from vrprox.prox import L1, BoxIndicator, ElasticNet, Zero
 
 CFG = """\
 problem = quad:20:5:1.0
@@ -38,6 +38,13 @@ def test_expand_seeds():
     assert expand_seeds([5, 6], master_seed=1) == [5, 6]
     with pytest.raises(ValueError):
         expand_seeds(0)
+
+
+def test_expand_seeds_refuses_counts_above_the_maximum():
+    # Only counts above the maximum: they are refused before anything is drawn.
+    for count in (MAX_SEED_COUNT + 1, 99999999999999999999):
+        with pytest.raises(ValueError, match="seed count must lie in"):
+            expand_seeds(count)
 
 
 def test_run_experiment_files_and_headers(tmp_path):
@@ -128,21 +135,35 @@ def test_summary_mean_below_bound(tmp_path):
     assert row["mean_grad_map_sq"] <= row["bound_rhs"] + 3 * row["stderr"]
 
 
-def test_bound_rhs_availability():
+@pytest.mark.parametrize("key", ["quad:10:3:1.0", "sigmoid:10:3", "robust:10:3"])
+@pytest.mark.parametrize("psi", [Zero(), L1(lam=0.1), ElasticNet(0.1, 0.2),
+                                 BoxIndicator(lo=-1.0, hi=0.5)], ids=repr)
+def test_bound_rhs_for_every_family_and_regularizer(key, psi):
+    bound = stationarity_bound_rhs(vp.from_key(key, seed=0), psi, 100)
+    assert type(bound) is float and 0.0 < bound < np.inf
+
+
+def test_bound_rhs_keeps_its_bits_on_the_quadratic_with_zero():
+    # f_lower = sigma^2 / 2 is the quadratic's exact minimum, so the bound
+    # is the one recorded before every family was certified.
     quad = vp.make_quadratic(10, 3, 1.0, seed=0)
-    assert stationarity_bound_rhs(quad, Zero(), 100) > 0
-    assert stationarity_bound_rhs(quad, L1(lam=0.1), 100) is None  # F* unknown off psi=0
-    sig = vp.make_nonconvex_sigmoid(10, 3, seed=0)
-    assert stationarity_bound_rhs(sig, Zero(), 100) is None  # empirical sigma
+    assert stationarity_bound_rhs(quad, Zero(), 100) == 0.11825942119856354
 
 
-def test_bound_rhs_empty_field_without_certificates(tmp_path):
+def test_bound_rhs_refuses_a_regularizer_infinite_at_the_origin():
+    quad = vp.make_quadratic(10, 3, 1.0, seed=0)
+    with pytest.raises(ValueError, match="infinite at the start point"):
+        stationarity_bound_rhs(quad, BoxIndicator(lo=0.5, hi=1.0), 100)
+
+
+def test_bound_rhs_field_filled_off_psi_zero(tmp_path):
     cfg = parse_config(
         "problem = quad:10:3:1.0\nestimator = momentum_sarah\nT = 20\nseeds = 2\npsi = l1:0.2\n"
     )
-    run_experiment(cfg, output_dir=tmp_path, master_seed=0)
+    result = run_experiment(cfg, output_dir=tmp_path, master_seed=0)
     row = (tmp_path / "summary.csv").read_text().splitlines()[1].split(",")
-    assert row[4] == ""  # bound_rhs column empty
+    bound = stationarity_bound_rhs(vp.from_key("quad:10:3:1.0"), L1(lam=0.2), 20)
+    assert float(row[4]) == result.summary_rows[0]["bound_rhs"] == bound
 
 
 def test_bound_rhs_empty_field_under_a_manual_schedule(tmp_path):
@@ -199,7 +220,7 @@ def test_nonconvex_families_run_under_auto_schedule(tmp_path):
     result = run_experiment(cfg, output_dir=tmp_path, master_seed=1)
     assert result.exit_code == 0
     row = (tmp_path / "summary.csv").read_text().splitlines()[1].split(",")
-    assert row[4] == ""  # sigma is empirical: no certified bound column
+    assert float(row[4]) > 0.0  # sigma^2 and f_lower are certified
     assert float(row[2]) >= 0.0
 
 

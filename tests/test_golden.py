@@ -2,8 +2,8 @@
 
 The digests were recorded with numpy 2.4.6, whose random streams and
 reductions the outputs rest on; under another numpy version the tests skip.
-A change that alters the random stream on purpose updates a digest here and
-says so in CHANGES.md.
+A change that alters the random stream, or a certified constant, on purpose
+updates a digest here and says so in CHANGES.md.
 """
 
 import hashlib
@@ -31,13 +31,13 @@ NONCONVEX_RUNS = {
     "sigmoid": (
         "problem = sigmoid:200:10\npsi = l1:0.01\nestimator = hybrid_sarah\n"
         "T = 50,200\nseeds = 3\n",
-        "5fa5545c48e88f6c852d32bcc3afdfff11f21c1d0d99ef8e5327bfa4a207d74e",
-        "8e74abf368caad40be9921c61def299c5e76250404c947d327e921e4ca5dd82d",
+        "1848970fd8e80531de84a1fe1f92296c1fa451cf8d97af07fca03662ed758ec7",
+        "f03edca382648988951b8745f2a455396c2e33d7af7f6476da5e9305f476e614",
     ),
     "robust": (
         (ROOT / "demos" / "configs" / "robust_run.cfg").read_text(),
-        "e2ba0ec3372f4d6d02477586b08de22b1b748ffe7e460f61b762869fd6dde050",
-        "0ce421cb313a5c0212f04b79e0cd030d781f1afe9afc544af0530490e3aae00f",
+        "2998f99bc4887304b6faadd4b14b34fb4330a384c5dda2a7705dac66af945076",
+        "3db2b84dc6ac28c4a3a2c162220841770b6549a0382113f3c36b27542e1c3ba6",
     ),
 }
 

@@ -89,6 +89,7 @@ def _reference(prob, grad_rows, value_sample, mean_grad, mean_value):
         value_sample=value_sample,
         lipschitz_L=prob.lipschitz_L,
         sigma_bound=prob.sigma_bound,
+        f_lower=prob.f_lower,
         mean_grad=mean_grad,
         mean_value=mean_value,
     )

@@ -116,8 +116,14 @@ def test_numpy_integer_dim_is_accepted(quad_small):
 
 @pytest.mark.parametrize("bad", [np.nan, -1.0, np.inf])
 def test_sigma_bound_must_be_finite_and_nonnegative(quad_small, bad):
-    with pytest.raises(ValueError, match="sigma_bound must be None or a finite scalar >= 0"):
+    with pytest.raises(ValueError, match="sigma_bound must be a finite scalar >= 0"):
         replace(quad_small, sigma_bound=bad)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_f_lower_must_be_finite(quad_small, bad):
+    with pytest.raises(ValueError, match="f_lower must be finite"):
+        replace(quad_small, f_lower=bad)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

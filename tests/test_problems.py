@@ -4,7 +4,9 @@ import pytest
 import vrprox as vp
 from vrprox.problems import (
     REDESCENDING_CURVATURE_BOUND,
+    REDESCENDING_SLOPE_BOUND,
     SIGMOID_CURVATURE_BOUND,
+    SIGMOID_SLOPE_BOUND,
     from_key,
     parse_key,
 )
@@ -15,7 +17,7 @@ from vrprox.suite import central_difference_gradient
 def test_quadratic_single_component():
     prob = vp.make_quadratic(1, 4, 1.0, seed=0)
     assert prob.sigma_bound == 0.0
-    assert prob.f_star_ref == 0.0
+    assert prob.f_lower == 0.0
     c = -vp.full_gradient(prob, np.zeros(4))  # x - c at x = 0
     np.testing.assert_allclose(vp.full_gradient(prob, c), np.zeros(4), atol=1e-14)
     assert vp.full_value(prob, c) == pytest.approx(0.0, abs=1e-14)
@@ -28,7 +30,7 @@ def test_quadratic_two_symmetric_centers():
     assert prob.sigma_bound == pytest.approx(1.0, abs=1e-15)
     np.testing.assert_allclose(vp.full_gradient(prob, np.zeros(3)), np.zeros(3), atol=1e-15)
     assert vp.full_value(prob, np.zeros(3)) == pytest.approx(0.5, abs=1e-15)
-    assert prob.f_star_ref == pytest.approx(0.5, abs=1e-15)
+    assert prob.f_lower == pytest.approx(0.5, abs=1e-15)
 
 
 def test_quadratic_sigma_matches_enumeration(rng):
@@ -108,18 +110,60 @@ def test_robust_loss_bounded():
         assert 0.0 <= v < 1.0
 
 
-def test_certification_labels():
+def test_certified_constants():
     quad = vp.make_quadratic(5, 3, 1.0, seed=0)
-    assert quad.sigma_bound is not None
     assert quad.lipschitz_L == 1.0
+    assert quad.f_lower == 0.5 * quad.sigma_bound
     sig = vp.make_nonconvex_sigmoid(5, 3, seed=0)
     rob = vp.make_robust_regression(5, 3, seed=0)
-    for prob in (sig, rob):
-        assert prob.sigma_bound is None
-        assert prob.f_star_ref is None
-    # constants documented: curvature bound times max feature norm squared
-    assert sig.lipschitz_L <= SIGMOID_CURVATURE_BOUND + 1e-12
-    assert rob.lipschitz_L <= REDESCENDING_CURVATURE_BOUND + 1e-12
+    # constants documented: curvature bound times max feature norm squared,
+    # slope bound squared times mean feature norm squared; both losses >= 0
+    for prob, curvature, s_max in ((sig, SIGMOID_CURVATURE_BOUND, SIGMOID_SLOPE_BOUND),
+                                   (rob, REDESCENDING_CURVATURE_BOUND, REDESCENDING_SLOPE_BOUND)):
+        row_sq = np.sum(prob.meta["A"] ** 2, axis=1)
+        assert prob.lipschitz_L == curvature * np.max(row_sq) <= curvature + 1e-12
+        assert prob.sigma_bound == s_max**2 * np.mean(row_sq)
+        assert prob.f_lower == 0.0
+
+
+def test_slope_bounds_are_the_maxima_of_the_loss_slopes():
+    u = np.linspace(-20.0, 20.0, 400_001)
+    s = 1.0 / (1.0 + np.exp(-u))
+    assert np.max(np.abs(s * (1.0 - s))) == pytest.approx(SIGMOID_SLOPE_BOUND, rel=1e-12)
+    assert np.all(np.abs(s * (1.0 - s)) <= SIGMOID_SLOPE_BOUND)
+    r = np.append(np.linspace(-20.0, 20.0, 400_001), 1.0 / np.sqrt(3.0))
+    slope = np.abs(2.0 * r / (1.0 + r * r) ** 2)
+    assert np.max(slope) == pytest.approx(REDESCENDING_SLOPE_BOUND, rel=1e-12)
+    assert np.all(slope <= REDESCENDING_SLOPE_BOUND * (1.0 + 1e-12))
+
+
+@pytest.mark.parametrize("key", ["quad:200:10:1.0", "sigmoid:200:10", "robust:200:10"])
+def test_certificates_hold_at_random_points(key):
+    # sigma2_at enumerates the exact gradient variance at x: it must stay
+    # under the certified sigma^2 (and equal it on the quadratic), and f
+    # must stay above its certified lower bound.
+    prob = from_key(key, seed=0)
+    for x in np.random.default_rng(21).uniform(-3.0, 3.0, (20, prob.dim)):
+        sigma2 = sigma2_at(prob, x)
+        if prob.meta["family"] == "quad":
+            assert sigma2 == pytest.approx(prob.sigma_bound, abs=1e-12)
+        assert sigma2 <= prob.sigma_bound + 1e-12
+        assert vp.full_value(prob, x) >= prob.f_lower
+
+
+BUILDERS = {
+    "quad": lambda n, p: vp.make_quadratic(n, p, 1.0),
+    "sigmoid": vp.make_nonconvex_sigmoid,
+    "robust": vp.make_robust_regression,
+}
+
+
+@pytest.mark.parametrize("family", sorted(BUILDERS))
+@pytest.mark.parametrize("bad", [2.5, np.float64(3.0), True, 0], ids=repr)
+def test_builders_refuse_sizes_that_are_not_counts(family, bad):
+    for name, (n, p) in (("n", (bad, 3)), ("p", (4, bad))):
+        with pytest.raises(ValueError, match=f"{name} must be an integer >= 1"):
+            BUILDERS[family](n, p)
 
 
 @pytest.mark.parametrize("key", ["quad:60:5:1.0", "sigmoid:60:5", "robust:60:5"])

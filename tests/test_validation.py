@@ -96,11 +96,6 @@ class TestOneStep:
         with pytest.raises(ValueError, match="v_prev must be a finite vector"):
             vp.check_variance_recursion_step(quad, x_prev, x_curr, v_prev, beta)
 
-    def test_refuses_uncertified_constants(self, rng):
-        sig = vp.make_nonconvex_sigmoid(10, 4, seed=0)
-        with pytest.raises(ValueError, match="certified"):
-            vp.check_variance_recursion_step(sig, np.zeros(4), np.zeros(4), np.zeros(4), 0.5)
-
     def test_rejects_bad_beta(self, quad):
         z = np.zeros(quad.dim)
         for beta in (0.0, -0.2, 1.5):
@@ -281,6 +276,28 @@ def test_unrolled_matches_an_out_of_place_replay_bitwise(quad, v0_form):
         rep = vp.check_variance_recursion_unrolled(quad, traj, v0, beta, n_mc=n_mc, rng=rng_used)
         assert (rep.lhs_mc, rep.stderr, rep.rhs) == expected
         assert rng_used.bit_generator.state == ref_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("key", ["sigmoid:50:10", "robust:50:10"])
+def test_variance_recursions_hold_on_the_nonconvex_families(key):
+    # The inputs `vrprox validate` draws for its quadratic rows, on the
+    # nonconvex families: 1000 one-step tuples, then 20 frozen trajectories
+    # at 10,000 replays, against their certified sigma^2 and L.
+    prob = vp.from_key(key, seed=0)
+    rng = np.random.Generator(np.random.PCG64([0, 1]))
+    for _ in range(1000):
+        x_prev = rng.normal(0.0, 2.0, prob.dim)
+        x_curr = x_prev + rng.normal(0.0, 0.5, prob.dim)
+        v_prev = rng.normal(0.0, 2.0, prob.dim)
+        beta = rng.uniform(0.01, 0.99)
+        assert vp.check_variance_recursion_step(prob, x_prev, x_curr, v_prev, beta).passed
+    rng = np.random.Generator(np.random.PCG64([0, 2]))
+    for k in range(20):
+        steps = rng.normal(0.0, 0.3, (9, prob.dim))
+        traj = np.vstack([rng.normal(0.0, 1.0, prob.dim), steps]).cumsum(axis=0)
+        beta = rng.uniform(0.05, 0.95)
+        v0 = int(rng.integers(1, 11)) if k % 2 == 0 else rng.normal(0.0, 1.0, prob.dim)
+        assert vp.check_variance_recursion_unrolled(prob, traj, v0, beta, n_mc=10_000, rng=rng).passed
 
 
 class TestFloydBatch:
