@@ -41,13 +41,11 @@ from .problems import (
     make_robust_regression,
 )
 from .prox import (
-    PSI_INFINITY,
     BoxIndicator,
     ElasticNet,
     L1,
     PsiSpec,
     Zero,
-    is_psi_infinite,
     parse_psi,
     prox,
     psi_value,
@@ -72,7 +70,6 @@ __all__ = [
     "L1",
     "VarianceBoundReport",
     "MOMENTUM_SARAH",
-    "PSI_INFINITY",
     "ProblemInstance",
     "PsiSpec",
     "RunTrace",
@@ -88,7 +85,6 @@ __all__ = [
     "full_value",
     "gradient_mapping",
     "init_estimator",
-    "is_psi_infinite",
     "make_nonconvex_sigmoid",
     "make_quadratic",
     "make_robust_regression",

@@ -136,11 +136,16 @@ def main(argv=None) -> int:
             print(f"beta={hp.beta!r}")
             print(f"b_tilde={hp.b_tilde}")
             return EXIT_OK
-        # validate
+        # validate; a report path in a missing directory fails before the suite.
+        if args.output and not Path(args.output).parent.is_dir():
+            raise ConfigError(f"cannot write {args.output!r}: no such directory")
         rows = run_suite(quick=args.quick, seed=args.seed)
         print(format_table(rows))
         if args.output:
-            write_csv(rows, args.output)
+            try:
+                write_csv(rows, args.output)
+            except OSError as exc:
+                raise ConfigError(f"cannot write {args.output!r}: {exc}") from None
         return EXIT_OK if all(r["passed"] for r in rows) else EXIT_VALIDATION
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

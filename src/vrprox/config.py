@@ -16,9 +16,10 @@ Required keys: ``problem``, ``estimator``, ``T``, ``seeds``.  Defaults:
 ``psi=zero``, ``schedule=auto``, ``diagnostics=on``, ``problem_seed=0``.
 ``seeds`` is either a count (expanded deterministically from the master seed)
 or an explicit comma list; write a trailing comma (``seeds = 7,``) for a
-single explicit seed, and a count is at most ``MAX_SEED_COUNT``.  A manual
-schedule needs ``eta``, ``beta`` and ``b_tilde``.  Every run starts at x0 = 0,
-so ``psi`` must be finite there: a box must contain the origin.
+single explicit seed, and a count is at most ``MAX_SEED_COUNT``.  A horizon
+is at most ``optimizer.MAX_HORIZON`` = 2**53 - 1.  A manual schedule needs
+``eta``, ``beta`` and ``b_tilde``.  Every run starts at x0 = 0, so ``psi``
+must be finite there: a box must contain the origin.
 """
 
 from __future__ import annotations
@@ -31,7 +32,8 @@ import numpy as np
 
 from . import problems
 from .estimators import KINDS
-from .prox import is_psi_infinite, parse_psi, psi_value
+from .optimizer import MAX_HORIZON
+from .prox import parse_psi, psi_value
 
 
 class ConfigError(ValueError):
@@ -142,7 +144,7 @@ def parse_config(text: str) -> ExperimentConfig:
                 raise ConfigError(f"line {lineno}: {exc}") from None
             # A config's bounds are scalars, so one coordinate stands for any
             # dimension.
-            if is_psi_infinite(psi_value(psi, np.zeros(1))):
+            if math.isinf(psi_value(psi, np.zeros(1))):
                 raise ConfigError(
                     f"line {lineno}: key 'psi' = {raw!r} is infinite at the start point x0 = 0"
                 )
@@ -155,8 +157,8 @@ def parse_config(text: str) -> ExperimentConfig:
                 )
             values[key] = raw
         elif key == "T":
-            parts = [p for p in raw.split(",") if p.strip()]
-            values[key] = [_parse_int(p.strip(), key, lineno, minimum=1) for p in parts]
+            parts = [p.strip() for p in raw.split(",") if p.strip()]
+            values[key] = [_parse_int(p, key, lineno, minimum=1, maximum=MAX_HORIZON) for p in parts]
             if not values[key]:
                 raise ConfigError(f"line {lineno}: key 'T' has no value")
             _check_distinct(values[key], key, lineno)

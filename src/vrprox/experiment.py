@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import concurrent.futures
 import functools
+import math
 import platform
 import traceback
 from dataclasses import dataclass, field
@@ -28,7 +29,7 @@ from .config import MAX_SEED_COUNT, ConfigError, ExperimentConfig, check_initial
 from .estimators import KINDS
 from .optimizer import DivergenceError, HyperParams, mean_grad_map_sq, run, schedule_from_T
 from .oracle import ProblemInstance, full_value
-from .prox import is_psi_infinite, parse_psi, psi_value
+from .prox import parse_psi, psi_value
 
 TRACE_HEADER = "t,grad_map_sq,obj,est_err_sq,step_sq"
 SUMMARY_HEADER = "T,seeds,mean_grad_map_sq,stderr,bound_rhs,oracle_calls,status"
@@ -103,7 +104,7 @@ def stationarity_bound_rhs(prob: ProblemInstance, psi, T: int) -> float:
     """
     x0 = np.zeros(prob.dim)
     psi0 = psi_value(psi, x0)
-    if is_psi_infinite(psi0):
+    if math.isinf(psi0):
         raise ValueError("psi is infinite at the start point x0 = 0")
     gap = full_value(prob, x0) + psi0 - prob.f_lower
     return float((4.0 * prob.lipschitz_L * gap + 4.0 * prob.sigma_bound)
@@ -206,11 +207,18 @@ def _plan(cfg: ExperimentConfig, kinds, output_dir, master_seed: int, traces: bo
     per (T, seed, kind), in that order.  With ``traces`` each run writes
     ``trace_T<T>_s<seed>.csv`` there.  Returns (problem, seeds, directory, tasks).
     """
-    prob = _problem(cfg.problem, cfg.problem_seed)
+    try:
+        prob = _problem(cfg.problem, cfg.problem_seed)
+    except ValueError as exc:
+        # A valid key can still overflow, as quad:4:2:1e200 does.
+        raise ConfigError(f"key 'problem' = {cfg.problem!r}: {exc}") from None
     seeds = expand_seeds(cfg.seeds, master_seed)
     hps = [_hyperparams_for(cfg, prob, T) for T in cfg.T]
     out = Path(output_dir or cfg.output_dir or "runs")
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot write output directory {str(out)!r}: {exc}") from None
     tasks = [
         {
             "problem": cfg.problem,

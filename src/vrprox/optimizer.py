@@ -63,8 +63,6 @@ from .oracle import (
 from .prox import (
     BoxIndicator,
     PsiSpec,
-    add_psi,
-    is_psi_infinite,
     prox,
     prox_operator,
     psi_evaluator,
@@ -74,6 +72,9 @@ from .prox import (
 # Iterates beyond this norm abort the run; a misconfigured step size must fail
 # loudly instead of emitting garbage traces.
 MAX_ITERATE_NORM = 1e12
+
+# Largest horizon: beyond 2**53 the schedule's T + 1.0 is no longer exact.
+MAX_HORIZON = 2**53 - 1
 
 # Steps per block: ids are drawn, and diagnostics and step norms computed,
 # once per block, which bounds the memory a run holds to O(BLOCK * p).
@@ -119,10 +120,13 @@ def schedule_from_T(T: int, L: float) -> HyperParams:
 
     The initial batch size is resolved in exact integer arithmetic
     (ceil((T+1)^{1/3} / 2) equals the least m with 8 m^3 >= T+1), so float
-    cube roots can never misround it at perfect cubes.
+    cube roots can never misround it at perfect cubes.  ``T`` is at most
+    ``MAX_HORIZON``.
     """
     _check_count("T", T)
     T = int(T)
+    if T > MAX_HORIZON:
+        raise ValueError(f"T must be <= {MAX_HORIZON}, got {T}")
     _check_positive_finite("L", L)
     # A tiny L overflows eta to inf, which HyperParams refuses by name.
     with np.errstate(over="ignore"):
@@ -233,7 +237,7 @@ def run(
     x = np.zeros(prob.dim) if x0 is None else np.asarray(x0, dtype=float).copy()
     if x.shape != (prob.dim,) or not np.all(np.isfinite(x)):
         raise ValueError("x0 must be a finite point of the problem dimension")
-    if is_psi_infinite(psi_value(psi, x)):
+    if math.isinf(psi_value(psi, x)):
         raise ValueError("x0 lies outside the domain of the regularizer")
 
     T, eta = hp.T, hp.eta
@@ -297,7 +301,7 @@ def run(
             G = np.array(gs)
             M = (X - prox_eta(X - eta * G)) / eta
             grad_map_sq[start:stop] = np.vecdot(M, M)
-            obj[start:stop] = add_psi(np.array(fs), psi_at(X))
+            obj[start:stop] = np.array(fs) + psi_at(X)
             E = np.array(vs) - G
             est_err_sq[start:stop] = np.vecdot(E, E)
 

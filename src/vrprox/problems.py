@@ -71,8 +71,10 @@ def make_quadratic(
             raise ValueError(f"centers must have shape ({n}, {p}), got {centers.shape}")
         if not np.isfinite(centers).all():
             raise ValueError("centers must be finite")
-    cbar = centers.mean(axis=0)
-    sigma2 = float(np.mean(np.sum((centers - cbar) ** 2, axis=1)))
+    # An overflowing scatter gives inf, which ProblemInstance refuses by name.
+    with np.errstate(over="ignore"):
+        cbar = centers.mean(axis=0)
+        sigma2 = float(np.mean(np.sum((centers - cbar) ** 2, axis=1)))
 
     def grad_rows(x, ids):
         return x - centers[ids]

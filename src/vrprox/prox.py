@@ -17,15 +17,13 @@ closed form:
                        prox is soft-thresholding followed by shrinkage
                        1 / (1 + tau * lam2).
 
-``psi_value`` evaluates the regularizer itself.  Indicator functions take the
-extended value +inf outside their set; ``PSI_INFINITY`` is the marker for
-that case and callers reporting objectives should test ``is_psi_infinite``
-instead of doing arithmetic with it.
+``psi_value`` evaluates the regularizer itself.  An indicator is IEEE +inf
+outside its set, so F = f + psi is +inf there by plain arithmetic: f is
+never NaN or -inf at a finite point.
 
 Both ``prox`` and ``psi_value`` work row-wise: a point of dimension p gives a
 point (``psi_value``: a float), an array of shape (..., p) gives one result
-per row, with the same bits as the per-row calls.  ``add_psi`` takes
-arrays of f and psi values as well.
+per row, with the same bits as the per-row calls.
 
 ``prox_operator`` and ``psi_evaluator`` resolve the closed forms once, for a
 loop that has already validated its inputs; ``prox`` and ``psi_value`` are
@@ -40,17 +38,9 @@ from typing import Callable
 
 import numpy as np
 
-# Extended-value marker: psi(x) = +infinity (x outside an indicator's set).
-PSI_INFINITY = math.inf
-
 # Points within this distance of a box face still count as feasible; prox
 # outputs are boundary-exact only up to rounding.
 BOX_MEMBERSHIP_TOL = 1e-12
-
-
-def is_psi_infinite(value: float) -> bool:
-    """True when ``value`` is the extended-value marker returned by psi_value."""
-    return math.isinf(value)
 
 
 @dataclass(frozen=True)
@@ -181,7 +171,7 @@ def psi_evaluator(psi: PsiSpec) -> Callable[[np.ndarray], float | np.ndarray]:
     if isinstance(psi, BoxIndicator):
         lo, hi = psi.lo - BOX_MEMBERSHIP_TOL, psi.hi + BOX_MEMBERSHIP_TOL
         return lambda x: _per_point(
-            x, np.where(((x >= lo) & (x <= hi)).all(axis=-1), 0.0, PSI_INFINITY)
+            x, np.where(((x >= lo) & (x <= hi)).all(axis=-1), 0.0, math.inf)
         )
     if isinstance(psi, ElasticNet):
         lam1, lam2 = psi.lam1, psi.lam2
@@ -192,7 +182,7 @@ def psi_evaluator(psi: PsiSpec) -> Callable[[np.ndarray], float | np.ndarray]:
 
 
 def psi_value(psi: PsiSpec, x: np.ndarray) -> float | np.ndarray:
-    """Evaluate psi(x); returns PSI_INFINITY outside an indicator's set.
+    """Evaluate psi(x); +inf outside an indicator's set.
 
     ``x`` is a point of dimension p, which gives a float, or an array of shape
     (..., p), which gives an array of shape (...) holding psi of each row,
@@ -206,16 +196,6 @@ def psi_value(psi: PsiSpec, x: np.ndarray) -> float | np.ndarray:
     if isinstance(psi, BoxIndicator):
         psi._check_dim(x)
     return evaluate(x)
-
-
-def add_psi(f_value, psi_val):
-    """F(x) = f(x) + psi(x) with the extended-value marker handled explicitly.
-
-    Row-wise: arrays of f and psi values give the array of their sums, and
-    a float pair a float.
-    """
-    total = np.where(np.isinf(psi_val), PSI_INFINITY, np.add(f_value, psi_val))
-    return float(total) if total.ndim == 0 else total
 
 
 def parse_psi(key: str) -> PsiSpec:

@@ -41,6 +41,29 @@ def test_schedule_with_a_subnormal_L_prints_only_the_config_error():
     assert proc.stderr.startswith("config error:") and "Warning" not in proc.stderr
 
 
+def _vrprox(*argv):
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    return subprocess.run([sys.executable, "-m", "vrprox", *argv], env=env,
+                          capture_output=True, text=True, timeout=60)
+
+
+def test_schedule_with_a_huge_horizon_is_config_error():
+    # A subprocess with a timeout: correcting b_tilde one step at a time from
+    # a float cube root would run for ages here.
+    proc = _vrprox("schedule", "--T", "1" + "0" * 300, "--L", "1")
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("config error:") and "Traceback" not in proc.stderr
+
+
+def test_config_with_a_huge_horizon_is_config_error(tmp_path):
+    cfg = tmp_path / "huge.cfg"
+    cfg.write_text(CFG.replace("T = 25", "T = 1" + "0" * 300))
+    proc = _vrprox("run", "--config", str(cfg), "--output", str(tmp_path / "o"))
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("config error: line 3: key 'T' must be <=")
+    assert not (tmp_path / "o").exists()
+
+
 def test_run_subcommand(tmp_path, capsys):
     cfg = tmp_path / "exp.cfg"
     cfg.write_text(CFG)
@@ -260,6 +283,44 @@ def test_nonfinite_quad_spread_is_config_error(tmp_path, capsys, spread):
     for command in ("run", "compare"):
         _assert_config_error_without_output([command, "--config", str(cfg)],
                                             tmp_path / command, capsys)
+
+
+def test_overflowing_quadratic_is_config_error(tmp_path):
+    # The center scatter of spread 1e200 overflows: no certified sigma^2.
+    cfg = tmp_path / "spread.cfg"
+    cfg.write_text(CFG.replace("quad:15:4:1.0", "quad:4:2:1e200"))
+    for command in ("run", "compare"):
+        out_dir = tmp_path / command
+        proc = _vrprox(command, "--config", str(cfg), "--output", str(out_dir))
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("config error: key 'problem'")
+        assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
+        assert not out_dir.exists()
+
+
+def test_large_finite_quadratic_still_runs_and_diverges(tmp_path):
+    cfg = tmp_path / "spread.cfg"
+    cfg.write_text(CFG.replace("quad:15:4:1.0", "quad:4:2:1e150"))
+    assert main(["run", "--config", str(cfg), "--output", str(tmp_path / "o")]) == 2
+    assert "divergent:2" in (tmp_path / "o" / "summary.csv").read_text()
+
+
+def test_unwritable_output_is_config_error(tmp_path, capsys):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(CFG)
+    # run and compare: a file stands where the output directory should be.
+    for command, out in (("run", cfg), ("compare", cfg / "sub")):
+        assert main([command, "--config", str(cfg), "--output", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("config error: cannot write")
+    # validate: a report in a missing directory is refused before the suite runs.
+    missing = tmp_path / "missing" / "x.csv"
+    assert main(["validate", "--quick", "--output", str(missing)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("config error: cannot write") and captured.out == ""
+    assert not missing.parent.exists()
+    # A directory where the report should be fails at the write.
+    assert main(["validate", "--quick", "--output", str(tmp_path)]) == 1
+    assert capsys.readouterr().err.startswith("config error: cannot write")
 
 
 def test_negative_master_seed_is_config_error(tmp_path, capsys):

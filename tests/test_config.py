@@ -1,6 +1,7 @@
 import pytest
 
 from vrprox.config import MAX_SEED_COUNT, ConfigError, parse_config
+from vrprox.optimizer import MAX_HORIZON
 
 MINIMAL = """\
 problem = quad:10:4:1.0
@@ -134,6 +135,13 @@ def test_repeated_horizon_rejected():
         parse_config(MINIMAL.replace("T = 100", "T = 25,25"))
     with pytest.raises(ConfigError, match=r"repeats 10, 30"):
         parse_config(MINIMAL.replace("T = 100", "T = 30,10,30,20,10"))
+
+
+def test_horizon_above_the_maximum_rejected():
+    for T in (2**53, 10**400):
+        with pytest.raises(ConfigError, match=rf"line 3: key 'T' must be <= {MAX_HORIZON}"):
+            parse_config(MINIMAL.replace("T = 100", f"T = 100,{T}"))
+    assert parse_config(MINIMAL.replace("T = 100", f"T = {MAX_HORIZON}")).T == [MAX_HORIZON]
 
 
 def test_seed_count_above_the_maximum_rejected():

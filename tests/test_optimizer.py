@@ -11,7 +11,7 @@ from vrprox import estimators, optimizer, oracle
 from vrprox.estimators import EVALS_PER_STEP, HYBRID_SARAH, MOMENTUM_SARAH, SARAH, SGD
 from vrprox.optimizer import BLOCK, DivergenceError, MAX_ITERATE_NORM, _guard
 from vrprox.oracle import draw_sample_ids
-from vrprox.prox import BoxIndicator, L1, Zero, add_psi
+from vrprox.prox import BoxIndicator, L1, Zero
 
 
 class TestSchedule:
@@ -69,6 +69,18 @@ class TestSchedule:
     def test_horizon_must_be_an_integer(self, T):
         with pytest.raises(ValueError, match="T must be an integer"):
             vp.schedule_from_T(T, 1.0)
+
+    @pytest.mark.parametrize("T", [2**53, 10**400], ids=["2**53", "10**400"])
+    def test_horizon_above_the_maximum_is_refused(self, T):
+        # From 2**53 on, T + 1.0 is no longer exact; far above it, it overflows.
+        with pytest.raises(ValueError, match=rf"T must be <= {optimizer.MAX_HORIZON}"):
+            vp.schedule_from_T(T, 1.0)
+
+    def test_largest_horizon_is_scheduled(self):
+        T = optimizer.MAX_HORIZON
+        assert T == 2**53 - 1
+        b = vp.schedule_from_T(T, 1.0).b_tilde
+        assert 8 * b**3 >= T + 1 > 8 * (b - 1) ** 3
 
     def test_numpy_integer_horizon(self):
         hp = vp.schedule_from_T(np.int64(999), 1.0)
@@ -339,7 +351,7 @@ def _reference_run(prob, psi, hp, seed, kind):
         g = vp.full_gradient(prob, xt)
         gm = (xt - vp.prox(psi, xt - hp.eta * g, hp.eta)) / hp.eta
         grad_map_sq.append(gm @ gm)
-        obj.append(add_psi(vp.full_value(prob, xt), vp.psi_value(psi, xt)))
+        obj.append(vp.full_value(prob, xt) + vp.psi_value(psi, xt))
         dv = vt - g
         est_err_sq.append(dv @ dv)
 

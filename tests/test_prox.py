@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -6,13 +8,10 @@ from hypothesis.extra import numpy as hnp
 
 from vrprox.prox import (
     BOX_MEMBERSHIP_TOL,
-    PSI_INFINITY,
     BoxIndicator,
     ElasticNet,
     L1,
     Zero,
-    add_psi,
-    is_psi_infinite,
     parse_psi,
     prox,
     prox_operator,
@@ -92,16 +91,11 @@ def test_psi_values():
 
 def test_box_psi_value_membership():
     box = BoxIndicator(lo=0.0, hi=1.0)
-    assert is_psi_infinite(psi_value(box, np.array([2.0])))
+    assert math.isinf(psi_value(box, np.array([2.0])))
     assert psi_value(box, np.array([0.5])) == 0.0
     # Boundary within rounding tolerance still counts as inside.
     assert psi_value(box, np.array([1.0 + 1e-13])) == 0.0
-    assert is_psi_infinite(psi_value(box, np.array([1.0 + 1e-9])))
-
-
-def test_add_psi_guards_the_marker():
-    assert add_psi(1.5, 2.5) == 4.0
-    assert is_psi_infinite(add_psi(1.5, PSI_INFINITY))
+    assert math.isinf(psi_value(box, np.array([1.0 + 1e-9])))
 
 
 @pytest.mark.parametrize("psi", VARIANTS, ids=lambda p: type(p).__name__)
@@ -254,7 +248,7 @@ def test_box_row_wise_membership_at_the_tolerance():
         [0.0, -1.0 - BOX_MEMBERSHIP_TOL, 1.0 + BOX_MEMBERSHIP_TOL],
     ])
     got = psi_value(box, X)
-    np.testing.assert_array_equal(got, [0.0, 0.0, 0.0, PSI_INFINITY, 0.0])
+    np.testing.assert_array_equal(got, [0.0, 0.0, 0.0, math.inf, 0.0])
     assert got.tobytes() == _per_row(box, X).tobytes()
     assert got.tobytes() == _per_row(box, X.reshape(5, 1, 3)).reshape(5).tobytes()
 
