@@ -311,6 +311,10 @@ def compare_experiment(
     the oracle-call columns directly comparable (two evaluations per step for
     the same-sample recursion versus three for the hybrid).  Exit codes are
     :func:`run_experiment`'s; a run that raised has status ``error(<type>)``.
+
+    The shared schedule is the momentum one, so ``sgd`` runs eta ~ T^{-1/3},
+    not plain SGD's eta ~ T^{-1/2}: it stalls at its variance floor (local
+    log-log slopes near -0.34), and its rows are not SGD at its best.
     """
     kinds = list(kinds)
     if not kinds:

@@ -110,15 +110,15 @@ def _sigmoid(u):
     """Logistic sigmoid, stable: with e = exp(-|u|) it is 1 / (1 + e) for
     u >= 0 and e / (1 + e) otherwise, so exp never overflows.  A ``float``
     (numpy float64 included) takes that branch; an array stays branch-free,
-    with ``minimum(u, -u)`` as the -|u| that keeps a NaN's own bits."""
+    with ``minimum(u, -u)`` as the -|u| that keeps a NaN's own bits, and one
+    division of the selected numerator."""
     if isinstance(u, float):
         if u >= 0:
             return 1.0 / (1.0 + np.exp(-u))
         e = np.exp(u)
         return e / (1.0 + e)
     e = np.exp(np.minimum(u, -u))
-    d = 1.0 + e
-    return np.where(u >= 0, 1.0 / d, e / d)
+    return np.where(u >= 0, 1.0, e) / (1.0 + e)
 
 
 def _linear_model(family: str, A: np.ndarray, curvature: float, s_max: float, link, slope,
@@ -194,10 +194,12 @@ def make_nonconvex_sigmoid(n: int, p: int, seed: int = 0) -> ProblemInstance:
     A = _ball_points(rng, n, p, 1.0)
     w_true = rng.standard_normal(p)
     y = np.where(A @ w_true + 0.1 * rng.standard_normal(n) >= 0, 1.0, -1.0)
+    # z * (-y) is (-z) * y bit for bit, and costs no negation per call.
+    neg_y = -y
     return _linear_model(
         "sigmoid", A, SIGMOID_CURVATURE_BOUND, SIGMOID_SLOPE_BOUND,
-        link=lambda z, i: _sigmoid(-z * y[i]),
-        slope=lambda s, i: s * (1.0 - s) * (-y[i]),
+        link=lambda z, i: _sigmoid(z * neg_y[i]),
+        slope=lambda s, i: s * (1.0 - s) * neg_y[i],
         loss=lambda s: s,
         meta={"seed": seed, "y": y},
     )

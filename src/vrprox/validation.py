@@ -146,32 +146,50 @@ def initial_direction_variance(prob: ProblemInstance, x0: np.ndarray, b_tilde: i
     return sigma2_at(prob, x0) * (n - b_tilde) / (b_tilde * (n - 1))
 
 
-def _floyd_batch_means(rows: np.ndarray, b_tilde: int, n_mc: int, rng) -> np.ndarray:
-    """Mean of ``rows`` over a uniform b_tilde-subset of its indices, one
-    independent subset per replay: an (n_mc, dim) array.
+# Replays per block of the unrolled check: its arrays hold at most this many
+# rows, whatever the replay count.
+_REPLAY_BLOCK = 1024
 
-    Floyd's algorithm (Bentley & Floyd 1987), run for all replays at once:
-    for j = n - b_tilde, ..., n - 1 each replay draws t uniform in [0, j] and
-    takes j instead when t is already in its subset.  Every b_tilde-subset is
-    equally likely, at O(b_tilde n_mc) cost.  The rows are summed in the order
-    they are taken.  For b_tilde = 1 this is one ``rng.integers(0, n,
-    size=n_mc)`` draw and its rows.
-    """
+
+def _floyd_draws(n: int, b_tilde: int, n_mc: int, rng) -> list:
+    """The draws of Floyd's algorithm (Bentley & Floyd 1987) for n_mc
+    independent uniform b_tilde-subsets of range(n): for j = n - b_tilde, ...,
+    n - 1, one array of n_mc uniform integers in [0, j]."""
+    return [rng.integers(0, j + 1, size=n_mc) for j in range(n - b_tilde, n)]
+
+
+def _floyd_means(rows: np.ndarray, draws: list) -> np.ndarray:
+    """Mean of ``rows`` over each replay's subset, given its Floyd draws
+    (:func:`_floyd_draws`, or a slice of every array of them): the draw for j
+    is taken unless the replay's subset already holds it, and then j is.
+    Every b_tilde-subset is equally likely.  The rows are summed in the order
+    they are taken, so a replay's mean does not depend on which replays are
+    computed with it."""
     n = rows.shape[0]
-    replay = np.arange(n_mc)
-    member = np.zeros((n_mc, n), dtype=bool)
-    first = n - b_tilde
-    t = rng.integers(0, first + 1, size=n_mc)
-    member[replay, t] = True
+    b_tilde = len(draws)
+    m = draws[0].size
+    # Replay r holds id i when member[r * n + i]: flat indices cost less
+    # than (replay, id) pairs.
+    member = np.zeros(m * n, dtype=bool)
+    base = np.arange(0, m * n, n)
+    t = draws[0]
+    member[base + t] = True
     V = rows[t]
     picked = np.empty_like(V)
-    for j in range(first + 1, n):
-        t = rng.integers(0, j + 1, size=n_mc)
-        t = np.where(member[replay, t], j, t)
-        member[replay, t] = True
-        V += np.take(rows, t, axis=0, out=picked, mode="clip")
+    for j, t in enumerate(draws[1:], n - b_tilde + 1):
+        t = np.where(member[base + t], j, t)
+        member[base + t] = True
+        V += rows.take(t, axis=0, out=picked, mode="clip")
     V /= b_tilde
     return V
+
+
+def _floyd_batch_means(rows: np.ndarray, b_tilde: int, n_mc: int, rng) -> np.ndarray:
+    """Mean of ``rows`` over a uniform b_tilde-subset of its indices, one
+    independent subset per replay: an (n_mc, dim) array, all replays at once.
+    For b_tilde = 1 this is one ``rng.integers(0, n, size=n_mc)`` draw and its
+    rows."""
+    return _floyd_means(rows, _floyd_draws(rows.shape[0], b_tilde, n_mc, rng))
 
 
 def check_variance_recursion_unrolled(
@@ -190,9 +208,16 @@ def check_variance_recursion_unrolled(
     estimated is conditional on the path (the frozen-trajectory surrogate for
     the full bound).  ``v0`` is either a fixed initial direction (an array) or
     an integer batch size, in which case every replay draws a fresh
-    without-replacement initial batch by Floyd's algorithm, all replays at
-    once (:func:`_floyd_batch_means`), and the bound's initial term uses the
-    exact without-replacement variance.
+    without-replacement initial batch by Floyd's algorithm
+    (:func:`_floyd_means`), and the bound's initial term uses the exact
+    without-replacement variance.
+
+    Every draw is taken first: Floyd's b_tilde arrays of n_mc ids (a batch
+    ``v0`` only), then one array of n_mc ids per step.  The replays then run
+    in blocks of at most ``_REPLAY_BLOCK``, each through every step, so memory
+    is O(block (n + dim)) plus (b_tilde + k) n_mc ids and the k+1 points'
+    (n, dim) component gradients, whatever n_mc is.  A replay's operations
+    do not depend on its block, so neither do its bits.
     """
     beta = _check_beta_open(beta)
     if _is_integer(n_mc) and n_mc < 2:
@@ -205,37 +230,41 @@ def check_variance_recursion_unrolled(
     n = prob.num_components
     all_ids = np.arange(n)
 
-    # Initial directions, one per replay.
+    # Each point's component gradients, computed once; each serves two steps.
+    rows = [sample_gradient(prob, x, all_ids) for x in trajectory]
     x0 = trajectory[0]
-    rows0 = sample_gradient(prob, x0, all_ids)
     if np.ndim(v0) == 0:
         init_term = initial_direction_variance(prob, x0, v0)
         b_tilde = int(v0)
-        V = _floyd_batch_means(rows0, b_tilde, n_mc, rng)
+        floyd = _floyd_draws(n, b_tilde, n_mc, rng)
         v0_record = b_tilde
     else:
+        floyd = None
         v0 = np.asarray(v0, dtype=float)
-        V = np.broadcast_to(v0, (n_mc, prob.dim)).copy()
-        d0 = v0 - rows0.mean(axis=0)
+        d0 = v0 - rows[0].mean(axis=0)
         init_term = float(d0 @ d0)
         v0_record = v0
+    step_ids = [rng.integers(0, n, size=n_mc) for _ in range(k)]
 
     # V <- rows_curr[ids] + (1 - beta) (V - rows_prev[ids]), in place: the
-    # same operations in the same order, so the same bits.  Each point's
-    # component gradients are computed once and serve two steps.  The ids
-    # lie in [0, n), so "clip" never clips; it lets take write unbuffered.
-    rows_prev = rows0
-    picked = np.empty_like(V)
-    for i in range(1, k + 1):
-        rows_curr = sample_gradient(prob, trajectory[i], all_ids)
-        ids = rng.integers(0, n, size=n_mc)
-        V -= np.take(rows_prev, ids, axis=0, out=picked, mode="clip")
-        V *= 1.0 - beta
-        V += np.take(rows_curr, ids, axis=0, out=picked, mode="clip")
-        rows_prev = rows_curr
-
+    # same operations in the same order, so the same bits.  The ids lie in
+    # [0, n), so "clip" never clips; it lets take write unbuffered.
     g_final = full_gradient(prob, trajectory[k])
-    errs = np.sum((V - g_final) ** 2, axis=1)
+    errs = np.empty(n_mc)
+    buffer = np.empty((min(n_mc, _REPLAY_BLOCK), prob.dim))
+    for start in range(0, n_mc, _REPLAY_BLOCK):
+        block = slice(start, min(start + _REPLAY_BLOCK, n_mc))
+        if floyd is not None:
+            V = _floyd_means(rows[0], [t[block] for t in floyd])
+        else:
+            V = np.broadcast_to(v0, (block.stop - start, prob.dim)).copy()
+        picked = buffer[: len(V)]
+        for i, ids in enumerate(step_ids, 1):
+            ids = ids[block]
+            V -= rows[i - 1].take(ids, axis=0, out=picked, mode="clip")
+            V *= 1.0 - beta
+            V += rows[i].take(ids, axis=0, out=picked, mode="clip")
+        errs[block] = np.sum((V - g_final) ** 2, axis=1)
     lhs = float(errs.mean())
     stderr = float(errs.std(ddof=1) / np.sqrt(n_mc))
 
@@ -262,7 +291,9 @@ def check_schedule_constraint(T_range, L: float) -> ScheduleReport:
 
     The whole range is evaluated at once by the formula
     :func:`~vrprox.optimizer.schedule_from_T` uses; the report keeps every
-    margin.
+    margin, 8 bytes per horizon, and the evaluation holds a few more such
+    arrays while it runs.  ``vrprox validate`` checks T = 1..10^6 in blocks
+    of 2^14 horizons, so its memory does not grow with the range.
     """
     _check_positive_finite("L", L)
     Ts = _integer_array("horizons", T_range)

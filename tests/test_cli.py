@@ -1,13 +1,19 @@
+import contextlib
+import io
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vrprox import experiment
 from vrprox.cli import main
 from vrprox.config import MAX_SEED_COUNT, parse_config
+from vrprox.optimizer import MAX_HORIZON
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -62,6 +68,34 @@ def test_config_with_a_huge_horizon_is_config_error(tmp_path):
     assert proc.returncode == 1
     assert proc.stderr.startswith("config error: line 3: key 'T' must be <=")
     assert not (tmp_path / "o").exists()
+
+
+JUNK = ["", "1e3", "x", " 7", "1_0"]
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(
+    t=st.sampled_from([0, 1, -1, MAX_HORIZON - 1, MAX_HORIZON + 1, 10**400]).map(str)
+    | st.sampled_from(JUNK),
+    l=st.sampled_from([0.0, -0.0, 5e-324, 1e-320, 1e308, float("inf"), float("nan")]).map(repr)
+    | st.sampled_from(JUNK),
+)
+def test_schedule_argv_ends_in_output_or_a_config_error(t, l):
+    # schedule only evaluates a formula, so any horizon is safe to try
+    # in-process; numpy's warnings are caught, not left to the runner.
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        warnings.simplefilter("always")
+        code = main(["schedule", "--T", t, "--L", l])
+    stderr = err.getvalue()
+    assert code in (0, 1)
+    assert (code == 1) == stderr.startswith("config error:")
+    assert "Traceback" not in stderr and "Warning" not in stderr
+    assert not caught
+    if code == 0:
+        assert [line.split("=")[0] for line in out.getvalue().splitlines()] == [
+            "eta", "beta", "b_tilde"]
 
 
 def test_run_subcommand(tmp_path, capsys):

@@ -1,10 +1,11 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import vrprox as vp
-from vrprox import validation
+from vrprox import suite, validation
 from vrprox.estimators import MOMENTUM_SARAH, _recursion
 from vrprox.validation import (
     _floyd_batch_means,
@@ -259,8 +260,12 @@ def _reference_unrolled(prob, trajectory, v0, beta, n_mc, rng):
 
 @pytest.mark.parametrize("v0_form", ["batch", "array"])
 def test_unrolled_matches_an_out_of_place_replay_bitwise(quad, v0_form):
+    # Twelve random replay counts, then the edges of the 1024-replay blocks:
+    # one replay past a block, two full blocks, and the suite's 10,000 plus
+    # one (nine full blocks and a partial tenth).
+    edges = (1025, 2048, 10_001)
     rng = np.random.default_rng(19)
-    for case in range(12):
+    for case in range(12 + len(edges)):
         k = int(rng.integers(0, 10))
         traj = np.vstack([rng.normal(0, 1, quad.dim), rng.normal(0, 0.3, (k, quad.dim))])
         traj = traj.cumsum(axis=0)
@@ -269,7 +274,7 @@ def test_unrolled_matches_an_out_of_place_replay_bitwise(quad, v0_form):
             v0 = [1, 2, int(rng.integers(3, quad.num_components)), quad.num_components][case % 4]
         else:
             v0 = rng.normal(0, 1, quad.dim)
-        n_mc = int(rng.integers(2, 3000))
+        n_mc = int(rng.integers(2, 3000)) if case < 12 else edges[case - 12]
         seed = int(rng.integers(2**32))
         ref_rng, rng_used = np.random.default_rng(seed), np.random.default_rng(seed)
         expected = _reference_unrolled(quad, traj, v0, beta, n_mc, ref_rng)
@@ -298,6 +303,36 @@ def test_variance_recursions_hold_on_the_nonconvex_families(key):
         beta = rng.uniform(0.05, 0.95)
         v0 = int(rng.integers(1, 11)) if k % 2 == 0 else rng.normal(0.0, 1.0, prob.dim)
         assert vp.check_variance_recursion_unrolled(prob, traj, v0, beta, n_mc=10_000, rng=rng).passed
+
+
+def _traced_peak_mb(fn) -> float:
+    """Peak of the memory Python and numpy allocate while ``fn`` runs, in MB
+    above what was allocated before it."""
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        fn()
+        return (tracemalloc.get_traced_memory()[1] - before) / 1e6
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+
+
+def test_unrolled_check_memory_does_not_grow_with_the_replays():
+    # 10,000 replays of a 10-point trajectory on n = 1000 components, from a
+    # batch of 10: an (n_mc, n) membership or an (n_mc, dim) direction array
+    # would take 10 MB and 0.8 MB.  The replays run in blocks of 1024, beside
+    # 19 arrays of 10,000 ids and ten (1000, 10) gradient tables.
+    prob = vp.make_quadratic(1000, 10, 1.0, seed=0)
+    rng = np.random.default_rng(7)
+    traj = rng.normal(0.0, 0.3, (10, prob.dim)).cumsum(axis=0)
+    peak = _traced_peak_mb(
+        lambda: vp.check_variance_recursion_unrolled(prob, traj, 10, 0.5, rng, n_mc=10_000)
+    )
+    assert peak < 6.0
 
 
 class TestFloydBatch:
@@ -365,6 +400,28 @@ class TestScheduleConstraint:
         # The suite passes its horizons as an array; same bits as the range.
         arr = vp.check_schedule_constraint(np.arange(1, 20_001), 1.0)
         assert arr.margins.tobytes() == margins[1.0].tobytes()
+
+    @pytest.mark.parametrize("quick", [True, False])
+    def test_suite_blocks_give_the_one_call_result(self, quick):
+        # The suite's row folds blocks of 2^14 horizons (quick: one partial
+        # block); one call over the whole range gives the same bits.
+        horizon = 10_000 if quick else 1_000_000
+        Ts = np.arange(1, horizon + 1)
+        reps = {L: vp.check_schedule_constraint(Ts, L) for L in (0.1, 1.0, 10.0)}
+        spread = max(
+            float(np.max(np.abs(reps[0.1].margins - reps[1.0].margins))),
+            float(np.max(np.abs(reps[10.0].margins - reps[1.0].margins))),
+        )
+        worst = min(rep.worst_margin for rep in reps.values())
+        passed = all(rep.passed for rep in reps.values())
+        got_passed, got_worst, got_spread = suite._schedule_margins(horizon)
+        assert got_passed is passed
+        assert (got_worst.hex(), got_spread.hex()) == (worst.hex(), spread.hex())
+
+    def test_suite_row_memory_does_not_grow_with_the_range(self):
+        # 10^6 horizons at three L: one call per L would hold about nine
+        # float arrays of 8 MB.
+        assert _traced_peak_mb(lambda: suite._check_schedule(False)) < 4.0
 
     def test_margins_match_the_scalar_schedule(self):
         # The range check and schedule_from_T share one formula: margins
