@@ -52,6 +52,11 @@ def _recursion(grad, prob, kind, v, x_prev, x_curr, xi, zeta, beta) -> np.ndarra
     same-sample kinds evaluate ``xi`` at both points, the hybrid adds ``zeta``
     at ``x_curr``, plain SGD evaluates ``xi`` at ``x_curr`` only.  No input
     checks: the optimizer validates up front.
+
+    The recursions work in place on their first fresh difference
+    ``v - g_prev`` or ``v + g_curr``, which has the shape of both sample
+    terms since they share ids; the hybrid's ``zeta`` must give that shape
+    too.  No input is written and the result is never one of them.
     """
     if kind == SGD:
         return grad(prob, x_curr, xi)
@@ -61,7 +66,14 @@ def _recursion(grad, prob, kind, v, x_prev, x_curr, xi, zeta, beta) -> np.ndarra
         g_zeta = grad(prob, x_curr, zeta)
         if beta == 1.0:
             return g_zeta
-        return (1.0 - beta) * (v + g_curr - g_prev) + beta * g_zeta
+        d = v + g_curr
+        d -= g_prev
+        d *= 1.0 - beta
+        d += beta * g_zeta
+        return d
     if beta == 1.0:
         return g_curr
-    return g_curr + (1.0 - beta) * (v - g_prev)
+    d = v - g_prev
+    d *= 1.0 - beta
+    np.add(g_curr, d, out=d)
+    return d

@@ -112,15 +112,16 @@ def stationarity_bound_rhs(prob: ProblemInstance, psi, T: int) -> float:
 
 
 def _write_trace(path: Path, trace) -> None:
-    # The cells are exactly :func:`_fmt`'s: float arrays give Python floats
-    # through ``tolist``, and ``step_sq`` has the T + 1 rows t = 0..T.
+    # The cells are exactly :func:`_fmt`'s (``%.17g`` formats a float as
+    # ``:.17g`` does): float arrays give Python floats through ``tolist``,
+    # and ``step_sq`` has the T + 1 rows t = 0..T.  One format per row.
     steps = trace.step_sq.tolist()
     if trace.grad_map_sq is None:
-        rows = [f"{t},,,,{s:.17g}" for t, s in enumerate(steps)]
+        rows = ["%d,,,,%.17g" % row for row in enumerate(steps)]
     else:
-        cols = zip(trace.grad_map_sq.tolist(), trace.obj.tolist(),
+        cols = zip(range(len(steps)), trace.grad_map_sq.tolist(), trace.obj.tolist(),
                    trace.est_err_sq.tolist(), steps)
-        rows = [f"{t},{g:.17g},{o:.17g},{e:.17g},{s:.17g}" for t, (g, o, e, s) in enumerate(cols)]
+        rows = ["%d,%.17g,%.17g,%.17g,%.17g" % row for row in cols]
     path.write_text(TRACE_HEADER + "\n" + "\n".join(rows) + "\n")
 
 
@@ -209,8 +210,9 @@ def _plan(cfg: ExperimentConfig, kinds, output_dir, master_seed: int, traces: bo
     """
     try:
         prob = _problem(cfg.problem, cfg.problem_seed)
-    except ValueError as exc:
-        # A valid key can still overflow, as quad:4:2:1e200 does.
+    except (ValueError, MemoryError) as exc:
+        # A valid key can still overflow, as quad:4:2:1e200 does, or ask for
+        # more memory than the process can map.
         raise ConfigError(f"key 'problem' = {cfg.problem!r}: {exc}") from None
     seeds = expand_seeds(cfg.seeds, master_seed)
     hps = [_hyperparams_for(cfg, prob, T) for T in cfg.T]

@@ -18,6 +18,10 @@ The two nonconvex families differ only in a scalar loss of a_i^T x: each
 generates its data and hands three one-line formulas to ``_linear_model``,
 which builds the closures, the certified L, sigma^2 (from the loss's slope
 bound) and f_lower = 0 (both losses are >= 0), and a one-entry link memo.
+The sigmoid family hands it the rows -y_i a_i in place of a_i: negation is
+exact, so every margin, gradient and mean has the bits of the unfolded form,
+and no call multiplies by a label.  Its instances hold that n x p matrix
+beside the data ``A`` kept in ``meta``.
 """
 
 from __future__ import annotations
@@ -111,14 +115,28 @@ def _sigmoid(u):
     u >= 0 and e / (1 + e) otherwise, so exp never overflows.  A ``float``
     (numpy float64 included) takes that branch; an array stays branch-free,
     with ``minimum(u, -u)`` as the -|u| that keeps a NaN's own bits, and one
-    division of the selected numerator."""
+    division of the selected numerator.  The array path works in place on
+    the temporaries it allocates and never writes into ``u``."""
     if isinstance(u, float):
         if u >= 0:
             return 1.0 / (1.0 + np.exp(-u))
         e = np.exp(u)
         return e / (1.0 + e)
-    e = np.exp(np.minimum(u, -u))
-    return np.where(u >= 0, 1.0, e) / (1.0 + e)
+    e = np.negative(u)
+    np.minimum(u, e, out=e)
+    np.exp(e, out=e)
+    s = np.where(u >= 0, 1.0, e)
+    e += 1.0
+    s /= e
+    return s
+
+
+def _sigmoid_slope(s):
+    """s (1 - s), the sigmoid's derivative at its value s; an array result
+    is the one temporary ``1 - s``, scaled in place."""
+    slope = 1.0 - s
+    slope *= s
+    return slope
 
 
 def _linear_model(family: str, A: np.ndarray, curvature: float, s_max: float, link, slope,
@@ -131,15 +149,20 @@ def _linear_model(family: str, A: np.ndarray, curvature: float, s_max: float, li
     certified when |d^2 f_i / dz^2| <= curvature, and sigma^2 <= E||grad f_i||^2
     <= s_max^2 * mean_i ||a_i||^2 when |slope| <= s_max; the loss is >= 0.
 
+    One id's gradient scales that row from a list of the rows built once;
+    an id array gathers its rows.  The mean closures use ``A.dot(x)`` and
+    ``A.T.dot(w)``, which give the bits of ``@`` (tests/test_numpy_contract.py).
+
     The mean gradient and value share a one-entry memo of the link over all
     n samples, keyed by the point's float64 bytes: the diagnostics ask for
     both at one point, and the second then costs a sum instead of a second
-    ``A @ x``.  A point changed in place, or -0.0 for 0.0, is a miss, which
+    ``A.dot(x)``.  A point changed in place, or -0.0 for 0.0, is a miss, which
     costs time, never a different result.  Key and value are stored and read
     as one tuple, so one point's key is never paired with another's link.
     """
     n, p = A.shape
     row_sq = np.sum(A * A, axis=1)
+    rows = list(A)
     every = slice(None)
     memo = (None, None)
 
@@ -149,20 +172,23 @@ def _linear_model(family: str, A: np.ndarray, curvature: float, s_max: float, li
         key = x.tobytes()
         cached_key, value = memo
         if key != cached_key:
-            value = link(A @ x, every)
+            value = link(A.dot(x), every)
             value.flags.writeable = False
             memo = (key, value)
         return value
 
     def grad_rows(x, ids):
-        a = A[ids]
-        return slope(link(a.dot(x), ids), ids)[..., None] * a
+        if isinstance(ids, np.ndarray):
+            a = A[ids]
+            return slope(link(a.dot(x), ids), ids)[:, None] * a
+        row = rows[ids]
+        return slope(link(row.dot(x), ids), ids) * row
 
     def value_sample(x, i):
         return float(loss(link(float(A[i] @ x), i)))
 
     def mean_grad(x):
-        return A.T @ slope(link_all(x), every) / n
+        return A.T.dot(slope(link_all(x), every)) / n
 
     def mean_value(x):
         return float(loss(link_all(x)).sum() / n)
@@ -187,21 +213,22 @@ def make_nonconvex_sigmoid(n: int, p: int, seed: int = 0) -> ProblemInstance:
 
     Features a_i have ||a_i|| <= 1; labels come from a planted direction with
     flip noise.  Certified L = max|s''| * max_i ||a_i||^2 and
-    sigma^2 <= max|s'|^2 * mean_i ||a_i||^2.
+    sigma^2 <= max|s'|^2 * mean_i ||a_i||^2.  The kernels run on the
+    sign-folded rows -y_i a_i, whose norms are the a_i's: the margin is
+    their dot product with x, the link s(z) and the slope s (1 - s).
+    ``meta`` keeps the data ``A`` and ``y``.
     """
     _check_sizes(n, p)
     rng = np.random.Generator(np.random.PCG64(seed))
     A = _ball_points(rng, n, p, 1.0)
     w_true = rng.standard_normal(p)
     y = np.where(A @ w_true + 0.1 * rng.standard_normal(n) >= 0, 1.0, -1.0)
-    # z * (-y) is (-z) * y bit for bit, and costs no negation per call.
-    neg_y = -y
     return _linear_model(
-        "sigmoid", A, SIGMOID_CURVATURE_BOUND, SIGMOID_SLOPE_BOUND,
-        link=lambda z, i: _sigmoid(z * neg_y[i]),
-        slope=lambda s, i: s * (1.0 - s) * neg_y[i],
+        "sigmoid", A * -y[:, None], SIGMOID_CURVATURE_BOUND, SIGMOID_SLOPE_BOUND,
+        link=lambda z, i: _sigmoid(z),
+        slope=lambda s, i: _sigmoid_slope(s),
         loss=lambda s: s,
-        meta={"seed": seed, "y": y},
+        meta={"seed": seed, "A": A, "y": y},
     )
 
 

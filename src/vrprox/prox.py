@@ -108,8 +108,13 @@ PsiSpec = Zero | L1 | BoxIndicator | ElasticNet
 
 
 def _soft_threshold(z: np.ndarray, thresh: float) -> np.ndarray:
-    # Ties |z_i| == thresh map to exactly 0 (max(0, 0) below).
-    return np.sign(z) * np.maximum(np.abs(z) - thresh, 0.0)
+    """sign(z) * max(|z| - thresh, 0), computed in place in the new array
+    ``|z|``; ``z`` is left as it is.  Ties |z_i| == thresh map to exactly 0."""
+    out = np.abs(z)
+    out -= thresh
+    np.maximum(out, 0.0, out=out)
+    np.multiply(np.sign(z), out, out=out)
+    return out
 
 
 def prox_operator(psi: PsiSpec, tau: float) -> Callable[[np.ndarray], np.ndarray]:
@@ -117,7 +122,8 @@ def prox_operator(psi: PsiSpec, tau: float) -> Callable[[np.ndarray], np.ndarray
 
     The operator does no input checks (:func:`prox` is the checked entry
     point); a box's bounds must match the dimension of the points.  The
-    identity of ``Zero`` returns its input itself.  Zero, L1 and ElasticNet
+    identity of ``Zero`` returns its input itself; the others return a new
+    array and leave their input as it is.  Zero, L1 and ElasticNet
     map a non-finite input to a non-finite output; the box clamps an
     infinite entry onto its face.
     """
@@ -133,7 +139,13 @@ def prox_operator(psi: PsiSpec, tau: float) -> Callable[[np.ndarray], np.ndarray
         return lambda z: np.clip(z, lo, hi)
     if isinstance(psi, ElasticNet):
         thresh, shrink = tau * psi.lam1, 1.0 + tau * psi.lam2
-        return lambda z: _soft_threshold(z, thresh) / shrink
+
+        def enet(z):
+            out = _soft_threshold(z, thresh)
+            out /= shrink
+            return out
+
+        return enet
     raise TypeError(f"unknown regularizer {type(psi).__name__}")
 
 
@@ -150,6 +162,9 @@ def prox(psi: PsiSpec, z: np.ndarray, tau: float) -> np.ndarray:
     operator = prox_operator(psi, tau)
     if isinstance(psi, BoxIndicator):
         psi._check_dim(z)
+    if z.ndim == 0:
+        # A scalar is a point of dimension 1; the in-place kernels need an array.
+        return operator(z.reshape(1))[0]
     return operator(z)
 
 

@@ -332,6 +332,22 @@ def test_overflowing_quadratic_is_config_error(tmp_path):
         assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("key", ["quad:100000000000:1000:1", "sigmoid:100000000000:1000"])
+def test_problem_too_large_to_map_is_config_error(tmp_path, key):
+    # 1e11 x 1000 float64 data is 728 TiB, above the 2^47-byte user address
+    # space: the allocation fails before any page is touched.  Only sizes
+    # that can never be granted belong here.
+    cfg = tmp_path / "huge.cfg"
+    cfg.write_text(CFG.replace("quad:15:4:1.0", key))
+    for command in ("run", "compare"):
+        out_dir = tmp_path / command
+        proc = _vrprox(command, "--config", str(cfg), "--output", str(out_dir))
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("config error: key 'problem'")
+        assert "Traceback" not in proc.stderr
+        assert not out_dir.exists()
+
+
 def test_large_finite_quadratic_still_runs_and_diverges(tmp_path):
     cfg = tmp_path / "spread.cfg"
     cfg.write_text(CFG.replace("quad:15:4:1.0", "quad:4:2:1e150"))

@@ -6,17 +6,21 @@ sample gradient behind one dispatching ``grad_rows``, and a fresh ``A @ x``
 for every mean gradient and mean value.  The library's kernels
 (``_sigmoid``'s branch-free array path and its scalar branch, and the
 closures and one-entry link memo that ``_linear_model`` builds) must give
-the same bytes at every finite point.
+the same bytes at every finite point, +0, -0 and saturated margins included.
+
+The kernels compute in place on their own temporaries; the last tests check
+that no sample or mean gradient, prox or recursion writes into an input or
+returns memory shared with one.
 """
 
 import numpy as np
 import pytest
 
 import vrprox as vp
-from vrprox.estimators import HYBRID_SARAH, MOMENTUM_SARAH, SARAH, SGD
+from vrprox.estimators import HYBRID_SARAH, MOMENTUM_SARAH, SARAH, SGD, _recursion
 from vrprox.oracle import ProblemInstance
 from vrprox.problems import _sigmoid
-from vrprox.prox import L1, BoxIndicator, ElasticNet, Zero
+from vrprox.prox import L1, BoxIndicator, ElasticNet, Zero, prox_operator
 
 
 def masked_sigmoid(u):
@@ -127,20 +131,88 @@ def test_scalar_sigmoid_matches_masked_reference():
             assert got.tobytes() == masked_sigmoid(value).tobytes(), value
 
 
+def _kernel_points(prob):
+    """Random points, +0 and -0, and points that put one row's margin
+    a_k^T x at +-700..800, where exp saturates (||a_i|| <= 1, so the other
+    rows' margins reach up to that size too)."""
+    A = prob.meta["A"]
+    rng = np.random.default_rng(9)
+    points = list(rng.uniform(-12, 12, (40, prob.dim)))
+    points += [np.zeros(prob.dim), -np.zeros(prob.dim)]
+    for k in (0, 17, 33):
+        for margin in (700.0, 709.0, 745.0, 760.0, 800.0):
+            for sign in (1.0, -1.0):
+                points.append(sign * margin * A[k] / A[k].dot(A[k]))
+    directions = rng.standard_normal((6, prob.dim))
+    points += list(800.0 * directions / np.linalg.norm(directions, axis=1, keepdims=True))
+    return points
+
+
 @pytest.mark.parametrize("family", sorted(FAMILIES))
 def test_per_sample_and_mean_kernels_match_reference(family):
     make, reference = FAMILIES[family]
     prob = make()
     ref = reference(prob)
-    rng = np.random.default_rng(9)
     ids = np.arange(prob.num_components)
-    for x in rng.uniform(-12, 12, (40, prob.dim)):
-        for i in (0, 17, prob.num_components - 1):
+    some = np.array([33, 0, 17, 17, prob.num_components - 1])
+    for x in _kernel_points(prob):
+        for i in (0, 17, 33, prob.num_components - 1):
             assert prob.grad_rows(x, i).tobytes() == ref.grad_rows(x, i).tobytes()
             assert prob.value_sample(x, i) == ref.value_sample(x, i)
-        assert prob.grad_rows(x, ids).tobytes() == ref.grad_rows(x, ids).tobytes()
+        for batch in (ids, some):
+            assert prob.grad_rows(x, batch).tobytes() == ref.grad_rows(x, batch).tobytes()
         assert vp.full_gradient(prob, x).tobytes() == vp.full_gradient(ref, x).tobytes()
         assert vp.full_value(prob, x) == vp.full_value(ref, x)
+
+
+def _call_checked(fn, *inputs):
+    """fn(*inputs), asserting that every input keeps its bytes and that the
+    result shares no memory with one."""
+    before = [arr.tobytes() for arr in inputs]
+    result = fn(*inputs)
+    for arr, data in zip(inputs, before):
+        assert arr.tobytes() == data
+        assert not np.shares_memory(result, arr)
+    return result
+
+
+ALL_FAMILIES = {**{k: make for k, (make, _) in FAMILIES.items()},
+                "quad": lambda: vp.make_quadratic(60, 5, seed=2)}
+
+
+@pytest.mark.parametrize("family", sorted(ALL_FAMILIES))
+def test_kernels_write_no_input_and_return_fresh_arrays(family):
+    # The run loop keeps x_t and v_t by reference in its block lists, so a
+    # kernel that wrote into an input, or returned one, would change them.
+    prob = ALL_FAMILIES[family]()
+    x = np.linspace(-1.0, 1.0, prob.dim)
+    for ids in (3, np.array([3, 0, 3, 59])):
+        _call_checked(lambda x: prob.grad_rows(x, ids), x)
+    _call_checked(prob.mean_grad, x)
+    # A second call at the memo's point returns a fresh array too.
+    first = prob.mean_grad(x)
+    assert not np.shares_memory(first, _call_checked(prob.mean_grad, x))
+
+
+@pytest.mark.parametrize("psi", [L1(lam=0.05), ElasticNet(0.05, 0.3)], ids=repr)
+def test_prox_operators_write_no_input(psi):
+    z = np.array([-0.3, -0.05, -0.0, 0.0, 0.02, 0.05, 0.7])
+    _call_checked(prox_operator(psi, 1.0), z)
+    _call_checked(prox_operator(psi, 1.0), np.stack([z, -z]))
+
+
+@pytest.mark.parametrize("kind", [MOMENTUM_SARAH, HYBRID_SARAH, SARAH, SGD])
+@pytest.mark.parametrize("beta", [0.0, 0.3, 1.0])
+@pytest.mark.parametrize("batched", [False, True], ids=["one_id", "id_array"])
+def test_recursion_writes_no_input(kind, beta, batched):
+    prob = vp.make_nonconvex_sigmoid(60, 5, seed=2)
+    rng = np.random.default_rng(3)
+    v, x_prev, x_curr = rng.standard_normal((3, prob.dim))
+    xi, zeta = (np.array([4, 9, 4]), np.array([1, 2, 59])) if batched else (4, 59)
+    _call_checked(
+        lambda v, x_prev, x_curr: _recursion(vp.sample_gradient, prob, kind, v, x_prev,
+                                             x_curr, xi, zeta, beta),
+        v, x_prev, x_curr)
 
 
 @pytest.mark.parametrize("family", sorted(FAMILIES))

@@ -4,8 +4,10 @@
 reduces a block's squared norms with ``np.vecdot``; its traces equal a
 per-step loop's (one scalar draw per id, one ``d @ d`` per row) only while
 numpy keeps both identities below.  The problems' step kernels use
-``ndarray.dot`` for ``@`` and ``arr.sum() / n`` for ``np.mean``, which are
-cheaper calls to the same arithmetic; the last tests pin that too.  A numpy
+``ndarray.dot`` for ``@`` (``A.T.dot(w)`` included) and ``arr.sum() / n``
+for ``np.mean``, which are cheaper calls to the same arithmetic; the sigmoid
+family's margins are dot products with rows whose sign is folded in, and
+its link maps +0 and -0 alike.  The last tests pin all of that.  A numpy
 upgrade that breaks any of them must fail here, not change traces silently.
 """
 
@@ -13,6 +15,7 @@ import numpy as np
 import pytest
 
 from vrprox.optimizer import BLOCK
+from vrprox.problems import _sigmoid
 
 HIGHS = [1, 2, 3, 50, 100, 200, 1000, 12345, 2**31 + 1, 2**32 + 5, 2**62, 2**63]
 SIZES = [1, 7, BLOCK - 1, BLOCK, BLOCK + 1, 1000, 4001]
@@ -89,6 +92,50 @@ def test_matrix_dot_vector_equals_matmul(p, m):
             for A in (rows[start:start + m], rows[rng.integers(0, len(rows), size=m)]):
                 x = rows[(start + 11) % len(rows)]
                 assert _as_matmul(A.dot(x), p).tobytes() == (A @ x).tobytes()
+
+
+@pytest.mark.parametrize("p", PS)
+@pytest.mark.parametrize("m", [1, 2, 7, 64, BLOCK + 1])
+def test_transposed_dot_vector_equals_matmul(p, m):
+    # The mean gradient's A.T.dot(w), m = n; a matrix takes one path for
+    # both calls, so even a single -0.0 product (m = 1) keeps its sign.
+    rows = _rows(p)
+    weights = _rows(1)[:, 0]
+    with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+        for start in range(0, len(rows) - m, 131):
+            A = rows[start:start + m]
+            w = weights[(start + 11) % (len(weights) - m):][:m]
+            assert A.T.dot(w).tobytes() == (A.T @ w).tobytes()
+
+
+def _bits_but_zero_sign(values):
+    # -0.0 becomes +0.0 and every NaN one NaN; all other bits stay.
+    values = values + 0.0
+    values[np.isnan(values)] = np.nan
+    return values.tobytes()
+
+
+@pytest.mark.parametrize("p", PS)
+@pytest.mark.parametrize("m", [1, 2, 7, 64, BLOCK + 1])
+def test_sign_folded_rows_dot_equals_signed_dot(p, m):
+    # The sigmoid family's margins: (-y_i a_i)^T x is -y_i (a_i^T x), up to
+    # the sign of an exact zero, which its link does not see (below).
+    rows = _rows(p)
+    rng = np.random.default_rng(m)
+    with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+        for start in range(0, len(rows) - m, 131):
+            A = rows[start:start + m]
+            s = rng.choice([-1.0, 1.0], size=m)
+            x = rows[(start + 11) % len(rows)]
+            got = (s[:, None] * A).dot(x)
+            assert _bits_but_zero_sign(got) == _bits_but_zero_sign(A.dot(x) * s)
+
+
+def test_sigmoid_maps_both_zeros_alike():
+    zeros = np.array([0.0, -0.0])
+    assert _sigmoid(zeros)[0].tobytes() == _sigmoid(zeros)[1].tobytes()
+    assert _sigmoid(0.0).tobytes() == _sigmoid(-0.0).tobytes()
+    assert _sigmoid(zeros)[1].tobytes() == _sigmoid(-0.0).tobytes()
 
 
 def test_sum_over_n_equals_mean():

@@ -191,6 +191,13 @@ def test_prox_operator_matches_prox_bitwise(psi, rng):
         assert operator(Z[0]).tobytes() == prox(psi, Z[0], tau).tobytes()
 
 
+@pytest.mark.parametrize("psi", VARIANTS, ids=repr)
+def test_prox_of_a_scalar_is_the_prox_of_a_one_point(psi):
+    for z in (3.0, -0.4, 0.0):
+        want = prox(psi, np.array([z]), 0.5)
+        assert prox(psi, z, 0.5) == want[0] and np.ndim(prox(psi, z, 0.5)) == 0
+
+
 def test_prox_returns_a_new_array_even_for_the_identity(rng):
     z = rng.normal(0, 1, 4)
     out = prox(Zero(), z, 1.0)
