@@ -32,7 +32,7 @@ import numpy as np
 
 from . import problems
 from .estimators import KINDS
-from .optimizer import MAX_HORIZON
+from .optimizer import MAX_HORIZON, HyperParams
 from .prox import parse_psi, psi_value
 
 
@@ -52,7 +52,6 @@ KNOWN_KEYS = REQUIRED_KEYS + (
     "beta",
     "b_tilde",
     "diagnostics",
-    "output_dir",
 )
 
 
@@ -69,7 +68,6 @@ class ExperimentConfig:
     beta: float | None = None
     b_tilde: int | None = None
     diagnostics: bool = True
-    output_dir: str | None = None
     source_text: str = field(default="", repr=False)
 
 
@@ -185,8 +183,6 @@ def parse_config(text: str) -> ExperimentConfig:
             if raw not in ("on", "off"):
                 raise ConfigError(f"line {lineno}: diagnostics must be on or off, got {raw!r}")
             values[key] = raw == "on"
-        elif key == "output_dir":
-            values[key] = raw
 
     for key in REQUIRED_KEYS:
         if key not in values:
@@ -196,10 +192,10 @@ def parse_config(text: str) -> ExperimentConfig:
     if cfg.schedule == "manual":
         if cfg.eta is None or cfg.beta is None or cfg.b_tilde is None:
             raise ConfigError("manual schedule requires eta, beta, b_tilde")
-        if not (cfg.eta > 0 and math.isfinite(cfg.eta)):
-            raise ConfigError(f"eta must be positive and finite, got {cfg.eta}")
-        if not 0.0 <= cfg.beta <= 1.0:
-            raise ConfigError(f"beta must lie in [0, 1], got {cfg.beta}")
+        try:
+            HyperParams(eta=cfg.eta, beta=cfg.beta, b_tilde=cfg.b_tilde, T=cfg.T[0])
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
         check_initial_batch(cfg.b_tilde, cfg.problem)
     else:
         for key in ("eta", "beta", "b_tilde"):

@@ -216,7 +216,7 @@ def _plan(cfg: ExperimentConfig, kinds, output_dir, master_seed: int, traces: bo
         raise ConfigError(f"key 'problem' = {cfg.problem!r}: {exc}") from None
     seeds = expand_seeds(cfg.seeds, master_seed)
     hps = [_hyperparams_for(cfg, prob, T) for T in cfg.T]
-    out = Path(output_dir or cfg.output_dir or "runs")
+    out = Path(output_dir or "runs")
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:

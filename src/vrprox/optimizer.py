@@ -38,6 +38,7 @@ holds O(BLOCK * p) memory whatever T is.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,12 +66,12 @@ from .prox import (
     PsiSpec,
     prox,
     prox_operator,
-    psi_evaluator,
     psi_value,
 )
 
-# Iterates beyond this norm abort the run; a misconfigured step size must fail
-# loudly instead of emitting garbage traces.
+# Iterates beyond this norm, times the data's scale (see _guard_limit), abort
+# the run; a misconfigured step size must fail loudly instead of emitting
+# garbage traces.
 MAX_ITERATE_NORM = 1e12
 
 # Largest horizon: beyond 2**53 the schedule's T + 1.0 is no longer exact.
@@ -188,11 +189,21 @@ def _check_finite(x: np.ndarray, t: int) -> None:
         raise DivergenceError(t, float(np.max(np.abs(x[finite]), initial=0.0)))
 
 
-def _guard(x: np.ndarray, t: int) -> None:
+def _guard_limit(prob: ProblemInstance) -> float:
+    """The largest iterate norm a run on ``prob`` trusts: MAX_ITERATE_NORM
+    up to the default sampling radius 10, in proportion to a larger radius
+    (the quadratic's is 10 times its largest center entry), so that whether
+    a run diverges does not depend on the data's units; and at most
+    sqrt(float max) / MAX_ITERATE_NORM, so the traces' squares stay finite."""
+    scaled = MAX_ITERATE_NORM * max(1.0, prob.sampling_radius / 10.0)
+    return min(math.sqrt(sys.float_info.max) / MAX_ITERATE_NORM, scaled)
+
+
+def _guard(x: np.ndarray, t: int, limit: float) -> None:
     # sqrt(x . x) is np.linalg.norm(x) bit for bit; NaN, infinity and overflow
     # all fail the comparison and fall through to the reporting path.
     norm = math.sqrt(x.dot(x))
-    if norm <= MAX_ITERATE_NORM:
+    if norm <= limit:
         return
     _check_finite(x, t)
     raise DivergenceError(t, norm)
@@ -247,7 +258,7 @@ def run(
     hybrid = kind == HYBRID_SARAH
     ids_per_step = 2 if hybrid else 1
     prox_eta = prox_operator(psi, eta)
-    psi_at = psi_evaluator(psi)
+    limit = _guard_limit(prob)
     # The box prox clamps an infinite step onto its face; check its input.
     clamps = isinstance(psi, BoxIndicator)
 
@@ -285,7 +296,7 @@ def run(
             # x_{t+1} = prox(x_t - eta v_t), guarded.
             z = x - eta * v
             x_next = prox_eta(z)
-            _guard(x_next, t + 1)
+            _guard(x_next, t + 1, limit)
             if clamps:
                 _check_finite(z, t + 1)
             x_prev, x = x, x_next
@@ -301,7 +312,7 @@ def run(
             G = np.array(gs)
             M = (X - prox_eta(X - eta * G)) / eta
             grad_map_sq[start:stop] = np.vecdot(M, M)
-            obj[start:stop] = np.array(fs) + psi_at(X)
+            obj[start:stop] = np.array(fs) + psi_value(psi, X)
             E = np.array(vs) - G
             est_err_sq[start:stop] = np.vecdot(E, E)
 

@@ -195,7 +195,7 @@ def smoothness_spot_check(prob: ProblemInstance, rng, n_pairs: int = 1000) -> di
     for k in range(n_pairs):
         x = rng.uniform(-radius, radius, size=prob.dim)
         y = rng.uniform(-radius, radius, size=prob.dim)
-        i = int(draw_sample_ids(prob, 1, rng)[0])
+        i = int(draw_step_ids(prob, 1, rng)[0])
         diff = prob.grad_rows(x, i) - prob.grad_rows(y, i)
         ratios[k] = np.sum(diff * diff) / (L2 * np.sum((x - y) ** 2))
     mean = float(ratios.mean())

@@ -25,9 +25,9 @@ Both ``prox`` and ``psi_value`` work row-wise: a point of dimension p gives a
 point (``psi_value``: a float), an array of shape (..., p) gives one result
 per row, with the same bits as the per-row calls.
 
-``prox_operator`` and ``psi_evaluator`` resolve the closed forms once, for a
-loop that has already validated its inputs; ``prox`` and ``psi_value`` are
-the same closed forms behind their input checks.
+``prox_operator`` resolves the prox's closed form once, for a loop that has
+already validated its inputs; ``prox`` is the same closed form behind its
+input checks.  ``psi_value`` is the one evaluator of psi, checked.
 """
 
 from __future__ import annotations
@@ -168,49 +168,31 @@ def prox(psi: PsiSpec, z: np.ndarray, tau: float) -> np.ndarray:
     return operator(z)
 
 
-def _per_point(x: np.ndarray, values):
-    # A point of dimension p gives a float, a stack its array of row values.
-    return float(values) if x.ndim == 1 else values
-
-
-def psi_evaluator(psi: PsiSpec) -> Callable[[np.ndarray], float | np.ndarray]:
-    """Resolve x -> psi(x) once, for repeated use; no input checks
-    (:func:`psi_value` is the checked entry point).  Row-wise like
-    :func:`psi_value`; rows of a stack must be C-contiguous for their sums to
-    match the per-row sums bit for bit."""
-    if isinstance(psi, Zero):
-        return lambda x: 0.0 if x.ndim == 1 else np.zeros(x.shape[:-1])
-    if isinstance(psi, L1):
-        lam = psi.lam
-        return lambda x: _per_point(x, lam * np.abs(x).sum(axis=-1))
-    if isinstance(psi, BoxIndicator):
-        lo, hi = psi.lo - BOX_MEMBERSHIP_TOL, psi.hi + BOX_MEMBERSHIP_TOL
-        return lambda x: _per_point(
-            x, np.where(((x >= lo) & (x <= hi)).all(axis=-1), 0.0, math.inf)
-        )
-    if isinstance(psi, ElasticNet):
-        lam1, lam2 = psi.lam1, psi.lam2
-        return lambda x: _per_point(
-            x, lam1 * np.abs(x).sum(axis=-1) + 0.5 * lam2 * (x * x).sum(axis=-1)
-        )
-    raise TypeError(f"unknown regularizer {type(psi).__name__}")
-
-
 def psi_value(psi: PsiSpec, x: np.ndarray) -> float | np.ndarray:
     """Evaluate psi(x); +inf outside an indicator's set.
 
     ``x`` is a point of dimension p, which gives a float, or an array of shape
     (..., p), which gives an array of shape (...) holding psi of each row,
     as :func:`prox` works row-wise.  Each row's value has the same bits as
-    ``psi_value`` of that row alone.
+    ``psi_value`` of that row alone: the rows are summed as C-contiguous.
     """
     x = np.ascontiguousarray(x, dtype=float)
     if not np.isfinite(x).all():
         raise ValueError("psi_value input must be finite")
-    evaluate = psi_evaluator(psi)
-    if isinstance(psi, BoxIndicator):
+    if isinstance(psi, Zero):
+        values = np.zeros(x.shape[:-1])
+    elif isinstance(psi, L1):
+        values = psi.lam * np.abs(x).sum(axis=-1)
+    elif isinstance(psi, BoxIndicator):
         psi._check_dim(x)
-    return evaluate(x)
+        inside = (x >= psi.lo - BOX_MEMBERSHIP_TOL) & (x <= psi.hi + BOX_MEMBERSHIP_TOL)
+        values = np.where(inside.all(axis=-1), 0.0, math.inf)
+    elif isinstance(psi, ElasticNet):
+        values = psi.lam1 * np.abs(x).sum(axis=-1) + 0.5 * psi.lam2 * (x * x).sum(axis=-1)
+    else:
+        raise TypeError(f"unknown regularizer {type(psi).__name__}")
+    # A point of dimension p gives a float, a stack its array of row values.
+    return float(values) if x.ndim == 1 else values
 
 
 def parse_psi(key: str) -> PsiSpec:

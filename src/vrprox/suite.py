@@ -150,19 +150,20 @@ def _check_variance_recursion_unrolled(quick: bool, seed: int) -> dict:
     )
 
 
+def _seed_means(prob, T: int, seeds) -> list[float]:
+    """Mean squared gradient mapping of one auto-schedule run per seed, psi = 0."""
+    hp = schedule_from_T(T, prob.lipschitz_L)
+    return [mean_grad_map_sq(run(prob, Zero(), hp, rng=s, diagnostics=True)) for s in seeds]
+
+
 def _check_stationarity_bound(quick: bool, seed: int) -> dict:
     prob = make_quadratic(100, 20, 1.0, seed=seed)
-    psi = Zero()
     T = 200 if quick else 1000
     n_seeds = 8 if quick else 20
-    hp = schedule_from_T(T, prob.lipschitz_L)
-    means = [
-        mean_grad_map_sq(run(prob, psi, hp, rng=1000 + s, diagnostics=True))
-        for s in range(n_seeds)
-    ]
+    means = _seed_means(prob, T, range(1000, 1000 + n_seeds))
     mean = float(np.mean(means))
     se = float(np.std(means, ddof=1) / np.sqrt(n_seeds))
-    bound = stationarity_bound_rhs(prob, psi, T)
+    bound = stationarity_bound_rhs(prob, Zero(), T)
     return _row(
         "stationarity_bound",
         mean <= bound + 3 * se,
@@ -173,17 +174,10 @@ def _check_stationarity_bound(quick: bool, seed: int) -> dict:
 
 def _check_rate(quick: bool, seed: int) -> dict:
     prob = make_quadratic(100, 20, 1.0, seed=seed)
-    psi = Zero()
     Ts = (50, 200, 800) if quick else (100, 400, 1600)
     n_seeds = 5 if quick else 10
-    summary = []
-    for T in Ts:
-        hp = schedule_from_T(T, prob.lipschitz_L)
-        means = [
-            mean_grad_map_sq(run(prob, psi, hp, rng=2000 + s, diagnostics=True))
-            for s in range(n_seeds)
-        ]
-        summary.append((T, float(np.mean(means))))
+    summary = [(T, float(np.mean(_seed_means(prob, T, range(2000, 2000 + n_seeds)))))
+               for T in Ts]
     slope = rate_slope(summary)
     return _row(
         "decay_exponent",
@@ -193,15 +187,19 @@ def _check_rate(quick: bool, seed: int) -> dict:
     )
 
 
-def _check_gradients(quick: bool, seed: int) -> list[dict]:
-    rows = []
-    families = [
+def _families(seed: int) -> list[tuple]:
+    """(name, instance) of the three small families the per-family rows check."""
+    return [
         ("quad", make_quadratic(20, 10, 1.0, seed=seed)),
         ("sigmoid", make_nonconvex_sigmoid(30, 8, seed=seed)),
         ("robust", make_robust_regression(30, 8, seed=seed)),
     ]
+
+
+def _check_gradients(quick: bool, seed: int) -> list[dict]:
+    rows = []
     n_points = 20 if quick else 100
-    for name, prob in families:
+    for name, prob in _families(seed):
         rng = np.random.Generator(np.random.PCG64([seed, 3]))
         worst = 0.0
         for _ in range(n_points):
@@ -224,13 +222,8 @@ def _check_gradients(quick: bool, seed: int) -> list[dict]:
 
 def _check_smoothness(quick: bool, seed: int) -> list[dict]:
     rows = []
-    families = [
-        ("quad", make_quadratic(20, 10, 1.0, seed=seed)),
-        ("sigmoid", make_nonconvex_sigmoid(30, 8, seed=seed)),
-        ("robust", make_robust_regression(30, 8, seed=seed)),
-    ]
     n_pairs = 200 if quick else 1000
-    for name, prob in families:
+    for name, prob in _families(seed):
         rng = np.random.Generator(np.random.PCG64([seed, 4]))
         rep = smoothness_spot_check(prob, rng, n_pairs=n_pairs)
         rows.append(
@@ -324,7 +317,7 @@ def _check_degenerate_equivalences(seed: int) -> dict:
 
     all_ids = np.arange(prob.num_components)
     x = rng.normal(0.0, 1.0, prob.dim)
-    v = prob.grad_rows(x, all_ids).mean(axis=0)
+    v = minibatch_gradient(prob, x, all_ids)
     worst_exact = error_sq(v, x)
     for _ in range(10):
         x_new = x + rng.normal(0.0, 0.3, prob.dim)

@@ -37,6 +37,7 @@ from .oracle import (
     _check_positive_finite,
     _integer_array,
     _is_integer,
+    draw_step_ids,
     full_gradient,
     sample_gradient,
     sigma2_at,
@@ -179,17 +180,17 @@ def _floyd_means(rows: np.ndarray, draws: list) -> np.ndarray:
     for j, t in enumerate(draws[1:], n - b_tilde + 1):
         t = np.where(member[base + t], j, t)
         member[base + t] = True
+        # The ids lie in [0, n): "clip" never clips, and lets take write unbuffered.
         V += rows.take(t, axis=0, out=picked, mode="clip")
     V /= b_tilde
     return V
 
 
-def _floyd_batch_means(rows: np.ndarray, b_tilde: int, n_mc: int, rng) -> np.ndarray:
-    """Mean of ``rows`` over a uniform b_tilde-subset of its indices, one
-    independent subset per replay: an (n_mc, dim) array, all replays at once.
-    For b_tilde = 1 this is one ``rng.integers(0, n, size=n_mc)`` draw and its
-    rows."""
-    return _floyd_means(rows, _floyd_draws(rows.shape[0], b_tilde, n_mc, rng))
+def _gather(_, table: np.ndarray, ids: np.ndarray) -> np.ndarray:
+    # The estimator's grad(prob, x, ids), with the point's (n, dim)
+    # component-gradient table standing in for the point; take gathers rows
+    # faster than fancy indexing, with the same bits.
+    return table.take(ids, axis=0)
 
 
 def check_variance_recursion_unrolled(
@@ -200,8 +201,8 @@ def check_variance_recursion_unrolled(
     rng,
     n_mc: int = 10_000,
 ) -> VarianceBoundReport:
-    """Replay the recursion along a frozen trajectory and compare against the
-    unrolled variance bound.
+    """Replay the optimizer's momentum recursion (``estimators._recursion``)
+    along a frozen trajectory and compare against the unrolled variance bound.
 
     ``trajectory`` is an array of shape (k+1, dim) of fixed points
     x_0, ..., x_k; only the sample draws are random, so the expectation being
@@ -213,9 +214,10 @@ def check_variance_recursion_unrolled(
     without-replacement variance.
 
     Every draw is taken first: Floyd's b_tilde arrays of n_mc ids (a batch
-    ``v0`` only), then one array of n_mc ids per step.  The replays then run
-    in blocks of at most ``_REPLAY_BLOCK``, each through every step, so memory
-    is O(block (n + dim)) plus (b_tilde + k) n_mc ids and the k+1 points'
+    ``v0`` only), then the optimizer's ``draw_step_ids`` of n_mc ids per
+    step.  The replays then run in blocks of at most ``_REPLAY_BLOCK``, each
+    block one (block, dim) stack through every step, so memory is
+    O(block (n + dim)) plus (b_tilde + k) n_mc ids and the k+1 points'
     (n, dim) component gradients, whatever n_mc is.  A replay's operations
     do not depend on its block, so neither do its bits.
     """
@@ -244,26 +246,19 @@ def check_variance_recursion_unrolled(
         d0 = v0 - rows[0].mean(axis=0)
         init_term = float(d0 @ d0)
         v0_record = v0
-    step_ids = [rng.integers(0, n, size=n_mc) for _ in range(k)]
+    step_ids = [draw_step_ids(prob, n_mc, rng) for _ in range(k)]
 
-    # V <- rows_curr[ids] + (1 - beta) (V - rows_prev[ids]), in place: the
-    # same operations in the same order, so the same bits.  The ids lie in
-    # [0, n), so "clip" never clips; it lets take write unbuffered.
     g_final = full_gradient(prob, trajectory[k])
     errs = np.empty(n_mc)
-    buffer = np.empty((min(n_mc, _REPLAY_BLOCK), prob.dim))
     for start in range(0, n_mc, _REPLAY_BLOCK):
         block = slice(start, min(start + _REPLAY_BLOCK, n_mc))
         if floyd is not None:
             V = _floyd_means(rows[0], [t[block] for t in floyd])
         else:
-            V = np.broadcast_to(v0, (block.stop - start, prob.dim)).copy()
-        picked = buffer[: len(V)]
+            V = np.broadcast_to(v0, (block.stop - start, prob.dim))
         for i, ids in enumerate(step_ids, 1):
-            ids = ids[block]
-            V -= rows[i - 1].take(ids, axis=0, out=picked, mode="clip")
-            V *= 1.0 - beta
-            V += rows[i].take(ids, axis=0, out=picked, mode="clip")
+            V = _recursion(_gather, None, MOMENTUM_SARAH, V, rows[i - 1], rows[i], ids[block],
+                           None, beta)
         errs[block] = np.sum((V - g_final) ** 2, axis=1)
     lhs = float(errs.mean())
     stderr = float(errs.std(ddof=1) / np.sqrt(n_mc))

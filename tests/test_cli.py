@@ -355,6 +355,16 @@ def test_large_finite_quadratic_still_runs_and_diverges(tmp_path):
     assert "divergent:2" in (tmp_path / "o" / "summary.csv").read_text()
 
 
+def test_far_out_quadratic_converges_like_the_unit_one(tmp_path):
+    # The minimiser of quad:10:3:1e13 has norm 1.27e12; the quadratic family
+    # is scale-equivariant, so its run converges as at spread 1, and the
+    # divergence guard scales with the data.
+    cfg = tmp_path / "far.cfg"
+    cfg.write_text(CFG.replace("quad:15:4:1.0", "quad:10:3:1e13").replace("T = 25", "T = 20"))
+    assert main(["run", "--config", str(cfg), "--output", str(tmp_path / "o")]) == 0
+    assert (tmp_path / "o" / "summary.csv").read_text().splitlines()[1].endswith(",ok")
+
+
 def test_unwritable_output_is_config_error(tmp_path, capsys):
     cfg = tmp_path / "exp.cfg"
     cfg.write_text(CFG)

@@ -46,6 +46,12 @@ def test_unknown_key_names_line():
         parse_config(MINIMAL + "turbo = on\n")
 
 
+def test_output_dir_is_not_a_key():
+    # The output directory comes from --output only.
+    with pytest.raises(ConfigError, match=r"line 5: unknown key 'output_dir'"):
+        parse_config(MINIMAL + "output_dir = runs\n")
+
+
 def test_unknown_estimator_lists_kinds():
     bad = MINIMAL.replace("estimator = momentum_sarah", "estimator = warp_drive")
     with pytest.raises(ConfigError) as err:
@@ -122,6 +128,13 @@ def test_manual_eta_must_be_finite():
     for eta in ("inf", "nan", "0", "-1"):
         with pytest.raises(ConfigError, match="eta"):
             parse_config(manual + f"eta = {eta}\n")
+
+
+def test_manual_beta_must_lie_in_the_unit_interval():
+    manual = MINIMAL + "schedule = manual\neta = 0.1\nb_tilde = 1\n"
+    for beta in ("nan", "-0.1", "1.5"):
+        with pytest.raises(ConfigError, match="beta"):
+            parse_config(manual + f"beta = {beta}\n")
 
 
 def test_repeated_seed_rejected():

@@ -19,6 +19,9 @@ ROOT = Path(__file__).resolve().parents[1]
 NUMPY_VERSION = "2.4.6"
 
 VALIDATE_QUICK_SEED0 = "80d1440ec228846a7b659143871e3d792191e323a9c686a3d35dba27d4e65c08"
+# Full scale: the unrolled row replays 10 blocks of 1024 replays where the
+# quick run replays 2.
+VALIDATE_SEED0 = "dab21c36eef992d4552d03dc2da87e1416db6c2cd2bf43f734c82f16e966afa0"
 QUAD_SWEEP_SUMMARY = "907d13a25a234aca68e7f91d3f6b862212fb7cb1987108fdead9a588e67bf560"
 # sha256 of the listing "<sha256>  <name>\n" of every file but run_meta.txt,
 # sorted by name: summary.csv and the 40 traces.
@@ -57,6 +60,11 @@ def _sha256(data: bytes) -> str:
 def test_validate_quick_stdout(capsys):
     assert main(["validate", "--quick", "--seed", "0"]) == 0
     assert _sha256(capsys.readouterr().out.encode()) == VALIDATE_QUICK_SEED0
+
+
+def test_validate_stdout(capsys):
+    assert main(["validate", "--seed", "0"]) == 0
+    assert _sha256(capsys.readouterr().out.encode()) == VALIDATE_SEED0
 
 
 def _check_run_files(cfg, out, n_files, summary, listing_digest):

@@ -290,6 +290,22 @@ class TestNonFiniteStep:
         assert err.value.t >= 2
 
 
+@pytest.mark.parametrize("lam", [None, 0.05], ids=["Zero", "L1"])
+def test_quadratic_trace_scales_with_its_data(lam):
+    # Centers 2^43 times as far out give iterates 2^43 times and every
+    # squared quantity 2^86 times the unit spread's, bit for bit (a power of
+    # two scales exactly), with the L1 weight scaled alike; the scaled
+    # minimiser lies beyond MAX_ITERATE_NORM, so the guard must scale too.
+    S = 2.0**43
+    hp = vp.schedule_from_T(1000, 1.0)
+    psis = (Zero(), Zero()) if lam is None else (L1(lam=lam), L1(lam=lam * S))
+    unit = vp.run(vp.make_quadratic(20, 6, 1.0, seed=3), psis[0], hp, rng=5)
+    scaled = vp.run(vp.make_quadratic(20, 6, S, seed=3), psis[1], hp, rng=5)
+    for name in ("grad_map_sq", "est_err_sq", "step_sq", "obj"):
+        assert (getattr(unit, name) * S**2).tobytes() == getattr(scaled, name).tobytes(), name
+    assert (unit.output_x * S).tobytes() == scaled.output_x.tobytes()
+
+
 def _scan_guard(x, t):
     # The divergence check as a full finiteness scan plus np.linalg.norm.
     if not np.all(np.isfinite(x)):
@@ -322,7 +338,7 @@ def test_guard_reports_like_a_full_scan(x):
         except DivergenceError as exc:
             expected = (exc.t, exc.norm)
         try:
-            _guard(x, 7)
+            _guard(x, 7, MAX_ITERATE_NORM)
         except DivergenceError as exc:
             got = (exc.t, exc.norm)
     assert got == expected

@@ -15,7 +15,6 @@ from vrprox.prox import (
     parse_psi,
     prox,
     prox_operator,
-    psi_evaluator,
     psi_value,
 )
 
@@ -213,14 +212,9 @@ def test_prox_operator_validation():
         prox_operator(object(), 1.0)
 
 
-@pytest.mark.parametrize("psi", VARIANTS + [BoxIndicator(lo=0.5, hi=2.0)])
-def test_psi_evaluator_matches_psi_value(psi, rng):
-    evaluate = psi_evaluator(psi)
-    for _ in range(20):
-        x = rng.normal(0, 1, 3)
-        assert evaluate(x) == psi_value(psi, x)
-    with pytest.raises(TypeError):
-        psi_evaluator(object())
+def test_psi_value_rejects_an_unknown_regularizer():
+    with pytest.raises(TypeError, match="unknown regularizer"):
+        psi_value(object(), np.zeros(3))
 
 
 def _per_row(psi, X):
@@ -239,7 +233,6 @@ def test_psi_value_row_wise_matches_per_row_bitwise(p, rng):
             got = psi_value(psi, X)
             assert isinstance(got, np.ndarray) and got.shape == shape[:-1]
             assert got.tobytes() == _per_row(psi, X).tobytes()
-            assert psi_evaluator(psi)(X).tobytes() == got.tobytes()
         # A strided stack is read as its C-ordered copy, so it sums alike.
         F = np.asfortranarray(rng.normal(0, 0.6, (50, p)))
         assert psi_value(psi, F).tobytes() == _per_row(psi, F).tobytes()
@@ -264,7 +257,6 @@ def test_box_row_wise_membership_at_the_tolerance():
 def test_psi_value_of_a_point_is_a_float(psi, rng):
     x = rng.normal(0, 0.5, 4)
     assert type(psi_value(psi, x)) is float
-    assert type(psi_evaluator(psi)(x)) is float
     assert type(psi_value(psi, list(x))) is float
 
 

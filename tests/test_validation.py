@@ -8,7 +8,8 @@ import vrprox as vp
 from vrprox import suite, validation
 from vrprox.estimators import MOMENTUM_SARAH, _recursion
 from vrprox.validation import (
-    _floyd_batch_means,
+    _floyd_draws,
+    _floyd_means,
     initial_direction_variance,
     variance_recursion_rhs,
 )
@@ -162,6 +163,31 @@ class TestUnrolled:
             v0 = int(rng.integers(1, 11)) if k % 2 else rng.normal(0, 1, quad.dim)
             rep = vp.check_variance_recursion_unrolled(quad, traj, v0, beta, n_mc=4000, rng=rng)
             assert rep.passed
+
+    @pytest.mark.parametrize("v0_form", ["batch", "array"])
+    def test_lhs_comes_from_the_estimator_recursion(self, quad, rng, monkeypatch, v0_form):
+        # The replays run the optimizer's own momentum update, one call per
+        # step and block of replays, so a fault in that recursion reaches
+        # the reported lhs.
+        traj = np.vstack([rng.normal(0, 1, quad.dim), rng.normal(0, 0.3, (4, quad.dim))])
+        traj = traj.cumsum(axis=0)
+        v0 = 3 if v0_form == "batch" else rng.normal(0, 1, quad.dim)
+
+        def check():
+            return vp.check_variance_recursion_unrolled(
+                quad, traj, v0, 0.3, n_mc=1500, rng=np.random.default_rng(5))
+
+        honest = check()
+        calls = []
+
+        def faulty(*args):
+            calls.append(args[2])
+            return 2.0 * _recursion(*args)
+
+        monkeypatch.setattr(validation, "_recursion", faulty)
+        faulted = check()
+        assert calls == [MOMENTUM_SARAH] * 4 * 2
+        assert faulted.lhs_mc != honest.lhs_mc
 
     @pytest.mark.parametrize("bad", [2.5, 2.0, True])
     def test_initial_batch_size_must_be_an_integer(self, quad, bad):
@@ -340,7 +366,8 @@ class TestFloydBatch:
     N = 8
 
     def _subsets(self, b, n_mc, seed):
-        V = _floyd_batch_means(np.eye(self.N), b, n_mc, np.random.default_rng(seed))
+        draws = _floyd_draws(self.N, b, n_mc, np.random.default_rng(seed))
+        V = _floyd_means(np.eye(self.N), draws)
         member = V > 0.0
         np.testing.assert_array_equal(V, member / b)
         return member
@@ -370,7 +397,7 @@ class TestFloydBatch:
     def test_single_id_batch_is_one_integers_draw(self):
         rows = np.random.default_rng(3).normal(size=(self.N, 5))
         ours, ref = np.random.default_rng(11), np.random.default_rng(11)
-        V = _floyd_batch_means(rows, 1, 777, ours)
+        V = _floyd_means(rows, _floyd_draws(self.N, 1, 777, ours))
         batch = ref.integers(0, self.N, size=(777, 1))
         assert V.tobytes() == rows[batch].mean(axis=1).tobytes()
         assert ours.bit_generator.state == ref.bit_generator.state
