@@ -38,7 +38,6 @@ holds O(BLOCK * p) memory whatever T is.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -196,7 +195,7 @@ def _guard_limit(prob: ProblemInstance) -> float:
     a run diverges does not depend on the data's units; and at most
     sqrt(float max) / MAX_ITERATE_NORM, so the traces' squares stay finite."""
     scaled = MAX_ITERATE_NORM * max(1.0, prob.sampling_radius / 10.0)
-    return min(math.sqrt(sys.float_info.max) / MAX_ITERATE_NORM, scaled)
+    return min(math.sqrt(np.finfo(float).max) / MAX_ITERATE_NORM, scaled)
 
 
 def _guard(x: np.ndarray, t: int, limit: float) -> None:
