@@ -54,9 +54,9 @@ def _recursion(grad, prob, kind, v, x_prev, x_curr, xi, zeta, beta) -> np.ndarra
     checks: the callers validate up front.  It is the one copy of the
     recursion: :func:`vrprox.optimizer.run` steps it on sample gradients,
     the suite's degenerate check on mini-batch means, and both variance
-    checks of :mod:`vrprox.validation` on (replays, dim) stacks, the
-    unrolled one with ``grad`` gathering rows of each point's precomputed
-    component-gradient table (passed in place of the point).
+    checks of :mod:`vrprox.validation` on the (n, dim) stack of every sample
+    id, the unrolled one with ``grad`` gathering rows of each point's
+    precomputed component-gradient table (passed in place of the point).
 
     The recursions work in place on their first fresh difference
     ``v - g_prev`` or ``v + g_curr``, which has the shape of both sample

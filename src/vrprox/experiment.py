@@ -317,6 +317,10 @@ def compare_experiment(
     The shared schedule is the momentum one, so ``sgd`` runs eta ~ T^{-1/3},
     not plain SGD's eta ~ T^{-1/2}: it stalls at its variance floor (local
     log-log slopes near -0.34), and its rows are not SGD at its best.
+    ``hybrid_sarah`` runs the hybrid estimator inside this paper's one-step
+    update, not Tran-Dinh et al.'s two-step-size method, so ``compare``
+    measures the gradient the same-sample recursion saves per step, not the
+    second step size this paper drops.
     """
     kinds = list(kinds)
     if not kinds:

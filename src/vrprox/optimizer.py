@@ -219,10 +219,11 @@ def run(
 ) -> RunTrace:
     """Execute one T-step run and return its trace.
 
-    ``rng`` is the run's integer seed (recorded in the trace; the same seed
-    reruns bit for bit), anything else is a ``TypeError``.  ``kind`` selects the
-    direction recursion; ``sarah`` runs the same-sample recursion with weight
-    0 regardless of ``hp.beta``, and ``sgd`` ignores the weight entirely.
+    ``hp`` is a :class:`HyperParams` and ``rng`` the run's integer seed
+    (recorded in the trace; the same seed reruns bit for bit); anything else
+    is a ``TypeError``.  ``kind`` selects the direction recursion; ``sarah``
+    runs the same-sample recursion with weight 0 regardless of ``hp.beta``,
+    and ``sgd`` ignores the weight entirely.
     Every evaluation uses a single sample, which is what the schedule assumes.
     The run starts at ``x0``, the origin unless given.  An iterate or step
     that leaves the finite range raises :class:`DivergenceError`.
@@ -239,6 +240,8 @@ def run(
     """
     if kind not in KINDS:
         raise ValueError(f"unknown estimator kind {kind!r}; expected one of {KINDS}")
+    if not isinstance(hp, HyperParams):
+        raise TypeError(f"hp must be a HyperParams, got {hp!r}")
     if not _is_integer(rng):
         raise TypeError(f"rng must be an integer seed, got {rng!r}")
     seed = int(rng)

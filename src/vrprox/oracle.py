@@ -44,7 +44,8 @@ def _check_count(name: str, value) -> None:
 
 
 def _check_positive_finite(name: str, value) -> None:
-    if not (value > 0 and np.isfinite(value)):
+    # A bool is refused, as _is_integer refuses it, though True > 0.
+    if isinstance(value, (bool, np.bool_)) or not (value > 0 and np.isfinite(value)):
         raise ValueError(f"{name} must be a positive finite scalar, got {value}")
 
 
@@ -81,6 +82,7 @@ class ProblemInstance:
         _check_count("dim", self.dim)
         _check_count("num_components", self.num_components)
         _check_positive_finite("lipschitz_L", self.lipschitz_L)
+        _check_positive_finite("sampling_radius", self.sampling_radius)
         if not 0 <= self.sigma_bound < np.inf:
             raise ValueError(f"sigma_bound must be a finite scalar >= 0, got {self.sigma_bound}")
         if not np.isfinite(self.f_lower):
@@ -184,8 +186,11 @@ def smoothness_spot_check(prob: ProblemInstance, rng, n_pairs: int = 1000) -> di
     Draws ``n_pairs`` random point pairs in the cube of half-width
     ``prob.sampling_radius`` and one uniform sample per pair, and compares the
     Monte-Carlo mean of ||grad f_xi(x) - grad f_xi(y)||^2 / (L^2 ||x - y||^2)
-    against 1 with a three-standard-error allowance.
+    against 1 with a three-standard-error allowance.  ``rng`` is a numpy
+    ``Generator``; anything else is a ``TypeError``.
     """
+    if not isinstance(rng, np.random.Generator):
+        raise TypeError(f"rng must be a numpy Generator, got {rng!r}")
     if _is_integer(n_pairs) and n_pairs < 2:
         raise ValueError(f"need n_pairs >= 2 pairs, got {n_pairs}")
     _check_count("n_pairs", n_pairs)

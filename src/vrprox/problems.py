@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .oracle import ProblemInstance, _check_count
+from .oracle import ProblemInstance, _check_count, _check_positive_finite
 
 # max |s''| and max |s'| = max |s (1 - s)| (at u = 0) for the logistic
 # sigmoid s(u) = 1 / (1 + exp(-u)).
@@ -65,8 +65,7 @@ def make_quadratic(
     """
     _check_sizes(n, p)
     if centers is None:
-        if not 0.0 < spread < np.inf:
-            raise ValueError(f"spread must be positive and finite, got {spread}")
+        _check_positive_finite("spread", spread)
         rng = np.random.Generator(np.random.PCG64(seed))
         centers = _ball_points(rng, n, p, spread)
     else:
@@ -105,7 +104,8 @@ def make_quadratic(
         f_lower=0.5 * sigma2,
         mean_grad=mean_grad,
         mean_value=mean_value,
-        sampling_radius=max(10.0 * float(np.max(np.abs(centers))), 1.0),
+        # Centers above a tenth of the float range give the largest float.
+        sampling_radius=min(max(10.0 * float(np.max(np.abs(centers))), 1.0), np.finfo(float).max),
         meta={"family": "quad", "n": n, "p": p, "seed": seed, "centers": centers, "cbar": cbar},
     )
 

@@ -1,4 +1,4 @@
-"""Monte-Carlo and analytic checkers for the method's guarantees.
+"""Checkers for the method's guarantees.
 
 This module verifies what desk-scale computation *can* verify:
 
@@ -11,16 +11,17 @@ This module verifies what desk-scale computation *can* verify:
   E ||v_t - grad f(x_t)||^2
     <= (1-beta)^{2t} E ||v_0 - grad f(x_0)||^2 + 2 beta sigma^2
        + 2 L^2 sum_i (1-beta)^{2(t-i)} E ||x_{i+1} - x_i||^2,
-  by replaying the recursion many times along a *frozen* trajectory.  The
-  true statement takes expectations over the iterates as well; freezing the
+  by its exact expectation along a *frozen* trajectory, in closed form
+  (the recursion is linear, and its step draws are independent).  The true
+  statement takes expectations over the iterates as well; freezing the
   points checks the conditional version (the strongest realizable surrogate
   from sample paths) and is reported as such;
 * the schedule compatibility constraint beta >= 2 L^2 eta^2 / (1 - L eta),
   exactly, for whole ranges of horizons;
 * the empirical decay exponent of the averaged squared gradient mapping.
 
-All statistical checks pass at three standard errors; the inequalities are
-one-sided bounds, which leaves headroom.
+Both variance checks compute their left side exactly and pass when
+lhs <= rhs, with no statistical allowance.
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ from .oracle import (
     _check_positive_finite,
     _integer_array,
     _is_integer,
-    draw_step_ids,
     full_gradient,
     sample_gradient,
     sigma2_at,
@@ -48,14 +48,13 @@ from .oracle import (
 class VarianceBoundReport:
     """Outcome of one variance-recursion check.
 
-    ``lhs_mc`` is the conditional expectation on the left: enumerated exactly
-    by the one-step check (stderr 0), estimated from replays by the unrolled
-    one; ``rhs`` is assembled from certified constants only.  ``passed``
-    means lhs_mc <= rhs + 3 * stderr.
+    ``lhs`` is the conditional expectation on the left, computed exactly:
+    by enumeration over the components in the one-step check, in closed form
+    in the unrolled one; ``rhs`` is assembled from certified constants only.
+    ``passed`` means lhs <= rhs.
     """
 
-    lhs_mc: float
-    stderr: float
+    lhs: float
     rhs: float
     passed: bool
     inputs: dict
@@ -125,8 +124,7 @@ def check_variance_recursion_step(
 
     rhs = variance_recursion_rhs(prob, x_prev, x_curr, v_prev, beta)
     return VarianceBoundReport(
-        lhs_mc=lhs,
-        stderr=0.0,
+        lhs=lhs,
         rhs=rhs,
         passed=lhs <= rhs,
         inputs={"x_prev": x_prev, "x_curr": x_curr, "v_prev": v_prev, "beta": beta},
@@ -147,49 +145,9 @@ def initial_direction_variance(prob: ProblemInstance, x0: np.ndarray, b_tilde: i
     return sigma2_at(prob, x0) * (n - b_tilde) / (b_tilde * (n - 1))
 
 
-# Replays per block of the unrolled check: its arrays hold at most this many
-# rows, whatever the replay count.
-_REPLAY_BLOCK = 1024
-
-
-def _floyd_draws(n: int, b_tilde: int, n_mc: int, rng) -> list:
-    """The draws of Floyd's algorithm (Bentley & Floyd 1987) for n_mc
-    independent uniform b_tilde-subsets of range(n): for j = n - b_tilde, ...,
-    n - 1, one array of n_mc uniform integers in [0, j]."""
-    return [rng.integers(0, j + 1, size=n_mc) for j in range(n - b_tilde, n)]
-
-
-def _floyd_means(rows: np.ndarray, draws: list) -> np.ndarray:
-    """Mean of ``rows`` over each replay's subset, given its Floyd draws
-    (:func:`_floyd_draws`, or a slice of every array of them): the draw for j
-    is taken unless the replay's subset already holds it, and then j is.
-    Every b_tilde-subset is equally likely.  The rows are summed in the order
-    they are taken, so a replay's mean does not depend on which replays are
-    computed with it."""
-    n = rows.shape[0]
-    b_tilde = len(draws)
-    m = draws[0].size
-    # Replay r holds id i when member[r * n + i]: flat indices cost less
-    # than (replay, id) pairs.
-    member = np.zeros(m * n, dtype=bool)
-    base = np.arange(0, m * n, n)
-    t = draws[0]
-    member[base + t] = True
-    V = rows[t]
-    picked = np.empty_like(V)
-    for j, t in enumerate(draws[1:], n - b_tilde + 1):
-        t = np.where(member[base + t], j, t)
-        member[base + t] = True
-        # The ids lie in [0, n): "clip" never clips, and lets take write unbuffered.
-        V += rows.take(t, axis=0, out=picked, mode="clip")
-    V /= b_tilde
-    return V
-
-
 def _gather(_, table: np.ndarray, ids: np.ndarray) -> np.ndarray:
     # The estimator's grad(prob, x, ids), with the point's (n, dim)
-    # component-gradient table standing in for the point; take gathers rows
-    # faster than fancy indexing, with the same bits.
+    # component-gradient table standing in for the point.
     return table.take(ids, axis=0)
 
 
@@ -198,72 +156,58 @@ def check_variance_recursion_unrolled(
     trajectory: np.ndarray,
     v0,
     beta: float,
-    rng,
-    n_mc: int = 10_000,
 ) -> VarianceBoundReport:
-    """Replay the optimizer's momentum recursion (``estimators._recursion``)
-    along a frozen trajectory and compare against the unrolled variance bound.
+    """The exact expected squared error of the optimizer's momentum recursion
+    (``estimators._recursion``) at the end of a frozen trajectory, against the
+    unrolled variance bound.
 
     ``trajectory`` is an array of shape (k+1, dim) of fixed points
-    x_0, ..., x_k; only the sample draws are random, so the expectation being
-    estimated is conditional on the path (the frozen-trajectory surrogate for
-    the full bound).  ``v0`` is either a fixed initial direction (an array) or
-    an integer batch size, in which case every replay draws a fresh
-    without-replacement initial batch by Floyd's algorithm
-    (:func:`_floyd_means`), and the bound's initial term uses the exact
-    without-replacement variance.
+    x_0, ..., x_k; only the sample draws are random, so the expectation is
+    conditional on the path (the frozen-trajectory surrogate for the full
+    bound).  ``v0`` is either a fixed initial direction (a finite vector) or
+    an integer batch size, for a without-replacement initial batch.
 
-    Every draw is taken first: Floyd's b_tilde arrays of n_mc ids (a batch
-    ``v0`` only), then the optimizer's ``draw_step_ids`` of n_mc ids per
-    step.  The replays then run in blocks of at most ``_REPLAY_BLOCK``, each
-    block one (block, dim) stack through every step, so memory is
-    O(block (n + dim)) plus (b_tilde + k) n_mc ids and the k+1 points'
-    (n, dim) component gradients, whatever n_mc is.  A replay's operations
-    do not depend on its block, so neither do its bits.
+    With the points frozen the recursion is linear in v, and its step draws
+    are independent of each other and of the initial batch, so the error
+    unrolls to e_k = (1-beta)^k e_0 + sum_i (1-beta)^{k-i} c_i with centred,
+    independent c_i, and
+      E||e_k||^2 = (1-beta)^{2k} E||e_0||^2
+                   + sum_{i=1..k} (1-beta)^{2(k-i)} mean_j ||d_i(j) - mean_j d_i||^2,
+    where d_i(j) = g_j(x_i) - (1-beta) g_j(x_{i-1}) is one ``_recursion``
+    step from v = 0 on all n sample ids.  E||e_0||^2 is
+    :func:`initial_direction_variance` for a batch ``v0`` and
+    ||v0 - grad f(x_0)||^2 for a fixed one.  Memory is two (n, dim)
+    component-gradient tables and a few arrays of their size.
     """
     beta = _check_beta_open(beta)
-    if _is_integer(n_mc) and n_mc < 2:
-        raise ValueError("need n_mc >= 2 replays")
-    _check_count("n_mc", n_mc)
     trajectory = np.asarray(trajectory, dtype=float)
     if trajectory.ndim != 2 or trajectory.shape[1] != prob.dim:
         raise ValueError(f"trajectory must have shape (k+1, {prob.dim})")
     k = trajectory.shape[0] - 1
-    n = prob.num_components
-    all_ids = np.arange(n)
+    all_ids = np.arange(prob.num_components)
 
-    # Each point's component gradients, computed once; each serves two steps.
-    rows = [sample_gradient(prob, x, all_ids) for x in trajectory]
-    x0 = trajectory[0]
+    rows = sample_gradient(prob, trajectory[0], all_ids)
     if np.ndim(v0) == 0:
-        init_term = initial_direction_variance(prob, x0, v0)
-        b_tilde = int(v0)
-        floyd = _floyd_draws(n, b_tilde, n_mc, rng)
-        v0_record = b_tilde
+        init_term = initial_direction_variance(prob, trajectory[0], v0)
+        v0 = int(v0)
     else:
-        floyd = None
         v0 = np.asarray(v0, dtype=float)
-        d0 = v0 - rows[0].mean(axis=0)
+        if v0.shape != (prob.dim,) or not np.isfinite(v0).all():
+            raise ValueError(
+                f"v0 must be a finite vector of shape ({prob.dim},) or an initial batch size")
+        d0 = v0 - rows.mean(axis=0)
         init_term = float(d0 @ d0)
-        v0_record = v0
-    step_ids = [draw_step_ids(prob, n_mc, rng) for _ in range(k)]
 
-    g_final = full_gradient(prob, trajectory[k])
-    errs = np.empty(n_mc)
-    for start in range(0, n_mc, _REPLAY_BLOCK):
-        block = slice(start, min(start + _REPLAY_BLOCK, n_mc))
-        if floyd is not None:
-            V = _floyd_means(rows[0], [t[block] for t in floyd])
-        else:
-            V = np.broadcast_to(v0, (block.stop - start, prob.dim))
-        for i, ids in enumerate(step_ids, 1):
-            V = _recursion(_gather, None, MOMENTUM_SARAH, V, rows[i - 1], rows[i], ids[block],
-                           None, beta)
-        errs[block] = np.sum((V - g_final) ** 2, axis=1)
-    lhs = float(errs.mean())
-    stderr = float(errs.std(ddof=1) / np.sqrt(n_mc))
+    zeros = np.zeros_like(rows)
+    noise = np.empty(k)  # mean_j ||d_i(j) - mean_j d_i||^2 for i = 1..k
+    for i, x in enumerate(trajectory[1:]):
+        prev, rows = rows, sample_gradient(prob, x, all_ids)
+        d = _recursion(_gather, None, MOMENTUM_SARAH, zeros, prev, rows, all_ids, None, beta)
+        d -= d.mean(axis=0)
+        noise[i] = np.mean(np.sum(d * d, axis=1))
 
     decay = (1.0 - beta) ** 2
+    lhs = float(decay**k * init_term + np.sum(decay ** np.arange(k - 1, -1, -1) * noise))
     steps = np.sum(np.diff(trajectory, axis=0) ** 2, axis=1)  # ||x_{i+1} - x_i||^2
     weights = decay ** np.arange(k, 0, -1)  # (1-beta)^{2(k-i)} for i = 0..k-1
     rhs = float(
@@ -272,11 +216,10 @@ def check_variance_recursion_unrolled(
         + 2.0 * prob.lipschitz_L**2 * np.sum(weights * steps)
     )
     return VarianceBoundReport(
-        lhs_mc=lhs,
-        stderr=stderr,
+        lhs=lhs,
         rhs=rhs,
-        passed=lhs <= rhs + 3.0 * stderr,
-        inputs={"k": k, "beta": beta, "n_mc": n_mc, "v0": v0_record},
+        passed=lhs <= rhs,
+        inputs={"k": k, "beta": beta, "v0": v0},
     )
 
 

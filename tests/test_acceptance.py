@@ -35,8 +35,7 @@ def test_criterion_1_variance_recursion_one_step():
         v_prev = rng.normal(0, 3, prob.dim)
         beta = float(rng.uniform(0.01, 0.99))
         rep = vp.check_variance_recursion_step(prob, x_prev, x_curr, v_prev, beta)
-        assert rep.stderr == 0.0  # exact enumeration
-        worst_slack = min(worst_slack, rep.rhs - rep.lhs_mc)
+        worst_slack = min(worst_slack, rep.rhs - rep.lhs)
         n_pass += rep.passed
     elapsed = time.perf_counter() - start
     _report(
@@ -58,15 +57,15 @@ def test_criterion_2_variance_recursion_unrolled():
         traj = np.vstack([rng.normal(0, 1, prob.dim), steps]).cumsum(axis=0)
         beta = float(rng.uniform(0.05, 0.95))
         v0 = int(rng.integers(1, 11)) if k % 2 == 0 else rng.normal(0, 1, prob.dim)
-        rep = vp.check_variance_recursion_unrolled(prob, traj, v0, beta, n_mc=10_000, rng=rng)
-        worst = min(worst, rep.rhs + 3 * rep.stderr - rep.lhs_mc)
+        rep = vp.check_variance_recursion_unrolled(prob, traj, v0, beta)
+        worst = min(worst, rep.rhs - rep.lhs)
         n_pass += rep.passed
     elapsed = time.perf_counter() - start
     _report(
         2,
         "unrolled variance bound (frozen trajectories)",
-        n_pass == 100 and elapsed < 120.0,
-        f"{n_pass}/100 trajectories at 10^4 replays, min slack {worst:.3e}, "
+        n_pass == 100 and worst >= 0.0 and elapsed < 120.0,
+        f"{n_pass}/100 trajectories (exact expectation), min slack {worst:.3e}, "
         f"{elapsed:.1f}s (< 2 min)",
     )
 

@@ -18,10 +18,10 @@ ROOT = Path(__file__).resolve().parents[1]
 
 NUMPY_VERSION = "2.4.6"
 
-VALIDATE_QUICK_SEED0 = "80d1440ec228846a7b659143871e3d792191e323a9c686a3d35dba27d4e65c08"
-# Full scale: the unrolled row replays 10 blocks of 1024 replays where the
-# quick run replays 2.
-VALIDATE_SEED0 = "dab21c36eef992d4552d03dc2da87e1416db6c2cd2bf43f734c82f16e966afa0"
+VALIDATE_QUICK_SEED0 = "d8ee48793606cbc193f88f31d9c200ef3aeb89815451231d0680ba92cffaf8ec"
+# Full scale: the rows run their full sample counts, e.g. 100 frozen
+# trajectories in the unrolled variance row where the quick run takes 10.
+VALIDATE_SEED0 = "dcde93998d774f728e429979af9e92cdd31aba507a1140127f891716b1bbbe49"
 QUAD_SWEEP_SUMMARY = "907d13a25a234aca68e7f91d3f6b862212fb7cb1987108fdead9a588e67bf560"
 # sha256 of the listing "<sha256>  <name>\n" of every file but run_meta.txt,
 # sorted by name: summary.csv and the 40 traces.

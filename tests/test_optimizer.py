@@ -65,6 +65,12 @@ class TestSchedule:
         with pytest.raises(ValueError):
             vp.schedule_from_T(10, 0.0)
 
+    @pytest.mark.parametrize("L", [True, np.True_], ids=repr)
+    def test_lipschitz_constant_must_not_be_a_bool(self, L):
+        # T = True is refused as a horizon; L = True is refused alike.
+        with pytest.raises(ValueError, match="L must be a positive finite scalar"):
+            vp.schedule_from_T(5, L)
+
     @pytest.mark.parametrize("T", [10.7, 10.0, True, "10"])
     def test_horizon_must_be_an_integer(self, T):
         with pytest.raises(ValueError, match="T must be an integer"):
@@ -221,6 +227,12 @@ class TestRun:
     def test_rng_must_be_an_integer_seed(self, quad_small, rng):
         with pytest.raises(TypeError, match="integer seed"):
             vp.run(quad_small, Zero(), _hp(T=5), rng=rng)
+
+    @pytest.mark.parametrize("hp", [None, {"eta": 0.1, "beta": 0.5, "b_tilde": 2, "T": 5}],
+                             ids=["None", "dict"])
+    def test_hp_must_be_hyperparams(self, quad_small, hp):
+        with pytest.raises(TypeError, match="hp must be a HyperParams"):
+            vp.run(quad_small, Zero(), hp, rng=0)
 
     def test_numpy_integer_seed_is_recorded_as_int(self, quad_small):
         trace = vp.run(quad_small, Zero(), _hp(T=5), rng=np.int64(3))

@@ -120,6 +120,20 @@ def test_sigma_bound_must_be_finite_and_nonnegative(quad_small, bad):
         replace(quad_small, sigma_bound=bad)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -5.0, 0.0, True])
+def test_sampling_radius_must_be_positive_and_finite(quad_small, bad):
+    # The spot check and the divergence guard read the radius; a bad one
+    # used to end in OverflowError, numpy's "high - low < 0" or a NaN there.
+    with pytest.raises(ValueError, match="sampling_radius must be a positive finite scalar"):
+        replace(quad_small, sampling_radius=bad)
+
+
+@pytest.mark.parametrize("bad", [True, np.True_], ids=repr)
+def test_lipschitz_L_must_not_be_a_bool(quad_small, bad):
+    with pytest.raises(ValueError, match="lipschitz_L must be a positive finite scalar"):
+        replace(quad_small, lipschitz_L=bad)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_f_lower_must_be_finite(quad_small, bad):
     with pytest.raises(ValueError, match="f_lower must be finite"):
@@ -130,6 +144,13 @@ def test_f_lower_must_be_finite(quad_small, bad):
 def test_nonfinite_centers_are_rejected(bad):
     with pytest.raises(ValueError, match="centers must be finite"):
         vp.make_quadratic(2, 2, centers=[[bad, 0.0], [1.0, 1.0]])
+
+
+def test_far_out_centers_keep_a_finite_sampling_radius():
+    # Ten times the largest center entry overflows; the radius, which must
+    # be finite, stops at the largest float.
+    prob = vp.make_quadratic(2, 2, centers=[[5e307, 0.0], [5e307, 0.0]])
+    assert prob.sampling_radius == np.finfo(float).max
 
 
 @pytest.mark.parametrize("name", ["grad_rows", "mean_grad", "mean_value"])
@@ -257,6 +278,12 @@ def test_smoothness_spot_check_quadratic_is_tight(quad_small):
 def test_smoothness_spot_check_needs_two_pairs(quad_small, n_pairs):
     with pytest.raises(ValueError, match="n_pairs >= 2"):
         vp.smoothness_spot_check(quad_small, np.random.default_rng(3), n_pairs=n_pairs)
+
+
+@pytest.mark.parametrize("rng", [3, None, np.random.PCG64(3)], ids=["int", "None", "PCG64"])
+def test_smoothness_spot_check_needs_a_generator(quad_small, rng):
+    with pytest.raises(TypeError, match="rng must be a numpy Generator"):
+        vp.smoothness_spot_check(quad_small, rng, n_pairs=10)
 
 
 @pytest.mark.parametrize("n_pairs", [2.5, np.float64(3.0), True, "3"], ids=repr)

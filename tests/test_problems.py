@@ -200,7 +200,7 @@ def test_parse_key():
             parse_key(bad)
 
 
-@pytest.mark.parametrize("spread", [np.nan, np.inf, 0.0, -1.0])
+@pytest.mark.parametrize("spread", [np.nan, np.inf, 0.0, -1.0, True, np.True_], ids=repr)
 def test_quadratic_spread_must_be_positive_and_finite(spread):
-    with pytest.raises(ValueError, match="spread must be positive and finite"):
+    with pytest.raises(ValueError, match="spread must be a positive finite scalar"):
         vp.make_quadratic(10, 3, spread)
