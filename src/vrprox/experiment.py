@@ -4,7 +4,8 @@ One experiment expands to a grid of (horizon, seed) runs, each written to
 ``trace_T<T>_s<seed>.csv`` with per-iteration diagnostics, plus one
 ``summary.csv`` aggregating seed means and the a-priori stationarity bound
 of the auto schedule, and a ``run_meta.txt`` pinning
-the config, the resolved seeds and the vrprox, numpy and Python versions.  No
+the config, the resolved seeds, the vrprox, numpy and Python versions and
+numpy's BLAS build.  No
 timestamps are written anywhere: identical config and master seed reproduce
 every output file byte for byte, in the same environment, regardless of the
 worker count.
@@ -239,13 +240,21 @@ def _plan(cfg: ExperimentConfig, kinds, output_dir, master_seed: int, traces: bo
     return prob, seeds, out, tasks
 
 
+def _blas() -> str:
+    """Name, version and configuration of the BLAS numpy was built with."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return f"{blas.get('name')} {blas.get('version')} ({blas.get('openblas configuration')})"
+
+
 def _write_meta(path: Path, cfg: ExperimentConfig, seeds: list[int], master_seed: int) -> None:
-    # Trace bytes rest on numpy's id draws and row-wise reductions, so the
-    # environment that wrote them is part of what reproduces them.
+    # Trace bytes rest on numpy's id draws and row-wise reductions, and the
+    # nonconvex kernels' products on the BLAS, which picks its kernels per
+    # CPU, so the environment that wrote them is part of what reproduces them.
     lines = [
         f"vrprox_version = {__version__}",
         f"numpy_version = {np.__version__}",
         f"python_version = {platform.python_version()}",
+        f"blas = {_blas()}",
         f"master_seed = {master_seed}",
         "seeds = " + ",".join(str(s) for s in seeds),
         "config:",

@@ -56,6 +56,7 @@ from .oracle import (
     _check_count,
     _check_positive_finite,
     _is_integer,
+    _is_real,
     draw_step_ids,
     full_gradient,
     sample_gradient,
@@ -101,8 +102,8 @@ class HyperParams:
 
     def __post_init__(self):
         _check_positive_finite("eta", self.eta)
-        if not 0.0 <= self.beta <= 1.0:
-            raise ValueError(f"beta must lie in [0, 1], got {self.beta}")
+        if not (_is_real(self.beta) and 0.0 <= self.beta <= 1.0):
+            raise ValueError(f"beta must lie in [0, 1], got {self.beta!r}")
         _check_count("b_tilde", self.b_tilde)
         _check_count("T", self.T)
 

@@ -43,10 +43,31 @@ def _check_count(name: str, value) -> None:
         raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
 
 
+def _is_real(value) -> bool:
+    """True for a real scalar: a Python or numpy int or float, or a 0-d array
+    of one; False for a bool, a string, ``None`` or anything else."""
+    if isinstance(value, np.ndarray):
+        return value.ndim == 0 and value.dtype.kind in "iuf"
+    return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+
+
 def _check_positive_finite(name: str, value) -> None:
-    # A bool is refused, as _is_integer refuses it, though True > 0.
-    if isinstance(value, (bool, np.bool_)) or not (value > 0 and np.isfinite(value)):
-        raise ValueError(f"{name} must be a positive finite scalar, got {value}")
+    # The type comes first: a string or None would fail the comparison with
+    # a message that does not name the argument, and True > 0.
+    if not (_is_real(value) and value > 0 and np.isfinite(value)):
+        raise ValueError(f"{name} must be a positive finite scalar, got {value!r}")
+
+
+# A Monte-Carlo check works on stacks of rows, a chunk of them at a time, so
+# that no stacked temporary exceeds this many bytes.
+_CHUNK_BYTES = 2**17
+
+
+def _chunks(count: int, row_bytes: int) -> list[tuple[int, int]]:
+    """Bounds (start, stop) of consecutive chunks of ``count`` rows of
+    ``row_bytes`` bytes each: at most ``_CHUNK_BYTES`` a chunk, one row at least."""
+    step = max(1, _CHUNK_BYTES // row_bytes)
+    return [(start, min(start + step, count)) for start in range(0, count, step)]
 
 
 @dataclass(frozen=True)
@@ -54,9 +75,13 @@ class ProblemInstance:
     """A smooth finite sum of ``num_components`` summands with certified constants.
 
     ``grad_rows(x, ids)`` is one summand's gradient for an integer id, and the
-    ``(len(ids), dim)`` stack of them for a 1-D id array; ``value_sample(x, i)``
-    is one summand's value; ``mean_grad(x)`` and ``mean_value(x)`` give the
-    exact mean gradient and value in closed form.  All four must agree.
+    ``(len(ids), dim)`` stack of them for a 1-D id array.  Given a
+    ``(k, dim)`` stack of points ``X`` and k ids, ``grad_rows(X, ids)`` gives
+    row r the gradient of sample ``ids[r]`` at ``X[r]``, with the bits of
+    ``grad_rows(X[r], int(ids[r]))`` (the robust family's slope can differ in
+    the last bit, see tests/test_problems.py).  ``value_sample(x, i)`` is one
+    summand's value; ``mean_grad(x)`` and ``mean_value(x)`` give the exact
+    mean gradient and value in closed form.  All four must agree.
 
     ``lipschitz_L`` must be a certified upper bound on the mean-square
     Lipschitz constant of the sample gradients,
@@ -188,6 +213,11 @@ def smoothness_spot_check(prob: ProblemInstance, rng, n_pairs: int = 1000) -> di
     Monte-Carlo mean of ||grad f_xi(x) - grad f_xi(y)||^2 / (L^2 ||x - y||^2)
     against 1 with a three-standard-error allowance.  ``rng`` is a numpy
     ``Generator``; anything else is a ``TypeError``.
+
+    The pairs are drawn as whole arrays, a chunk of rows at a time (one
+    chunk up to 16,384 / dim pairs): the chunk's points x, then its points y,
+    then its sample ids.  Each chunk's ratios come from two stacked
+    ``grad_rows`` calls and row sums, with the bits of a per-pair loop.
     """
     if not isinstance(rng, np.random.Generator):
         raise TypeError(f"rng must be a numpy Generator, got {rng!r}")
@@ -197,12 +227,12 @@ def smoothness_spot_check(prob: ProblemInstance, rng, n_pairs: int = 1000) -> di
     radius = prob.sampling_radius
     L2 = prob.lipschitz_L**2
     ratios = np.empty(n_pairs)
-    for k in range(n_pairs):
-        x = rng.uniform(-radius, radius, size=prob.dim)
-        y = rng.uniform(-radius, radius, size=prob.dim)
-        i = int(draw_step_ids(prob, 1, rng)[0])
-        diff = prob.grad_rows(x, i) - prob.grad_rows(y, i)
-        ratios[k] = np.sum(diff * diff) / (L2 * np.sum((x - y) ** 2))
+    for start, stop in _chunks(n_pairs, 8 * prob.dim):
+        X = rng.uniform(-radius, radius, size=(stop - start, prob.dim))
+        Y = rng.uniform(-radius, radius, size=(stop - start, prob.dim))
+        ids = draw_step_ids(prob, stop - start, rng)
+        diff = prob.grad_rows(X, ids) - prob.grad_rows(Y, ids)
+        ratios[start:stop] = np.sum(diff * diff, axis=1) / (L2 * np.sum((X - Y) ** 2, axis=1))
     mean = float(ratios.mean())
     stderr = float(ratios.std(ddof=1) / np.sqrt(n_pairs))
     return {

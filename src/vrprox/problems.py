@@ -180,7 +180,10 @@ def _linear_model(family: str, A: np.ndarray, curvature: float, s_max: float, li
     def grad_rows(x, ids):
         if isinstance(ids, np.ndarray):
             a = A[ids]
-            return slope(link(a.dot(x), ids), ids)[:, None] * a
+            # A stack pairs row r with ids[r]: vecdot gives each margin the
+            # bits of the int path's row.dot(x).
+            z = np.vecdot(a, x) if np.ndim(x) == 2 else a.dot(x)
+            return slope(link(z, ids), ids)[:, None] * a
         row = rows[ids]
         return slope(link(row.dot(x), ids), ids) * row
 

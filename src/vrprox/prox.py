@@ -38,6 +38,8 @@ from typing import Callable
 
 import numpy as np
 
+from .oracle import _check_positive_finite, _is_real
+
 # Points within this distance of a box face still count as feasible; prox
 # outputs are boundary-exact only up to rounding.
 BOX_MEMBERSHIP_TOL = 1e-12
@@ -55,8 +57,8 @@ class L1:
     lam: float
 
     def __post_init__(self):
-        if not (np.isfinite(self.lam) and self.lam >= 0):
-            raise ValueError(f"L1 weight must be finite and >= 0, got {self.lam}")
+        if not (_is_real(self.lam) and np.isfinite(self.lam) and self.lam >= 0):
+            raise ValueError(f"L1 weight lam must be finite and >= 0, got {self.lam!r}")
 
 
 @dataclass(frozen=True)
@@ -100,8 +102,8 @@ class ElasticNet:
     def __post_init__(self):
         for name in ("lam1", "lam2"):
             v = getattr(self, name)
-            if not (np.isfinite(v) and v >= 0):
-                raise ValueError(f"elastic-net weight {name} must be finite and >= 0, got {v}")
+            if not (_is_real(v) and np.isfinite(v) and v >= 0):
+                raise ValueError(f"elastic-net weight {name} must be finite and >= 0, got {v!r}")
 
 
 PsiSpec = Zero | L1 | BoxIndicator | ElasticNet
@@ -127,8 +129,7 @@ def prox_operator(psi: PsiSpec, tau: float) -> Callable[[np.ndarray], np.ndarray
     map a non-finite input to a non-finite output; the box clamps an
     infinite entry onto its face.
     """
-    if not (np.isscalar(tau) or np.ndim(tau) == 0) or not (tau > 0 and np.isfinite(tau)):
-        raise ValueError(f"prox step tau must be a finite positive scalar, got {tau}")
+    _check_positive_finite("prox step tau", tau)
     if isinstance(psi, Zero):
         return lambda z: z
     if isinstance(psi, L1):

@@ -26,6 +26,7 @@ from .estimators import HYBRID_SARAH, MOMENTUM_SARAH, SARAH, SGD, _recursion, in
 from .experiment import run_experiment, stationarity_bound_rhs
 from .optimizer import HyperParams, gradient_mapping, mean_grad_map_sq, run, schedule_from_T
 from .oracle import (
+    _chunks,
     full_gradient,
     minibatch_gradient,
     sample_gradient,
@@ -107,12 +108,13 @@ def _check_variance_recursion_step(quick: bool, seed: int) -> dict:
     prob = make_quadratic(50, 10, 1.0, seed=seed)
     rng = np.random.Generator(np.random.PCG64([seed, 1]))
     n_tuples = 100 if quick else 1000
+    # The tuples as four arrays, 80 KB each at full scale.
+    X_prev = rng.normal(0.0, 2.0, (n_tuples, prob.dim))
+    X_curr = X_prev + rng.normal(0.0, 0.5, (n_tuples, prob.dim))
+    V_prev = rng.normal(0.0, 2.0, (n_tuples, prob.dim))
+    betas = rng.uniform(0.01, 0.99, n_tuples)
     worst = np.inf
-    for _ in range(n_tuples):
-        x_prev = rng.normal(0.0, 2.0, prob.dim)
-        x_curr = x_prev + rng.normal(0.0, 0.5, prob.dim)
-        v_prev = rng.normal(0.0, 2.0, prob.dim)
-        beta = rng.uniform(0.01, 0.99)
+    for x_prev, x_curr, v_prev, beta in zip(X_prev, X_curr, V_prev, betas):
         rep = check_variance_recursion_step(prob, x_prev, x_curr, v_prev, beta)
         worst = min(worst, rep.rhs - rep.lhs)
         if not rep.passed:
@@ -333,6 +335,32 @@ def _check_degenerate_equivalences(seed: int) -> dict:
     )
 
 
+def _expansion_excess(psi, taus, Z1, Z2) -> float:
+    """max ||prox(z1) - prox(z2)|| - ||z1 - z2|| over the row pairs of the
+    stacks ``Z1[j]`` and ``Z2[j]``, each at step ``taus[j]``."""
+    d_out = np.array([np.linalg.norm(prox(psi, z1, tau) - prox(psi, z2, tau), axis=1)
+                      for tau, z1, z2 in zip(taus, Z1, Z2)])
+    return float(np.max(d_out - np.linalg.norm(Z1 - Z2, axis=-1)))
+
+
+def _certificate_gaps(psi, taus, Z, deltas, radii) -> np.ndarray:
+    """f(u) - f(w) for each row z of ``Z``, its step tau and its stack of
+    nearby points w: u = prox_{tau psi}(z), w = u + delta scaled to length
+    0.1 * radius, f(w) = psi(w) + ||w - z||^2 / (2 tau).  A positive gap
+    means the prox missed the minimum of its own objective.  ``deltas`` and
+    ``radii`` have shapes (k, m, p) and (k, m, 1); the gaps (k, m) have the
+    bits of a per-row loop."""
+    U = np.array([prox(psi, z, tau) for z, tau in zip(Z, taus)])
+    f_u = psi_value(psi, U) + np.sum((U - Z) ** 2, axis=1) / (2 * taus)
+    # In place where the bits allow: a chunk holds a few (k, m, p) arrays.
+    W = deltas * ((0.1 * radii) / np.linalg.norm(deltas, axis=-1, keepdims=True))
+    W += U[:, None]
+    D = W - Z[:, None]
+    D *= D
+    f_w = psi_value(psi, W) + np.sum(D, axis=-1) / (2 * taus[:, None])
+    return f_u[:, None] - f_w
+
+
 def _check_prox_properties(quick: bool, seed: int) -> dict:
     rng = np.random.Generator(np.random.PCG64([seed, 8]))
     p = 8
@@ -344,27 +372,27 @@ def _check_prox_properties(quick: bool, seed: int) -> dict:
     ]
     n_inputs = 2000 if quick else 10_000
     n_cert = 200 if quick else 1000
+    per_tau = n_inputs // 50
+    n_near = 100
     worst_expand = -np.inf
     worst_cert = -np.inf
+    # Each regularizer's inputs are drawn as arrays, a chunk of steps at a
+    # time: a chunk's two input stacks, and its certificates' nearby points,
+    # stay within _CHUNK_BYTES.
     for psi in variants:
         taus = rng.uniform(0.01, 10.0, 50)
-        per_tau = n_inputs // 50
-        for tau in taus:
-            Z1 = rng.normal(0.0, 3.0, (per_tau, p))
-            Z2 = rng.normal(0.0, 3.0, (per_tau, p))
-            d_out = np.linalg.norm(prox(psi, Z1, tau) - prox(psi, Z2, tau), axis=1)
-            d_in = np.linalg.norm(Z1 - Z2, axis=1)
-            worst_expand = max(worst_expand, float(np.max(d_out - d_in)))
-        for _ in range(n_cert // 4):
-            tau = float(rng.uniform(0.01, 10.0))
-            z = rng.normal(0.0, 3.0, p)
-            u = prox(psi, z, tau)
-            f_u = psi_value(psi, u) + np.sum((u - z) ** 2) / (2 * tau)
-            deltas = rng.normal(0.0, 1.0, (100, p))
-            deltas *= (0.1 * rng.random((100, 1))) / np.linalg.norm(deltas, axis=1, keepdims=True)
-            W = u + deltas
-            f_w = psi_value(psi, W) + np.sum((W - z) ** 2, axis=1) / (2 * tau)
-            worst_cert = max(worst_cert, float(np.max(f_u - f_w)))
+        for start, stop in _chunks(taus.size, 8 * per_tau * p):
+            Z1 = rng.normal(0.0, 3.0, (stop - start, per_tau, p))
+            Z2 = rng.normal(0.0, 3.0, (stop - start, per_tau, p))
+            worst_expand = max(worst_expand, _expansion_excess(psi, taus[start:stop], Z1, Z2))
+        for start, stop in _chunks(n_cert // 4, 8 * n_near * p):
+            k = stop - start
+            cert_taus = rng.uniform(0.01, 10.0, k)
+            Z = rng.normal(0.0, 3.0, (k, p))
+            deltas = rng.normal(0.0, 1.0, (k, n_near, p))
+            radii = rng.random((k, n_near, 1))
+            gaps = _certificate_gaps(psi, cert_taus, Z, deltas, radii)
+            worst_cert = max(worst_cert, float(np.max(gaps)))
 
     lasso = make_quadratic(1, 1, centers=np.array([[2.0]]))
     gm = max(

@@ -38,6 +38,7 @@ from .oracle import (
     _check_positive_finite,
     _integer_array,
     _is_integer,
+    _is_real,
     full_gradient,
     sample_gradient,
     sigma2_at,
@@ -72,11 +73,16 @@ class ScheduleReport:
     margins: np.ndarray
 
 
-def _check_beta_open(beta: float) -> float:
-    beta = float(beta)
-    if not (0.0 < beta <= 1.0):
-        raise ValueError(f"beta must lie in (0, 1], got {beta}")
-    return beta
+def _check_beta_open(beta) -> float:
+    if not (_is_real(beta) and 0.0 < beta <= 1.0):
+        raise ValueError(f"beta must lie in (0, 1], got {beta!r}")
+    return float(beta)
+
+
+def _is_finite_vector(v: np.ndarray, dim: int) -> bool:
+    # The dtype comes first: numpy's float conversion of a string would not
+    # name the argument.
+    return v.dtype.kind in "biuf" and v.shape == (dim,) and bool(np.isfinite(v).all())
 
 
 def variance_recursion_rhs(
@@ -108,21 +114,23 @@ def check_variance_recursion_step(
 
     The left side is the conditional expectation over the one fresh sample,
     enumerated exactly over all n components through the estimator's own
-    momentum recursion.
+    momentum recursion.  The inputs are checked once, up front (the two
+    ``full_gradient`` calls check the points); the enumeration then calls
+    ``prob.grad_rows`` directly.
     """
     beta = _check_beta_open(beta)
     x_prev = np.asarray(x_prev, dtype=float)
     x_curr = np.asarray(x_curr, dtype=float)
-    v_prev = np.asarray(v_prev, dtype=float)
-    if v_prev.shape != (prob.dim,) or not np.isfinite(v_prev).all():
+    v_prev = np.asarray(v_prev)
+    if not _is_finite_vector(v_prev, prob.dim):
         raise ValueError(f"v_prev must be a finite vector of shape ({prob.dim},)")
+    v_prev = v_prev.astype(float, copy=False)
 
-    ids = np.arange(prob.num_components)
     g_curr = full_gradient(prob, x_curr)
-    v_new = _recursion(sample_gradient, prob, MOMENTUM_SARAH, v_prev, x_prev, x_curr, ids, None, beta)
-    lhs = float(np.sum((v_new - g_curr) ** 2, axis=1).mean())
-
     rhs = variance_recursion_rhs(prob, x_prev, x_curr, v_prev, beta)
+    ids = np.arange(prob.num_components)
+    v_new = _recursion(_grad_rows, prob, MOMENTUM_SARAH, v_prev, x_prev, x_curr, ids, None, beta)
+    lhs = float(np.sum((v_new - g_curr) ** 2, axis=1).mean())
     return VarianceBoundReport(
         lhs=lhs,
         rhs=rhs,
@@ -143,6 +151,12 @@ def initial_direction_variance(prob: ProblemInstance, x0: np.ndarray, b_tilde: i
     if n == 1 or b_tilde == n:
         return 0.0
     return sigma2_at(prob, x0) * (n - b_tilde) / (b_tilde * (n - 1))
+
+
+def _grad_rows(prob: ProblemInstance, x: np.ndarray, ids: np.ndarray) -> np.ndarray:
+    # The estimator's grad(prob, x, ids) without the oracle's checks, for a
+    # caller that has checked the point and enumerates every id.
+    return prob.grad_rows(x, ids)
 
 
 def _gather(_, table: np.ndarray, ids: np.ndarray) -> np.ndarray:
@@ -191,10 +205,11 @@ def check_variance_recursion_unrolled(
         init_term = initial_direction_variance(prob, trajectory[0], v0)
         v0 = int(v0)
     else:
-        v0 = np.asarray(v0, dtype=float)
-        if v0.shape != (prob.dim,) or not np.isfinite(v0).all():
+        v0 = np.asarray(v0)
+        if not _is_finite_vector(v0, prob.dim):
             raise ValueError(
                 f"v0 must be a finite vector of shape ({prob.dim},) or an initial batch size")
+        v0 = v0.astype(float, copy=False)
         d0 = v0 - rows.mean(axis=0)
         init_term = float(d0 @ d0)
 

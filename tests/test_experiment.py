@@ -75,10 +75,12 @@ def test_run_experiment_files_and_headers(tmp_path):
 def test_run_meta_records_the_environment(tmp_path):
     run_experiment(parse_config(CFG), output_dir=tmp_path, master_seed=0)
     lines = (tmp_path / "run_meta.txt").read_text().splitlines()
-    assert lines[:3] == [
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    assert lines[:4] == [
         f"vrprox_version = {vp.__version__}",
         f"numpy_version = {np.__version__}",
         f"python_version = {platform.python_version()}",
+        f"blas = {blas['name']} {blas['version']} ({blas['openblas configuration']})",
     ]
 
 

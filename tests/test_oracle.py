@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 from dataclasses import fields, replace
 
@@ -324,3 +325,91 @@ def test_draw_step_ids_consumes_like_single_draws(quad_small, size):
         single = [int(draw_sample_ids(quad_small, 1, a)[0]) for _ in range(size)]
         assert draw_step_ids(quad_small, size, b).tolist() == single
     assert a.bit_generator.state == b.bit_generator.state
+
+
+def _boundary_calls():
+    """(argument named in the error, call) for constants of the wrong type."""
+    prob = vp.make_quadratic(10, 3, 1.0, seed=0)
+    x = np.zeros(3)
+    traj = np.zeros((3, 3))
+    return {
+        "schedule L str": ("L", lambda: vp.schedule_from_T(5, "1")),
+        "schedule L None": ("L", lambda: vp.schedule_from_T(5, None)),
+        "quadratic spread str": ("spread", lambda: vp.make_quadratic(10, 3, "1")),
+        "hyperparams eta str": ("eta", lambda: vp.HyperParams("a", 0.5, 1, 5)),
+        "hyperparams beta str": ("beta", lambda: vp.HyperParams(0.1, "x", 1, 5)),
+        "hyperparams beta None": ("beta", lambda: vp.HyperParams(0.1, None, 1, 5)),
+        "l1 lam str": ("lam", lambda: vp.L1(lam="x")),
+        "enet lam1 None": ("lam1", lambda: vp.ElasticNet(lam1=None, lam2=1.0)),
+        "prox tau str": ("tau", lambda: vp.prox(vp.Zero(), x, "1")),
+        "gradient mapping eta str": ("eta", lambda: vp.gradient_mapping(prob, vp.Zero(), x, "1")),
+        "schedule constraint L str": ("L", lambda: vp.check_schedule_constraint([1, 2], "1")),
+        "step check beta str": (
+            "beta", lambda: vp.check_variance_recursion_step(prob, x, x, x, "x")),
+        "step check v_prev str": (
+            "v_prev", lambda: vp.check_variance_recursion_step(prob, x, x, ["a", "b", "c"], 0.5)),
+        "unrolled v0 str": ("v0", lambda: vp.check_variance_recursion_unrolled(
+            prob, traj, np.array(["a", "b", "c"]), 0.5)),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_boundary_calls()))
+def test_wrong_type_constants_name_their_argument(case):
+    name, call = _boundary_calls()[case]
+    with pytest.raises(ValueError, match=rf"\b{name} must"):
+        call()
+
+
+def _draw_pairs(prob, n_pairs, rng):
+    """The points and ids smoothness_spot_check draws for one chunk."""
+    r = prob.sampling_radius
+    X = rng.uniform(-r, r, (n_pairs, prob.dim))
+    Y = rng.uniform(-r, r, (n_pairs, prob.dim))
+    return X, Y, draw_step_ids(prob, n_pairs, rng)
+
+
+@pytest.mark.parametrize("family", ["quad", "sigmoid", "robust"])
+def test_smoothness_ratios_match_a_per_pair_loop(family):
+    prob = from_key({"quad": "quad:20:10:1.0", "sigmoid": "sigmoid:30:8",
+                     "robust": "robust:30:8"}[family], seed=4)
+    rep = vp.smoothness_spot_check(prob, np.random.default_rng(5), n_pairs=300)
+    L2 = prob.lipschitz_L**2
+    ratios = []
+    for x, y, i in zip(*_draw_pairs(prob, 300, np.random.default_rng(5))):
+        diff = prob.grad_rows(x, int(i)) - prob.grad_rows(y, int(i))
+        ratios.append(np.sum(diff * diff) / (L2 * np.sum((x - y) ** 2)))
+    ratios = np.array(ratios)
+    want = (float(ratios.mean()), float(ratios.std(ddof=1) / np.sqrt(300)))
+    if family == "robust":
+        # Its stacked slope can differ from the per-id one in the last bit
+        # (tests/test_problems.py).
+        assert (rep["mean_ratio"], rep["stderr"]) == pytest.approx(want, rel=1e-13)
+    else:
+        assert (rep["mean_ratio"], rep["stderr"]) == want
+
+
+def test_smoothness_pairs_are_drawn_a_chunk_at_a_time():
+    # dim 3000 holds 5 pairs a chunk: 12 pairs are chunks of 5, 5 and 2,
+    # each drawn as its points x, its points y, then its ids.
+    prob = vp.make_nonconvex_sigmoid(4, 3000, seed=0)
+    rng = np.random.default_rng(2)
+    rep = vp.smoothness_spot_check(prob, np.random.default_rng(2), n_pairs=12)
+    ratios = []
+    for size in (5, 5, 2):
+        X, Y, ids = _draw_pairs(prob, size, rng)
+        diff = prob.grad_rows(X, ids) - prob.grad_rows(Y, ids)
+        dx_sq = prob.lipschitz_L**2 * np.sum((X - Y) ** 2, axis=1)
+        ratios.extend(np.sum(diff * diff, axis=1) / dx_sq)
+    assert rep["mean_ratio"] == float(np.mean(ratios))
+
+
+def test_smoothness_memory_does_not_grow_with_the_pairs(quad_small):
+    tracemalloc.start()
+    try:
+        vp.smoothness_spot_check(quad_small, np.random.default_rng(0), n_pairs=100_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # The 0.8 MB of ratios and a few chunks of at most 128 KB; whole
+    # (100000, 6) stacks would take 4.8 MB each.
+    assert peak < 2e6

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import vrprox as vp
 from vrprox.problems import (
@@ -204,3 +206,29 @@ def test_parse_key():
 def test_quadratic_spread_must_be_positive_and_finite(spread):
     with pytest.raises(ValueError, match="spread must be a positive finite scalar"):
         vp.make_quadratic(10, 3, spread)
+
+
+# The robust slope 2r / (1 + r^2)^2 squares with libm pow on an int id's
+# numpy scalar and with numpy's square on an array; the two disagree in the
+# last bit on 81 of 100,000 values in [1, 50], which moves a stacked
+# gradient entry by under 2 ulp (1.8 at most over 15,000 rows).  The other
+# families match the int path bit for bit.
+ROBUST_STACK_RTOL = 4 * np.finfo(float).eps
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(family=st.sampled_from(["quad", "sigmoid", "robust"]), n=st.integers(1, 6),
+       dim=st.integers(1, 5), k=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
+@example(family="sigmoid", n=4, dim=3, k=3, seed=0)  # k == dim: not a matrix product
+def test_grad_rows_stack_pairs_each_row_with_its_id(family, n, dim, k, seed):
+    prob = from_key(f"quad:{n}:{dim}:1.0" if family == "quad" else f"{family}:{n}:{dim}", seed=1)
+    rng = np.random.default_rng(seed)
+    X = rng.uniform(-5.0, 5.0, (k, dim))
+    ids = rng.integers(0, n, k)
+    got = prob.grad_rows(X, ids)
+    want = np.array([prob.grad_rows(X[r], int(ids[r])) for r in range(k)])
+    assert got.shape == (k, dim)
+    if family == "robust":
+        np.testing.assert_allclose(got, want, rtol=ROBUST_STACK_RTOL, atol=0)
+    else:
+        assert np.array_equal(got, want)

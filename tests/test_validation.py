@@ -90,6 +90,21 @@ class TestOneStep:
         with pytest.raises(ValueError, match="v_prev must be a finite vector"):
             vp.check_variance_recursion_step(quad, x_prev, x_curr, v_prev, beta)
 
+    def test_enumerates_every_id_through_grad_rows_unchecked(self, quad, rng, monkeypatch):
+        # The inputs are checked once, up front; the two enumerations of the
+        # n ids then call the problem's grad_rows, not the checked oracle.
+        counted, calls = suite._counting(quad)
+        x_prev, x_curr, v_prev = (rng.normal(0, 1, quad.dim) for _ in range(3))
+        want = vp.check_variance_recursion_step(quad, x_prev, x_curr, v_prev, 0.3)
+
+        def refuse(*args):
+            raise AssertionError("the enumeration went through sample_gradient")
+
+        monkeypatch.setattr(validation, "sample_gradient", refuse)
+        got = vp.check_variance_recursion_step(counted, x_prev, x_curr, v_prev, 0.3)
+        assert calls["grad"] == 2 * quad.num_components
+        assert (got.lhs, got.rhs) == (want.lhs, want.rhs)
+
     def test_rejects_bad_beta(self, quad):
         z = np.zeros(quad.dim)
         for beta in (0.0, -0.2, 1.5):
@@ -418,3 +433,45 @@ class TestRateSlope:
     def test_rejects_nonfinite_means(self, bad):
         with pytest.raises(ValueError, match="positive finite means"):
             vp.rate_slope([(10, 1.0), (100, 0.5), (1000, bad)])
+
+
+class TestSuiteStacks:
+    """The prox row's stacked evaluations against the per-row loops they
+    replace, on the same drawn arrays."""
+
+    PSIS = [vp.Zero(), vp.L1(lam=0.7), vp.BoxIndicator(lo=-np.ones(8), hi=np.ones(8)),
+            vp.ElasticNet(lam1=0.5, lam2=1.5)]
+
+    @pytest.mark.parametrize("psi", PSIS, ids=lambda psi: type(psi).__name__)
+    def test_certificate_gaps_match_a_per_row_loop(self, psi):
+        rng = np.random.default_rng(8)
+        taus = rng.uniform(0.01, 10.0, 7)
+        Z = rng.normal(0.0, 3.0, (7, 8))
+        deltas = rng.normal(0.0, 1.0, (7, 100, 8))
+        radii = rng.random((7, 100, 1))
+        got = suite._certificate_gaps(psi, taus, Z, deltas, radii)
+        for tau, z, d, r, row in zip(taus.tolist(), Z, deltas, radii, got):
+            u = vp.prox(psi, z, tau)
+            f_u = vp.psi_value(psi, u) + np.sum((u - z) ** 2) / (2 * tau)
+            d = d * ((0.1 * r) / np.linalg.norm(d, axis=1, keepdims=True))
+            W = u + d
+            f_w = vp.psi_value(psi, W) + np.sum((W - z) ** 2, axis=1) / (2 * tau)
+            assert np.array_equal(row, f_u - f_w)
+
+    @pytest.mark.parametrize("psi", PSIS, ids=lambda psi: type(psi).__name__)
+    def test_expansion_excess_matches_a_per_step_loop(self, psi):
+        rng = np.random.default_rng(9)
+        taus = rng.uniform(0.01, 10.0, 5)
+        Z1 = rng.normal(0.0, 3.0, (5, 40, 8))
+        Z2 = rng.normal(0.0, 3.0, (5, 40, 8))
+        want = max(
+            float(np.max(np.linalg.norm(vp.prox(psi, z1, tau) - vp.prox(psi, z2, tau), axis=1)
+                         - np.linalg.norm(z1 - z2, axis=1)))
+            for tau, z1, z2 in zip(taus, Z1, Z2)
+        )
+        assert suite._expansion_excess(psi, taus, Z1, Z2) == want
+
+    def test_prox_row_memory_stays_within_a_few_chunks(self):
+        # Whole per-regularizer stacks would hold 1.6 MB of nearby points,
+        # times the temporaries of their objective.
+        assert _traced_peak_mb(lambda: suite._check_prox_properties(False, 0)) < 1.2
