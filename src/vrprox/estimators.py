@@ -41,7 +41,6 @@ def init_estimator(prob: ProblemInstance, x0: np.ndarray, b_tilde: int, rng) -> 
     Finite-sum batches are drawn uniformly without replacement, so
     ``b_tilde = n`` gives the exact full gradient.
     """
-    x0 = np.asarray(x0, dtype=float)
     return minibatch_gradient(prob, x0, draw_sample_ids(prob, b_tilde, rng))
 
 

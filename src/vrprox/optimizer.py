@@ -57,6 +57,7 @@ from .oracle import (
     _check_positive_finite,
     _is_integer,
     _is_real,
+    _real_array,
     draw_step_ids,
     full_gradient,
     sample_gradient,
@@ -145,8 +146,8 @@ def gradient_mapping(
 ) -> np.ndarray:
     """G_eta(x) = (x - prox_{eta psi}(x - eta grad f(x))) / eta."""
     _check_positive_finite("eta", eta)
-    x = np.asarray(x, dtype=float)
     g = full_gradient(prob, x)
+    x = np.asarray(x, dtype=float)
     return (x - prox(psi, x - eta * g, eta)) / eta
 
 
@@ -248,7 +249,7 @@ def run(
     seed = int(rng)
     rng = np.random.Generator(np.random.PCG64(seed))
 
-    x = np.zeros(prob.dim) if x0 is None else np.asarray(x0, dtype=float).copy()
+    x = np.zeros(prob.dim) if x0 is None else _real_array("x0", x0).copy()
     if x.shape != (prob.dim,) or not np.all(np.isfinite(x)):
         raise ValueError("x0 must be a finite point of the problem dimension")
     if math.isinf(psi_value(psi, x)):

@@ -15,6 +15,8 @@ from typing import Callable
 
 import numpy as np
 
+_FLOAT = np.dtype(float)
+
 
 def _is_integer(value) -> bool:
     """True for a Python or numpy integer; False for anything else, ``bool``
@@ -36,6 +38,14 @@ def _integer_array(name: str, values) -> np.ndarray:
     if not isinstance(values, (np.ndarray, range)) and {bool, np.bool_} & set(map(type, values)):
         raise ValueError(f"{name} must be integers, got a bool among them")
     return arr
+
+
+def _real_array(name: str, value) -> np.ndarray:
+    """``value`` as a float64 array, after a dtype test that names the argument."""
+    arr = np.asarray(value)
+    if arr.dtype.kind not in "biuf":
+        raise ValueError(f"{name} must hold real numbers, got dtype {arr.dtype}")
+    return arr.astype(float, copy=False)
 
 
 def _check_count(name: str, value) -> None:
@@ -77,9 +87,9 @@ class ProblemInstance:
     ``grad_rows(x, ids)`` is one summand's gradient for an integer id, and the
     ``(len(ids), dim)`` stack of them for a 1-D id array.  Given a
     ``(k, dim)`` stack of points ``X`` and k ids, ``grad_rows(X, ids)`` gives
-    row r the gradient of sample ``ids[r]`` at ``X[r]``, with the bits of
-    ``grad_rows(X[r], int(ids[r]))`` (the robust family's slope can differ in
-    the last bit, see tests/test_problems.py).  ``value_sample(x, i)`` is one
+    row r the gradient of sample ``ids[r]`` at ``X[r]``.  Both agree bit for
+    bit with the int path: row r is ``grad_rows(x, int(ids[r]))``, or
+    ``grad_rows(X[r], int(ids[r]))``, on every family.  ``value_sample(x, i)`` is one
     summand's value; ``mean_grad(x)`` and ``mean_value(x)`` give the exact
     mean gradient and value in closed form.  All four must agree.
 
@@ -122,7 +132,9 @@ def _zeros(dim: int) -> np.ndarray:
 
 
 def _check_point(prob: ProblemInstance, x: np.ndarray) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
+    # The run loop's iterates are float64 arrays: they skip the conversion.
+    if type(x) is not np.ndarray or x.dtype is not _FLOAT:
+        x = _real_array("point", x)
     if x.shape != (prob.dim,):
         raise ValueError(f"point has shape {x.shape}, expected ({prob.dim},)")
     # Screen: x . 0 is 0 exactly when every entry is finite (a NaN or an

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .oracle import ProblemInstance, _check_count, _check_positive_finite
+from .oracle import ProblemInstance, _check_count, _check_positive_finite, _real_array
 
 # max |s''| and max |s'| = max |s (1 - s)| (at u = 0) for the logistic
 # sigmoid s(u) = 1 / (1 + exp(-u)).
@@ -69,7 +69,7 @@ def make_quadratic(
         rng = np.random.Generator(np.random.PCG64(seed))
         centers = _ball_points(rng, n, p, spread)
     else:
-        centers = np.asarray(centers, dtype=float)
+        centers = _real_array("centers", centers)
         if centers.shape != (n, p):
             raise ValueError(f"centers must have shape ({n}, {p}), got {centers.shape}")
         if not np.isfinite(centers).all():
@@ -144,14 +144,14 @@ def _linear_model(family: str, A: np.ndarray, curvature: float, s_max: float, li
     """The finite sum f_i(x) = loss(link(a_i^T x, i)) over the rows a_i of ``A``.
 
     ``link(z, i)`` takes z = a_i^T x for one id (a float) or for an id array
-    or ``slice(None)`` (an array); ``slope(l, i)`` is d f_i / dz at link
-    value l, so grad f_i = slope * a_i.  L = curvature * max_i ||a_i||^2 is
+    or ``slice(None)`` (an array); ``slope(l)`` is d f_i / dz at link value
+    l, so grad f_i = slope * a_i.  L = curvature * max_i ||a_i||^2 is
     certified when |d^2 f_i / dz^2| <= curvature, and sigma^2 <= E||grad f_i||^2
     <= s_max^2 * mean_i ||a_i||^2 when |slope| <= s_max; the loss is >= 0.
 
-    One id's gradient scales that row from a list of the rows built once;
-    an id array gathers its rows.  The mean closures use ``A.dot(x)`` and
-    ``A.T.dot(w)``, which give the bits of ``@`` (tests/test_numpy_contract.py).
+    One id's margin is ``row.dot(x)``; an id array's, ``np.vecdot`` of its rows
+    with a point or a stack, has its bits, and the mean closures' ``A.dot(x)``
+    and ``A.T.dot(w)`` have those of ``@`` (tests/test_numpy_contract.py).
 
     The mean gradient and value share a one-entry memo of the link over all
     n samples, keyed by the point's float64 bytes: the diagnostics ask for
@@ -163,16 +163,14 @@ def _linear_model(family: str, A: np.ndarray, curvature: float, s_max: float, li
     n, p = A.shape
     row_sq = np.sum(A * A, axis=1)
     rows = list(A)
-    every = slice(None)
     memo = (None, None)
 
     def link_all(x):
         nonlocal memo
-        x = np.asarray(x, dtype=float)
         key = x.tobytes()
         cached_key, value = memo
         if key != cached_key:
-            value = link(A.dot(x), every)
+            value = link(A.dot(x), slice(None))
             value.flags.writeable = False
             memo = (key, value)
         return value
@@ -180,18 +178,15 @@ def _linear_model(family: str, A: np.ndarray, curvature: float, s_max: float, li
     def grad_rows(x, ids):
         if isinstance(ids, np.ndarray):
             a = A[ids]
-            # A stack pairs row r with ids[r]: vecdot gives each margin the
-            # bits of the int path's row.dot(x).
-            z = np.vecdot(a, x) if np.ndim(x) == 2 else a.dot(x)
-            return slope(link(z, ids), ids)[:, None] * a
+            return slope(link(np.vecdot(a, x), ids))[:, None] * a
         row = rows[ids]
-        return slope(link(row.dot(x), ids), ids) * row
+        return slope(link(row.dot(x), ids)) * row
 
     def value_sample(x, i):
-        return float(loss(link(float(A[i] @ x), i)))
+        return float(loss(link(rows[i].dot(x), i)))
 
     def mean_grad(x):
-        return A.T.dot(slope(link_all(x), every)) / n
+        return A.T.dot(slope(link_all(x))) / n
 
     def mean_value(x):
         return float(loss(link_all(x)).sum() / n)
@@ -229,7 +224,7 @@ def make_nonconvex_sigmoid(n: int, p: int, seed: int = 0) -> ProblemInstance:
     return _linear_model(
         "sigmoid", A * -y[:, None], SIGMOID_CURVATURE_BOUND, SIGMOID_SLOPE_BOUND,
         link=lambda z, i: _sigmoid(z),
-        slope=lambda s, i: _sigmoid_slope(s),
+        slope=_sigmoid_slope,
         loss=lambda s: s,
         meta={"seed": seed, "A": A, "y": y},
     )
@@ -252,7 +247,8 @@ def make_robust_regression(n: int, p: int, seed: int = 0) -> ProblemInstance:
     return _linear_model(
         "robust", A, REDESCENDING_CURVATURE_BOUND, REDESCENDING_SLOPE_BOUND,
         link=lambda z, i: z - b[i],
-        slope=lambda r, i: 2.0 * r / (1.0 + r * r) ** 2,
+        # (1 + r^2)^2 as a product: ** on an int id's numpy scalar is libm pow.
+        slope=lambda r: 2.0 * r / ((q := 1.0 + r * r) * q),
         loss=lambda r: r * r / (1.0 + r * r),
         meta={"seed": seed, "b": b},
     )

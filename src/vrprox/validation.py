@@ -39,6 +39,7 @@ from .oracle import (
     _integer_array,
     _is_integer,
     _is_real,
+    _real_array,
     full_gradient,
     sample_gradient,
     sigma2_at,
@@ -79,12 +80,6 @@ def _check_beta_open(beta) -> float:
     return float(beta)
 
 
-def _is_finite_vector(v: np.ndarray, dim: int) -> bool:
-    # The dtype comes first: numpy's float conversion of a string would not
-    # name the argument.
-    return v.dtype.kind in "biuf" and v.shape == (dim,) and bool(np.isfinite(v).all())
-
-
 def variance_recursion_rhs(
     prob: ProblemInstance,
     x_prev: np.ndarray,
@@ -119,12 +114,11 @@ def check_variance_recursion_step(
     ``prob.grad_rows`` directly.
     """
     beta = _check_beta_open(beta)
-    x_prev = np.asarray(x_prev, dtype=float)
-    x_curr = np.asarray(x_curr, dtype=float)
-    v_prev = np.asarray(v_prev)
-    if not _is_finite_vector(v_prev, prob.dim):
+    x_prev = _real_array("x_prev", x_prev)
+    x_curr = _real_array("x_curr", x_curr)
+    v_prev = _real_array("v_prev", v_prev)
+    if v_prev.shape != (prob.dim,) or not np.isfinite(v_prev).all():
         raise ValueError(f"v_prev must be a finite vector of shape ({prob.dim},)")
-    v_prev = v_prev.astype(float, copy=False)
 
     g_curr = full_gradient(prob, x_curr)
     rhs = variance_recursion_rhs(prob, x_prev, x_curr, v_prev, beta)
@@ -154,8 +148,7 @@ def initial_direction_variance(prob: ProblemInstance, x0: np.ndarray, b_tilde: i
 
 
 def _grad_rows(prob: ProblemInstance, x: np.ndarray, ids: np.ndarray) -> np.ndarray:
-    # The estimator's grad(prob, x, ids) without the oracle's checks, for a
-    # caller that has checked the point and enumerates every id.
+    # The estimator's grad(prob, x, ids), for a caller that checked the point.
     return prob.grad_rows(x, ids)
 
 
@@ -194,7 +187,7 @@ def check_variance_recursion_unrolled(
     component-gradient tables and a few arrays of their size.
     """
     beta = _check_beta_open(beta)
-    trajectory = np.asarray(trajectory, dtype=float)
+    trajectory = _real_array("trajectory", trajectory)
     if trajectory.ndim != 2 or trajectory.shape[1] != prob.dim:
         raise ValueError(f"trajectory must have shape (k+1, {prob.dim})")
     k = trajectory.shape[0] - 1
@@ -205,11 +198,10 @@ def check_variance_recursion_unrolled(
         init_term = initial_direction_variance(prob, trajectory[0], v0)
         v0 = int(v0)
     else:
-        v0 = np.asarray(v0)
-        if not _is_finite_vector(v0, prob.dim):
+        v0 = _real_array("v0", v0)
+        if v0.shape != (prob.dim,) or not np.isfinite(v0).all():
             raise ValueError(
                 f"v0 must be a finite vector of shape ({prob.dim},) or an initial batch size")
-        v0 = v0.astype(float, copy=False)
         d0 = v0 - rows.mean(axis=0)
         init_term = float(d0 @ d0)
 

@@ -2,8 +2,8 @@
 
 The digests were recorded with numpy 2.4.6, whose random streams and
 reductions the outputs rest on; under another numpy version the tests skip.
-A change that alters the random stream, or a certified constant, on purpose
-updates a digest here and says so in CHANGES.md.
+A change that alters the random stream, a certified constant or a kernel's
+arithmetic on purpose updates a digest here and says so in CHANGES.md.
 """
 
 import hashlib
@@ -42,12 +42,12 @@ NONCONVEX_RUNS = {
     "robust": (
         (ROOT / "demos" / "configs" / "robust_run.cfg").read_text(),
         "2998f99bc4887304b6faadd4b14b34fb4330a384c5dda2a7705dac66af945076",
-        "3db2b84dc6ac28c4a3a2c162220841770b6549a0382113f3c36b27542e1c3ba6",
+        "cb13d5991483efac681a7db364f97df24e08d64f0f8092124c94209557427e33",
     ),
 }
 
 # compare.csv of the robust config above, every estimator kind, --master-seed 0.
-ROBUST_COMPARE = "16f0153b28ed0bf3ed751965e6bd1e7a12db6994d64d28e9f95d2921d6992f71"
+ROBUST_COMPARE = "cb18900b439e82b90cddfc99f4f11ebc1820466b068de124ea10a3ab6b95a226"
 
 pytestmark = pytest.mark.skipif(
     np.__version__ != NUMPY_VERSION,

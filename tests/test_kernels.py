@@ -1,12 +1,13 @@
 """The sigmoid and robust kernels against their plain reference forms, bit for bit.
 
 The reference closures below are the straightforward kernels: a masked
-sigmoid on 0-d or 1-d arrays, separate one-id and id-array forms of the
-sample gradient behind one dispatching ``grad_rows``, and a fresh ``A @ x``
-for every mean gradient and mean value.  The library's kernels
-(``_sigmoid``'s branch-free array path and its scalar branch, and the
-closures and one-entry link memo that ``_linear_model`` builds) must give
-the same bytes at every finite point, +0, -0 and saturated margins included.
+sigmoid on 0-d or 1-d arrays, a robust slope that squares ``1 + r^2`` as a
+product, a one-id sample gradient whose id-array form is the stack of its
+one-id rows, and a fresh ``A @ x`` for every mean gradient and mean value.
+The library's kernels (``_sigmoid``'s branch-free array path and its scalar
+branch, and the closures and one-entry link memo that ``_linear_model``
+builds) must give the same bytes at every finite point, +0, -0 and saturated
+margins included.
 
 The kernels compute in place on their own temporaries; the last tests check
 that no sample or mean gradient, prox or recursion writes into an input or
@@ -39,12 +40,9 @@ def reference_sigmoid_problem(prob):
     def margin(x, i):
         return -y[i] * float(A[i] @ x)
 
-    def grad_rows(x, ids):
-        if np.ndim(ids) == 0:
-            s = masked_sigmoid(margin(x, ids))
-            return (s * (1.0 - s) * (-y[ids])) * A[ids]
-        s = masked_sigmoid(-(A[ids] @ x) * y[ids])
-        return (s * (1.0 - s) * (-y[ids]))[:, None] * A[ids]
+    def grad_row(x, i):
+        s = masked_sigmoid(margin(x, i))
+        return (s * (1.0 - s) * (-y[i])) * A[i]
 
     def value_sample(x, i):
         return float(masked_sigmoid(margin(x, i)))
@@ -56,35 +54,39 @@ def reference_sigmoid_problem(prob):
     def mean_value(x):
         return float(np.mean(masked_sigmoid(-(A @ x) * y)))
 
-    return _reference(prob, grad_rows, value_sample, mean_grad, mean_value)
+    return _reference(prob, grad_row, value_sample, mean_grad, mean_value)
 
 
 def reference_robust_problem(prob):
     A, b, n = prob.meta["A"], prob.meta["b"], prob.num_components
 
-    def grad_rows(x, ids):
-        if np.ndim(ids) == 0:
-            r = float(A[ids] @ x) - b[ids]
-            return (2.0 * r / (1.0 + r * r) ** 2) * A[ids]
-        r = A[ids] @ x - b[ids]
-        return (2.0 * r / (1.0 + r * r) ** 2)[:, None] * A[ids]
+    def slope(r):
+        q = 1.0 + r * r
+        return 2.0 * r / (q * q)
+
+    def grad_row(x, i):
+        return slope(float(A[i] @ x) - b[i]) * A[i]
 
     def value_sample(x, i):
         r = float(A[i] @ x) - b[i]
         return r * r / (1.0 + r * r)
 
     def mean_grad(x):
-        r = A @ x - b
-        return A.T @ (2.0 * r / (1.0 + r * r) ** 2) / n
+        return A.T @ slope(A @ x - b) / n
 
     def mean_value(x):
         r = A @ x - b
         return float(np.mean(r * r / (1.0 + r * r)))
 
-    return _reference(prob, grad_rows, value_sample, mean_grad, mean_value)
+    return _reference(prob, grad_row, value_sample, mean_grad, mean_value)
 
 
-def _reference(prob, grad_rows, value_sample, mean_grad, mean_value):
+def _reference(prob, grad_row, value_sample, mean_grad, mean_value):
+    def grad_rows(x, ids):
+        if np.ndim(ids) == 0:
+            return grad_row(x, ids)
+        return np.array([grad_row(x, i) for i in ids])
+
     return ProblemInstance(
         name="reference-" + prob.name,
         dim=prob.dim,

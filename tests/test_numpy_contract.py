@@ -3,7 +3,9 @@
 ``optimizer.run`` draws a block's sample ids in one ``rng.integers`` call and
 reduces a block's squared norms with ``np.vecdot``; its traces equal a
 per-step loop's (one scalar draw per id, one ``d @ d`` per row) only while
-numpy keeps both identities below.  The problems' step kernels use
+numpy keeps both identities below.  The linear models take an id array's
+margins with ``np.vecdot`` too, at one point or against a stack, and match
+their one-id ``row.dot(x)`` only while the second identity holds.  The problems' step kernels use
 ``ndarray.dot`` for ``@`` (``A.T.dot(w)`` included) and ``arr.sum() / n``
 for ``np.mean``, which are cheaper calls to the same arithmetic; the sigmoid
 family's margins are dot products with rows whose sign is folded in, and
@@ -34,17 +36,21 @@ def test_block_draw_equals_scalar_draws(high, size):
 
 
 @pytest.mark.parametrize("p", [1, 2, 5, 8, 20, 50, 300, 1000])
-def test_vecdot_equals_per_row_dot(p):
+@pytest.mark.parametrize("point", [False, True], ids=["stack", "point"])
+def test_vecdot_equals_per_row_dot(p, point):
+    # Each row with itself, or with one (p,) point broadcast against every row.
     rng = np.random.default_rng(p)
     rows = rng.standard_normal((4096, p)) * 10.0 ** rng.integers(-8, 9, size=(4096, 1))
     special = np.array([np.inf, -np.inf, np.nan, 1e200, -1e200, 5e-324, -2.5e-310])
     for k, value in enumerate(special):
         rows[k, k % p] = value
         rows[len(special) + k] = value
+    x = rng.standard_normal(p) * 10.0 ** rng.integers(-8, 9, size=p)
     with np.errstate(over="ignore", invalid="ignore", under="ignore"):
-        got = np.vecdot(rows, rows)
-        want = np.array([r @ r for r in rows])
-    assert got.tobytes() == want.tobytes()
+        got = np.vecdot(rows, x if point else rows)
+        want = np.array([r.dot(x) if point else r @ r for r in rows])
+    # Like @, vecdot adds a lone -0.0 product to +0.0 (see _as_matmul).
+    assert got.tobytes() == _as_matmul(want, p).tobytes()
 
 
 PS = [1, 2, 5, 8, 20, 50, 300, 1000]
@@ -63,8 +69,8 @@ def _rows(p, count=4096):
 
 
 def _as_matmul(got, p):
-    # With one product to sum (p = 1), @ adds it to +0.0 while dot returns
-    # it, so the two differ in the sign of a -0.0 product and nowhere else.
+    # With one product to sum (p = 1), @ and vecdot add it to +0.0 while dot
+    # returns it, so they differ in the sign of a -0.0 product and nowhere else.
     # The problems cannot meet it: the quadratic's d.dot(d) sums squares, and
     # a linear model's link maps z = +0.0 and -0.0 alike (the robust link
     # z - b_i unless b_i is exactly +0.0).
@@ -88,7 +94,8 @@ def test_matrix_dot_vector_equals_matmul(p, m):
     rng = np.random.default_rng(m)
     with np.errstate(over="ignore", invalid="ignore", under="ignore"):
         for start in range(0, len(rows) - m, 131):
-            # A slice of rows and, as grad_rows makes them, gathered rows.
+            # A slice of rows, as the mean closures' A.dot(x) reads it, and
+            # gathered rows.
             for A in (rows[start:start + m], rows[rng.integers(0, len(rows), size=m)]):
                 x = rows[(start + 11) % len(rows)]
                 assert _as_matmul(A.dot(x), p).tobytes() == (A @ x).tobytes()

@@ -360,6 +360,42 @@ def test_wrong_type_constants_name_their_argument(case):
         call()
 
 
+def _non_real_point_calls():
+    """(argument named in the error, call) for points of strings or complex
+    numbers; numpy's own conversion names no argument, and it drops an
+    imaginary part with only a warning."""
+    prob = vp.make_quadratic(10, 3, 1.0, seed=0)
+    x, s, c = np.zeros(3), ["a", "b", "c"], np.array([1j, 0.0, 0.0])
+    hp = vp.schedule_from_T(5, prob.lipschitz_L)
+    return {
+        "full gradient str": ("point", lambda: vp.full_gradient(prob, s)),
+        "full gradient complex": ("point", lambda: vp.full_gradient(prob, c)),
+        "sample gradient str": ("point", lambda: vp.sample_gradient(prob, s, 0)),
+        "gradient mapping str": ("point", lambda: vp.gradient_mapping(prob, vp.Zero(), s, 0.1)),
+        "init estimator str": (
+            "point", lambda: vp.init_estimator(prob, s, 2, np.random.default_rng(0))),
+        "prox str": ("prox input", lambda: vp.prox(vp.Zero(), ["a"], 1.0)),
+        "prox complex": ("prox input", lambda: vp.prox(vp.Zero(), c, 1.0)),
+        "psi value str": ("psi_value input", lambda: vp.psi_value(vp.L1(lam=0.1), ["a"])),
+        "box lo str": ("lo", lambda: vp.BoxIndicator(lo="a", hi=1.0)),
+        "run x0 str": ("x0", lambda: vp.run(prob, vp.Zero(), hp, 0, x0=s)),
+        "quadratic centers str": ("centers", lambda: vp.make_quadratic(2, 3, centers=[s, s])),
+        "step check x_prev str": (
+            "x_prev", lambda: vp.check_variance_recursion_step(prob, s, x, x, 0.5)),
+        "step check x_curr str": (
+            "x_curr", lambda: vp.check_variance_recursion_step(prob, x, s, x, 0.5)),
+        "unrolled trajectory str": (
+            "trajectory", lambda: vp.check_variance_recursion_unrolled(prob, [s, s], 2, 0.5)),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_non_real_point_calls()))
+def test_non_real_points_name_their_argument(case):
+    name, call = _non_real_point_calls()[case]
+    with pytest.raises(ValueError, match=rf"\b{name} must hold real numbers"):
+        call()
+
+
 def _draw_pairs(prob, n_pairs, rng):
     """The points and ids smoothness_spot_check draws for one chunk."""
     r = prob.sampling_radius
@@ -380,12 +416,7 @@ def test_smoothness_ratios_match_a_per_pair_loop(family):
         ratios.append(np.sum(diff * diff) / (L2 * np.sum((x - y) ** 2)))
     ratios = np.array(ratios)
     want = (float(ratios.mean()), float(ratios.std(ddof=1) / np.sqrt(300)))
-    if family == "robust":
-        # Its stacked slope can differ from the per-id one in the last bit
-        # (tests/test_problems.py).
-        assert (rep["mean_ratio"], rep["stderr"]) == pytest.approx(want, rel=1e-13)
-    else:
-        assert (rep["mean_ratio"], rep["stderr"]) == want
+    assert (rep["mean_ratio"], rep["stderr"]) == want
 
 
 def test_smoothness_pairs_are_drawn_a_chunk_at_a_time():
