@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .oracle import ProblemInstance, draw_sample_ids, minibatch_gradient
+from .oracle import ProblemInstance, _check_generator, draw_sample_ids, minibatch_gradient
 
 MOMENTUM_SARAH = "momentum_sarah"
 HYBRID_SARAH = "hybrid_sarah"
@@ -39,8 +39,10 @@ def init_estimator(prob: ProblemInstance, x0: np.ndarray, b_tilde: int, rng) -> 
     """Unbiased initial direction from a mini-batch of ``b_tilde`` samples.
 
     Finite-sum batches are drawn uniformly without replacement, so
-    ``b_tilde = n`` gives the exact full gradient.
+    ``b_tilde = n`` gives the exact full gradient.  ``rng`` is a numpy
+    ``Generator``; anything else is a ``TypeError``.
     """
+    _check_generator(rng)
     return minibatch_gradient(prob, x0, draw_sample_ids(prob, b_tilde, rng))
 
 
@@ -54,8 +56,8 @@ def _recursion(grad, prob, kind, v, x_prev, x_curr, xi, zeta, beta) -> np.ndarra
     recursion: :func:`vrprox.optimizer.run` steps it on sample gradients,
     the suite's degenerate check on mini-batch means, and both variance
     checks of :mod:`vrprox.validation` on the (n, dim) stack of every sample
-    id, the unrolled one with ``grad`` gathering rows of each point's
-    precomputed component-gradient table (passed in place of the point).
+    id, with ``grad`` gathering rows of each point's precomputed
+    component-gradient table (passed in place of the point).
 
     The recursions work in place on their first fresh difference
     ``v - g_prev`` or ``v + g_curr``, which has the shape of both sample

@@ -54,10 +54,12 @@ from .estimators import (
 from .oracle import (
     ProblemInstance,
     _check_count,
+    _check_point,
     _check_positive_finite,
     _is_integer,
     _is_real,
-    _real_array,
+    _finite_array,
+    _generator,
     draw_step_ids,
     full_gradient,
     sample_gradient,
@@ -146,9 +148,8 @@ def gradient_mapping(
 ) -> np.ndarray:
     """G_eta(x) = (x - prox_{eta psi}(x - eta grad f(x))) / eta."""
     _check_positive_finite("eta", eta)
-    g = full_gradient(prob, x)
-    x = np.asarray(x, dtype=float)
-    return (x - prox(psi, x - eta * g, eta)) / eta
+    x = _check_point(prob, x)
+    return (x - prox(psi, x - eta * prob.mean_grad(x), eta)) / eta
 
 
 @dataclass
@@ -179,6 +180,8 @@ class RunTrace:
 def mean_grad_map_sq(trace: RunTrace) -> float:
     """Average of ||G_eta(x_t)||^2 over t = 0..T (the quantity the output
     iterate's expectation equals under uniform selection)."""
+    if not isinstance(trace, RunTrace):
+        raise TypeError(f"trace must be a RunTrace, got {trace!r}")
     if trace.grad_map_sq is None:
         raise ValueError("trace carries no diagnostics")
     return float(np.mean(trace.grad_map_sq))
@@ -247,11 +250,9 @@ def run(
     if not _is_integer(rng):
         raise TypeError(f"rng must be an integer seed, got {rng!r}")
     seed = int(rng)
-    rng = np.random.Generator(np.random.PCG64(seed))
+    rng = _generator(seed)
 
-    x = np.zeros(prob.dim) if x0 is None else _real_array("x0", x0).copy()
-    if x.shape != (prob.dim,) or not np.all(np.isfinite(x)):
-        raise ValueError("x0 must be a finite point of the problem dimension")
+    x = np.zeros(prob.dim) if x0 is None else _finite_array("x0", x0, (prob.dim,)).copy()
     if math.isinf(psi_value(psi, x)):
         raise ValueError("x0 lies outside the domain of the regularizer")
 

@@ -5,6 +5,11 @@ f(x) = (1/n) sum_i f_i(x) through sample callbacks indexed by integer ids in
 ``[0, n)``, plus its exact mean gradient and value in closed form, each with
 one checked entry point here.  The optimizer draws sample ids uniformly; the
 diagnostics and the variance checks use the exact expectations.
+
+It owns the library's two input policies: ``_finite_array`` makes every
+public array argument a float64 array, refusing by name a non-real dtype, a
+wrong shape or a non-finite entry, and ``_generator`` makes every seed a
+``Generator(PCG64(seed))``.  Points are checked once, where they enter.
 """
 
 from __future__ import annotations
@@ -40,12 +45,36 @@ def _integer_array(name: str, values) -> np.ndarray:
     return arr
 
 
-def _real_array(name: str, value) -> np.ndarray:
-    """``value`` as a float64 array, after a dtype test that names the argument."""
+def _finite_array(name: str, value, shape: tuple | None = None) -> np.ndarray:
+    """``value`` as a float64 array of finite reals, of ``shape`` if given (a
+    ``None`` entry matches any length): dtype, then shape, then finiteness,
+    each refused by a ``ValueError`` that names the argument."""
     arr = np.asarray(value)
     if arr.dtype.kind not in "biuf":
         raise ValueError(f"{name} must hold real numbers, got dtype {arr.dtype}")
-    return arr.astype(float, copy=False)
+    if shape is not None and not (
+            arr.ndim == len(shape) and all(d in (None, s) for d, s in zip(shape, arr.shape))):
+        expected = str(shape).replace("None", "k")
+        raise ValueError(f"{name} has shape {arr.shape}, expected {expected}")
+    arr = arr.astype(float, copy=False)
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{name} must be finite")
+    return arr
+
+
+def _generator(seed) -> np.random.Generator:
+    """``Generator(PCG64(seed))`` for a seed that is an integer >= 0 or a
+    tuple or list of them (PCG64's entropy); anything else is a
+    ``ValueError`` that names ``seed``."""
+    entropy = seed if isinstance(seed, (tuple, list)) else [seed]
+    if not all(_is_integer(s) and s >= 0 for s in entropy):
+        raise ValueError(f"seed must be an integer >= 0 or a sequence of them, got {seed!r}")
+    return np.random.Generator(np.random.PCG64(seed))
+
+
+def _check_generator(rng) -> None:
+    if not isinstance(rng, np.random.Generator):
+        raise TypeError(f"rng must be a numpy Generator, got {rng!r}")
 
 
 def _check_count(name: str, value) -> None:
@@ -132,17 +161,13 @@ def _zeros(dim: int) -> np.ndarray:
 
 
 def _check_point(prob: ProblemInstance, x: np.ndarray) -> np.ndarray:
-    # The run loop's iterates are float64 arrays: they skip the conversion.
-    if type(x) is not np.ndarray or x.dtype is not _FLOAT:
-        x = _real_array("point", x)
-    if x.shape != (prob.dim,):
-        raise ValueError(f"point has shape {x.shape}, expected ({prob.dim},)")
-    # Screen: x . 0 is 0 exactly when every entry is finite (a NaN or an
-    # infinity makes it NaN), and unlike x . x it cannot overflow on a finite
-    # point; the full scan only confirms a failed screen.
-    if x.dot(_zeros(prob.dim)) != 0.0 and not np.isfinite(x).all():
-        raise ValueError("point must be finite")
-    return x
+    # The run loop's float64 iterates pass on a screen: x . 0 is 0 exactly
+    # when every entry is finite, and unlike x . x it cannot overflow.
+    # Anything else takes the full check, which names the failure.
+    if (type(x) is np.ndarray and x.dtype is _FLOAT and x.shape == (prob.dim,)
+            and x.dot(_zeros(prob.dim)) == 0.0):
+        return x
+    return _finite_array("point", x, (prob.dim,))
 
 
 def _check_ids(prob: ProblemInstance, ids):
@@ -231,8 +256,7 @@ def smoothness_spot_check(prob: ProblemInstance, rng, n_pairs: int = 1000) -> di
     then its sample ids.  Each chunk's ratios come from two stacked
     ``grad_rows`` calls and row sums, with the bits of a per-pair loop.
     """
-    if not isinstance(rng, np.random.Generator):
-        raise TypeError(f"rng must be a numpy Generator, got {rng!r}")
+    _check_generator(rng)
     if _is_integer(n_pairs) and n_pairs < 2:
         raise ValueError(f"need n_pairs >= 2 pairs, got {n_pairs}")
     _check_count("n_pairs", n_pairs)

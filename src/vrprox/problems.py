@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .oracle import ProblemInstance, _check_count, _check_positive_finite, _real_array
+from .oracle import ProblemInstance, _check_count, _check_positive_finite, _finite_array, _generator
 
 # max |s''| and max |s'| = max |s (1 - s)| (at u = 0) for the logistic
 # sigmoid s(u) = 1 / (1 + exp(-u)).
@@ -66,14 +66,9 @@ def make_quadratic(
     _check_sizes(n, p)
     if centers is None:
         _check_positive_finite("spread", spread)
-        rng = np.random.Generator(np.random.PCG64(seed))
-        centers = _ball_points(rng, n, p, spread)
+        centers = _ball_points(_generator(seed), n, p, spread)
     else:
-        centers = _real_array("centers", centers)
-        if centers.shape != (n, p):
-            raise ValueError(f"centers must have shape ({n}, {p}), got {centers.shape}")
-        if not np.isfinite(centers).all():
-            raise ValueError("centers must be finite")
+        centers = _finite_array("centers", centers, (n, p))
     # An overflowing scatter gives inf, which ProblemInstance refuses by name.
     with np.errstate(over="ignore"):
         cbar = centers.mean(axis=0)
@@ -217,7 +212,7 @@ def make_nonconvex_sigmoid(n: int, p: int, seed: int = 0) -> ProblemInstance:
     ``meta`` keeps the data ``A`` and ``y``.
     """
     _check_sizes(n, p)
-    rng = np.random.Generator(np.random.PCG64(seed))
+    rng = _generator(seed)
     A = _ball_points(rng, n, p, 1.0)
     w_true = rng.standard_normal(p)
     y = np.where(A @ w_true + 0.1 * rng.standard_normal(n) >= 0, 1.0, -1.0)
@@ -238,7 +233,7 @@ def make_robust_regression(n: int, p: int, seed: int = 0) -> ProblemInstance:
     L = 2 * max_i ||a_i||^2 and sigma^2 <= max|phi'|^2 * mean_i ||a_i||^2.
     """
     _check_sizes(n, p)
-    rng = np.random.Generator(np.random.PCG64(seed))
+    rng = _generator(seed)
     A = _ball_points(rng, n, p, 1.0)
     w_true = rng.standard_normal(p)
     b = A @ w_true + 0.1 * rng.standard_normal(n)
@@ -260,9 +255,11 @@ def parse_key(key: str) -> dict:
     Accepted forms: ``quad:<n>:<p>:<spread>``, ``sigmoid:<n>:<p>``,
     ``robust:<n>:<p>``.
     """
-    parts = key.strip().split(":")
-    family = parts[0]
     try:
+        if not isinstance(key, str):
+            raise ValueError("not a string")
+        parts = key.strip().split(":")
+        family = parts[0]
         if (family, len(parts)) not in (("quad", 4), ("sigmoid", 3), ("robust", 3)):
             raise ValueError("unrecognized form")
         fields = {"family": family, "n": int(parts[1]), "p": int(parts[2])}

@@ -38,7 +38,7 @@ from typing import Callable
 
 import numpy as np
 
-from .oracle import _check_positive_finite, _is_real, _real_array
+from .oracle import _check_positive_finite, _finite_array, _is_real
 
 # Points within this distance of a box face still count as feasible; prox
 # outputs are boundary-exact only up to rounding.
@@ -73,10 +73,8 @@ class BoxIndicator:
     hi: np.ndarray
 
     def __post_init__(self):
-        lo = _real_array("box bound lo", self.lo)
-        hi = _real_array("box bound hi", self.hi)
-        if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
-            raise ValueError("box bounds must be finite")
+        lo = _finite_array("box bound lo", self.lo)
+        hi = _finite_array("box bound hi", self.hi)
         if lo.shape != hi.shape:
             raise ValueError(f"box bounds shapes differ: {lo.shape} vs {hi.shape}")
         if np.any(lo > hi):
@@ -157,9 +155,7 @@ def prox(psi: PsiSpec, z: np.ndarray, tau: float) -> np.ndarray:
     operator is applied row-wise (all supported regularizers are separable).
     The result is always a new array.
     """
-    z = _real_array("prox input", z).copy()
-    if not np.isfinite(z).all():
-        raise ValueError("prox input must be finite")
+    z = _finite_array("prox input", z).copy()
     operator = prox_operator(psi, tau)
     if isinstance(psi, BoxIndicator):
         psi._check_dim(z)
@@ -177,9 +173,7 @@ def psi_value(psi: PsiSpec, x: np.ndarray) -> float | np.ndarray:
     as :func:`prox` works row-wise.  Each row's value has the same bits as
     ``psi_value`` of that row alone: the rows are summed as C-contiguous.
     """
-    x = np.ascontiguousarray(_real_array("psi_value input", x))
-    if not np.isfinite(x).all():
-        raise ValueError("psi_value input must be finite")
+    x = np.ascontiguousarray(_finite_array("psi_value input", x))
     if isinstance(psi, Zero):
         values = np.zeros(x.shape[:-1])
     elif isinstance(psi, L1):

@@ -26,7 +26,9 @@ from .estimators import HYBRID_SARAH, MOMENTUM_SARAH, SARAH, SGD, _recursion, in
 from .experiment import run_experiment, stationarity_bound_rhs
 from .optimizer import HyperParams, gradient_mapping, mean_grad_map_sq, run, schedule_from_T
 from .oracle import (
+    _check_point,
     _chunks,
+    _generator,
     full_gradient,
     minibatch_gradient,
     sample_gradient,
@@ -51,7 +53,7 @@ def _row(check: str, passed: bool, value, threshold: str, detail: str = "") -> d
 def central_difference_gradient(prob, x: np.ndarray, sample_id: int) -> np.ndarray:
     """Per-sample gradient by central differences of value_sample at step
     h = 1e-5 (the independent oracle for gradient checks)."""
-    x = np.asarray(x, dtype=float)
+    x = _check_point(prob, x)
     h = 1e-5
     g = np.empty_like(x)
     for j in range(x.size):
@@ -106,7 +108,7 @@ def _check_schedule(quick: bool) -> dict:
 
 def _check_variance_recursion_step(quick: bool, seed: int) -> dict:
     prob = make_quadratic(50, 10, 1.0, seed=seed)
-    rng = np.random.Generator(np.random.PCG64([seed, 1]))
+    rng = _generator([seed, 1])
     n_tuples = 100 if quick else 1000
     # The tuples as four arrays, 80 KB each at full scale.
     X_prev = rng.normal(0.0, 2.0, (n_tuples, prob.dim))
@@ -130,7 +132,7 @@ def _check_variance_recursion_step(quick: bool, seed: int) -> dict:
 
 def _check_variance_recursion_unrolled(quick: bool, seed: int) -> dict:
     prob = make_quadratic(50, 10, 1.0, seed=seed)
-    rng = np.random.Generator(np.random.PCG64([seed, 2]))
+    rng = _generator([seed, 2])
     n_traj = 10 if quick else 100
     worst = np.inf
     for k in range(n_traj):
@@ -201,7 +203,7 @@ def _check_gradients(quick: bool, seed: int) -> list[dict]:
     rows = []
     n_points = 20 if quick else 100
     for name, prob in _families(seed):
-        rng = np.random.Generator(np.random.PCG64([seed, 3]))
+        rng = _generator([seed, 3])
         worst = 0.0
         for _ in range(n_points):
             x = rng.uniform(-2.0, 2.0, prob.dim)
@@ -225,7 +227,7 @@ def _check_smoothness(quick: bool, seed: int) -> list[dict]:
     rows = []
     n_pairs = 200 if quick else 1000
     for name, prob in _families(seed):
-        rng = np.random.Generator(np.random.PCG64([seed, 4]))
+        rng = _generator([seed, 4])
         rep = smoothness_spot_check(prob, rng, n_pairs=n_pairs)
         rows.append(
             _row(
@@ -240,7 +242,7 @@ def _check_smoothness(quick: bool, seed: int) -> list[dict]:
 
 def _check_sigma_consistency(seed: int) -> dict:
     prob = make_quadratic(50, 10, 1.0, seed=seed)
-    rng = np.random.Generator(np.random.PCG64([seed, 5]))
+    rng = _generator([seed, 5])
     xs = [rng.normal(0.0, 3.0, prob.dim) for _ in range(10)]
     est = max(sigma2_at(prob, x) for x in xs)
     err = abs(est - prob.sigma_bound)
@@ -299,7 +301,7 @@ def _check_degenerate_equivalences(seed: int) -> dict:
     )
 
     # beta = 0 telescoping along a random path.
-    rng = np.random.Generator(np.random.PCG64([seed, 6]))
+    rng = _generator([seed, 6])
     x = rng.normal(0.0, 1.0, prob.dim)
     v = v0 = init_estimator(prob, x, 5, rng)
     total = np.zeros(prob.dim)
@@ -362,7 +364,7 @@ def _certificate_gaps(psi, taus, Z, deltas, radii) -> np.ndarray:
 
 
 def _check_prox_properties(quick: bool, seed: int) -> dict:
-    rng = np.random.Generator(np.random.PCG64([seed, 8]))
+    rng = _generator([seed, 8])
     p = 8
     variants = [
         Zero(),

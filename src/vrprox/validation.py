@@ -36,12 +36,10 @@ from .oracle import (
     ProblemInstance,
     _check_count,
     _check_positive_finite,
+    _finite_array,
     _integer_array,
     _is_integer,
     _is_real,
-    _real_array,
-    full_gradient,
-    sample_gradient,
     sigma2_at,
 )
 
@@ -80,24 +78,6 @@ def _check_beta_open(beta) -> float:
     return float(beta)
 
 
-def variance_recursion_rhs(
-    prob: ProblemInstance,
-    x_prev: np.ndarray,
-    x_curr: np.ndarray,
-    v_prev: np.ndarray,
-    beta: float,
-) -> float:
-    """Right-hand side of the one-step variance recursion, from certified constants."""
-    d_dir = v_prev - full_gradient(prob, x_prev)
-    d_step = np.asarray(x_curr, dtype=float) - np.asarray(x_prev, dtype=float)
-    one_m = (1.0 - beta) ** 2
-    return float(
-        one_m * (d_dir @ d_dir)
-        + 2.0 * one_m * prob.lipschitz_L**2 * (d_step @ d_step)
-        + 2.0 * beta**2 * prob.sigma_bound
-    )
-
-
 def check_variance_recursion_step(
     prob: ProblemInstance,
     x_prev: np.ndarray,
@@ -109,21 +89,27 @@ def check_variance_recursion_step(
 
     The left side is the conditional expectation over the one fresh sample,
     enumerated exactly over all n components through the estimator's own
-    momentum recursion.  The inputs are checked once, up front (the two
-    ``full_gradient`` calls check the points); the enumeration then calls
-    ``prob.grad_rows`` directly.
+    momentum recursion, gathering from the two points' component-gradient
+    tables as the unrolled check does.  The inputs are checked once, up
+    front; the problem's closures are then called directly.
     """
     beta = _check_beta_open(beta)
-    x_prev = _real_array("x_prev", x_prev)
-    x_curr = _real_array("x_curr", x_curr)
-    v_prev = _real_array("v_prev", v_prev)
-    if v_prev.shape != (prob.dim,) or not np.isfinite(v_prev).all():
-        raise ValueError(f"v_prev must be a finite vector of shape ({prob.dim},)")
+    x_prev = _finite_array("x_prev", x_prev, (prob.dim,))
+    x_curr = _finite_array("x_curr", x_curr, (prob.dim,))
+    v_prev = _finite_array("v_prev", v_prev, (prob.dim,))
 
-    g_curr = full_gradient(prob, x_curr)
-    rhs = variance_recursion_rhs(prob, x_prev, x_curr, v_prev, beta)
+    g_curr = prob.mean_grad(x_curr)
+    d_dir = v_prev - prob.mean_grad(x_prev)
+    d_step = x_curr - x_prev
+    one_m = (1.0 - beta) ** 2
+    rhs = float(
+        one_m * (d_dir @ d_dir)
+        + 2.0 * one_m * prob.lipschitz_L**2 * (d_step @ d_step)
+        + 2.0 * beta**2 * prob.sigma_bound
+    )
     ids = np.arange(prob.num_components)
-    v_new = _recursion(_grad_rows, prob, MOMENTUM_SARAH, v_prev, x_prev, x_curr, ids, None, beta)
+    prev, curr = prob.grad_rows(x_prev, ids), prob.grad_rows(x_curr, ids)
+    v_new = _recursion(_gather, None, MOMENTUM_SARAH, v_prev, prev, curr, ids, None, beta)
     lhs = float(np.sum((v_new - g_curr) ** 2, axis=1).mean())
     return VarianceBoundReport(
         lhs=lhs,
@@ -145,11 +131,6 @@ def initial_direction_variance(prob: ProblemInstance, x0: np.ndarray, b_tilde: i
     if n == 1 or b_tilde == n:
         return 0.0
     return sigma2_at(prob, x0) * (n - b_tilde) / (b_tilde * (n - 1))
-
-
-def _grad_rows(prob: ProblemInstance, x: np.ndarray, ids: np.ndarray) -> np.ndarray:
-    # The estimator's grad(prob, x, ids), for a caller that checked the point.
-    return prob.grad_rows(x, ids)
 
 
 def _gather(_, table: np.ndarray, ids: np.ndarray) -> np.ndarray:
@@ -187,28 +168,25 @@ def check_variance_recursion_unrolled(
     component-gradient tables and a few arrays of their size.
     """
     beta = _check_beta_open(beta)
-    trajectory = _real_array("trajectory", trajectory)
-    if trajectory.ndim != 2 or trajectory.shape[1] != prob.dim:
-        raise ValueError(f"trajectory must have shape (k+1, {prob.dim})")
+    trajectory = _finite_array("trajectory", trajectory, (None, prob.dim))
     k = trajectory.shape[0] - 1
+    if k < 0:
+        raise ValueError("trajectory must hold at least one point")
     all_ids = np.arange(prob.num_components)
 
-    rows = sample_gradient(prob, trajectory[0], all_ids)
+    rows = prob.grad_rows(trajectory[0], all_ids)
     if np.ndim(v0) == 0:
         init_term = initial_direction_variance(prob, trajectory[0], v0)
         v0 = int(v0)
     else:
-        v0 = _real_array("v0", v0)
-        if v0.shape != (prob.dim,) or not np.isfinite(v0).all():
-            raise ValueError(
-                f"v0 must be a finite vector of shape ({prob.dim},) or an initial batch size")
+        v0 = _finite_array("v0", v0, (prob.dim,))
         d0 = v0 - rows.mean(axis=0)
         init_term = float(d0 @ d0)
 
     zeros = np.zeros_like(rows)
     noise = np.empty(k)  # mean_j ||d_i(j) - mean_j d_i||^2 for i = 1..k
     for i, x in enumerate(trajectory[1:]):
-        prev, rows = rows, sample_gradient(prob, x, all_ids)
+        prev, rows = rows, prob.grad_rows(x, all_ids)
         d = _recursion(_gather, None, MOMENTUM_SARAH, zeros, prev, rows, all_ids, None, beta)
         d -= d.mean(axis=0)
         noise[i] = np.mean(np.sum(d * d, axis=1))
@@ -269,9 +247,11 @@ def rate_slope(summary) -> float:
     ``summary`` is a sequence of (T, seed-averaged mean squared gradient
     mapping) pairs covering at least three distinct horizons, integers >= 1.
     """
-    pairs = [(T, float(m)) for T, m in summary]
-    for T, _ in pairs:
+    pairs = list(summary)
+    for T, m in pairs:
         _check_count("horizon T", T)
+        if not _is_real(m):
+            raise ValueError(f"rate fit means must be real numbers, got {m!r}")
     Ts = np.array([T for T, _ in pairs], dtype=float)
     means = np.array([m for _, m in pairs], dtype=float)
     if np.unique(Ts).size < 3:

@@ -228,6 +228,10 @@ class TestRun:
         with pytest.raises(TypeError, match="integer seed"):
             vp.run(quad_small, Zero(), _hp(T=5), rng=rng)
 
+    def test_negative_seed_names_the_seed(self, quad_small):
+        with pytest.raises(ValueError, match="seed must be an integer >= 0"):
+            vp.run(quad_small, Zero(), _hp(T=5), rng=-1)
+
     @pytest.mark.parametrize("hp", [None, {"eta": 0.1, "beta": 0.5, "b_tilde": 2, "T": 5}],
                              ids=["None", "dict"])
     def test_hp_must_be_hyperparams(self, quad_small, hp):
@@ -258,6 +262,11 @@ class TestMeanGradMapSq:
         trace = vp.run(quad_small, Zero(), _hp(T=10), rng=4, diagnostics=False)
         with pytest.raises(ValueError):
             vp.mean_grad_map_sq(trace)
+
+    @pytest.mark.parametrize("bad", [None, np.zeros(3)], ids=["None", "array"])
+    def test_refuses_what_is_not_a_trace(self, bad):
+        with pytest.raises(TypeError, match="trace must be a RunTrace"):
+            vp.mean_grad_map_sq(bad)
 
     def test_matches_output_resampling(self, quad_small):
         # Independent oracle: resample the uniform output index many times and

@@ -7,6 +7,7 @@ import pytest
 
 import vrprox as vp
 from vrprox.oracle import (
+    _generator,
     draw_sample_ids,
     draw_step_ids,
     sigma2_at,
@@ -285,6 +286,18 @@ def test_smoothness_spot_check_needs_two_pairs(quad_small, n_pairs):
 def test_smoothness_spot_check_needs_a_generator(quad_small, rng):
     with pytest.raises(TypeError, match="rng must be a numpy Generator"):
         vp.smoothness_spot_check(quad_small, rng, n_pairs=10)
+
+
+@pytest.mark.parametrize("rng", [3, None, np.random.PCG64(3)], ids=["int", "None", "PCG64"])
+def test_init_estimator_needs_a_generator(quad_small, rng):
+    with pytest.raises(TypeError, match="rng must be a numpy Generator"):
+        vp.init_estimator(quad_small, np.zeros(quad_small.dim), 2, rng)
+
+
+@pytest.mark.parametrize("seed", [0, 7, np.uint8(7), 2**70, [3, 1], (3, 8)], ids=repr)
+def test_generator_is_pcg64_of_the_seed(seed):
+    want = np.random.Generator(np.random.PCG64(seed))
+    assert _generator(seed).bit_generator.state == want.bit_generator.state
 
 
 @pytest.mark.parametrize("n_pairs", [2.5, np.float64(3.0), True, "3"], ids=repr)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -200,6 +202,26 @@ def test_parse_key():
                 "quad:10:3:0", "quad:10:3:nan", "quad:10:3:inf"):
         with pytest.raises(ValueError):
             parse_key(bad)
+
+
+@pytest.mark.parametrize("key", [5, None, b"quad:10:3:1.0"], ids=repr)
+def test_parse_key_refuses_a_key_that_is_not_a_string(key):
+    msg = rf"bad problem key {re.escape(repr(key))} \(not a string\)"
+    with pytest.raises(ValueError, match=msg):
+        from_key(key)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: from_key("quad:10:3:1.0", -1),
+    lambda: from_key("sigmoid:10:3", -1),
+    lambda: vp.make_nonconvex_sigmoid(10, 3, seed=1.5),
+    lambda: vp.make_robust_regression(10, 3, seed="1"),
+    lambda: vp.make_quadratic(10, 3, seed=True),
+    lambda: vp.make_quadratic(10, 3, seed=[1, -2]),
+], ids=["quad -1", "sigmoid -1", "sigmoid 1.5", "robust str", "quad bool", "quad list"])
+def test_builders_name_a_bad_seed(call):
+    with pytest.raises(ValueError, match="seed must be an integer >= 0"):
+        call()
 
 
 @pytest.mark.parametrize("spread", [np.nan, np.inf, 0.0, -1.0, True, np.True_], ids=repr)

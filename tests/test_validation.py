@@ -7,7 +7,7 @@ import pytest
 import vrprox as vp
 from vrprox import suite, validation
 from vrprox.estimators import MOMENTUM_SARAH, _recursion
-from vrprox.validation import initial_direction_variance, variance_recursion_rhs
+from vrprox.validation import initial_direction_variance
 
 
 @pytest.fixture(scope="module")
@@ -87,20 +87,16 @@ class TestOneStep:
             v_prev = v_prev[:1]
         else:
             v_prev[0] = float(bad)
-        with pytest.raises(ValueError, match="v_prev must be a finite vector"):
+        msg = r"v_prev (must be finite|has shape \(1,\), expected \(10,\))"
+        with pytest.raises(ValueError, match=msg):
             vp.check_variance_recursion_step(quad, x_prev, x_curr, v_prev, beta)
 
-    def test_enumerates_every_id_through_grad_rows_unchecked(self, quad, rng, monkeypatch):
-        # The inputs are checked once, up front; the two enumerations of the
-        # n ids then call the problem's grad_rows, not the checked oracle.
+    def test_enumerates_every_id_through_grad_rows_unchecked(self, quad, rng):
+        # The inputs are checked once, up front; the two points' tables of
+        # the n ids then come from one grad_rows call each.
         counted, calls = suite._counting(quad)
         x_prev, x_curr, v_prev = (rng.normal(0, 1, quad.dim) for _ in range(3))
         want = vp.check_variance_recursion_step(quad, x_prev, x_curr, v_prev, 0.3)
-
-        def refuse(*args):
-            raise AssertionError("the enumeration went through sample_gradient")
-
-        monkeypatch.setattr(validation, "sample_gradient", refuse)
         got = vp.check_variance_recursion_step(counted, x_prev, x_curr, v_prev, 0.3)
         assert calls["grad"] == 2 * quad.num_components
         assert (got.lhs, got.rhs) == (want.lhs, want.rhs)
@@ -122,7 +118,8 @@ class TestOneStep:
             + 2 * (1 - beta) ** 2 * quad.lipschitz_L**2 * np.sum((x_curr - x_prev) ** 2)
             + 2 * beta**2 * quad.sigma_bound
         )
-        assert variance_recursion_rhs(quad, x_prev, x_curr, v_prev, beta) == pytest.approx(manual)
+        rep = vp.check_variance_recursion_step(quad, x_prev, x_curr, v_prev, beta)
+        assert rep.rhs == pytest.approx(manual)
 
 
 def _replayed_error(prob, traj, v0, beta, n_mc, rng):
@@ -240,8 +237,13 @@ class TestUnrolled:
             v0 = np.tile(v0, (2, 1))
         else:
             v0[0] = float(bad)
-        with pytest.raises(ValueError, match=r"v0 must be a finite vector of shape \(10,\)"):
+        msg = r"v0 (must be finite|has shape \((1,|2, 10)\), expected \(10,\))"
+        with pytest.raises(ValueError, match=msg):
             vp.check_variance_recursion_unrolled(quad, traj, v0, 0.5)
+
+    def test_rejects_an_empty_trajectory(self, quad):
+        with pytest.raises(ValueError, match="trajectory must hold at least one point"):
+            vp.check_variance_recursion_unrolled(quad, np.zeros((0, quad.dim)), 2, 0.5)
 
     def test_numpy_integer_initial_batch_size(self, quad):
         traj = np.zeros((3, quad.dim))
@@ -428,6 +430,11 @@ class TestRateSlope:
     def test_horizons_must_be_integers_at_least_one(self, T):
         with pytest.raises(ValueError, match="horizon T must be an integer >= 1"):
             vp.rate_slope([(10, 1.0), (T, 0.5), (1000, 0.2)])
+
+    @pytest.mark.parametrize("bad", ["a", None, [0.5]], ids=repr)
+    def test_means_must_be_real_numbers(self, bad):
+        with pytest.raises(ValueError, match="rate fit means must be real numbers"):
+            vp.rate_slope([(1, bad), (2, 1.0), (3, 1.0)])
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_rejects_nonfinite_means(self, bad):
