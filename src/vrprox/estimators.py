@@ -55,14 +55,19 @@ def _recursion(grad, prob, kind, v, x_prev, x_curr, xi, zeta, beta) -> np.ndarra
     checks: the callers validate up front.  It is the one copy of the
     recursion: :func:`vrprox.optimizer.run` steps it on sample gradients,
     the suite's degenerate check on mini-batch means, and both variance
-    checks of :mod:`vrprox.validation` on the (n, dim) stack of every sample
-    id, with ``grad`` gathering rows of each point's precomputed
-    component-gradient table (passed in place of the point).
+    checks of :mod:`vrprox.validation` on (k, n, dim) stacks of k tuples'
+    component-gradient tables of every sample id, which ``grad`` returns as
+    passed in place of the points.
 
     The recursions work in place on their first fresh difference
     ``v - g_prev`` or ``v + g_curr``, which has the shape of both sample
     terms since they share ids; the hybrid's ``zeta`` must give that shape
     too.  No input is written and the result is never one of them.
+
+    ``beta`` is a float, or for the same-sample kinds an array of weights
+    that broadcasts against the sample terms, one per stacked tuple, which
+    the variance checks pass to step many tuples at once; each tuple then
+    has the bits of a float ``beta``.
     """
     if kind == SGD:
         return grad(prob, x_curr, xi)
@@ -77,9 +82,16 @@ def _recursion(grad, prob, kind, v, x_prev, x_curr, xi, zeta, beta) -> np.ndarra
         d *= 1.0 - beta
         d += beta * g_zeta
         return d
-    if beta == 1.0:
+    column = type(beta) is np.ndarray
+    if not column and beta == 1.0:
         return g_curr
     d = v - g_prev
     d *= 1.0 - beta
     np.add(g_curr, d, out=d)
+    if column:
+        # A row with beta = 1 is its fresh gradient, as the scalar branch
+        # returns it; copying where no weight is 1 would cost a full pass.
+        ones = beta == 1.0
+        if ones.any():
+            np.copyto(d, g_curr, where=ones)
     return d

@@ -68,6 +68,7 @@ def make_quadratic(
         _check_positive_finite("spread", spread)
         centers = _ball_points(_generator(seed), n, p, spread)
     else:
+        _generator(seed)  # the seed goes into meta: refuse a bad one by name here too
         centers = _finite_array("centers", centers, (n, p))
     # An overflowing scatter gives inf, which ProblemInstance refuses by name.
     with np.errstate(over="ignore"):

@@ -11,6 +11,13 @@ experiment outputs.
 ``quick`` trims the sample counts for a fast smoke run; the default scales
 match the acceptance suite where runtime permits (the decay check runs at a
 reduced horizon grid here, the full grid lives in the test suite).
+
+The Monte-Carlo and exact rows draw their inputs as whole arrays and
+evaluate them as row-wise stacks, a chunk at a time, so that no stacked
+temporary exceeds ``oracle._CHUNK_BYTES``: the two variance rows and the
+schedule row through the stacked engines of :mod:`vrprox.validation`, the
+smoothness row through ``smoothness_spot_check``, the prox row here.  Each
+stack has the bits of a per-item loop, so the rows read as that loop would.
 """
 
 from __future__ import annotations
@@ -26,6 +33,7 @@ from .estimators import HYBRID_SARAH, MOMENTUM_SARAH, SARAH, SGD, _recursion, in
 from .experiment import run_experiment, stationarity_bound_rhs
 from .optimizer import HyperParams, gradient_mapping, mean_grad_map_sq, run, schedule_from_T
 from .oracle import (
+    _CHUNK_BYTES,
     _check_point,
     _chunks,
     _generator,
@@ -37,7 +45,7 @@ from .oracle import (
 )
 from .problems import make_nonconvex_sigmoid, make_quadratic, make_robust_regression
 from .prox import L1, BoxIndicator, ElasticNet, Zero, prox, psi_value
-from .validation import check_variance_recursion_step, check_variance_recursion_unrolled, check_schedule_constraint, rate_slope
+from .validation import _schedule_rows, _step_rows, _unrolled_rows, rate_slope
 
 
 def _row(check: str, passed: bool, value, threshold: str, detail: str = "") -> dict:
@@ -56,24 +64,26 @@ def central_difference_gradient(prob, x: np.ndarray, sample_id: int) -> np.ndarr
     x = _check_point(prob, x)
     h = 1e-5
     g = np.empty_like(x)
-    for j in range(x.size):
-        e = np.zeros_like(x)
-        e[j] = h
+    # Row j of h * I is the perturbation of coordinate j.
+    for j, e in enumerate(h * np.eye(x.size)):
         g[j] = (prob.value_sample(x + e, sample_id) - prob.value_sample(x - e, sample_id)) / (
             2.0 * h
         )
     return g
 
 
-# Horizons per check_schedule_constraint call in the schedule row.
-_SCHEDULE_BLOCK = 2**14
+# The schedule row's L, as the column _schedule_rows takes, and its horizons
+# per call: a block's (3, block) margins fill at most _CHUNK_BYTES.
+_SCHEDULE_LS = np.array([[0.1], [1.0], [10.0]])
+_SCHEDULE_BLOCK = _CHUNK_BYTES // (8 * len(_SCHEDULE_LS))
 
 
 def _schedule_margins(horizon: int):
     """(passed, worst margin, L-spread) of the schedule constraint over
     T = 1..horizon at L = 0.1, 1 and 10.  The horizons go through
-    check_schedule_constraint in fixed blocks, so memory stays flat; min and
-    max are exact, so the result is that of one call over the whole range."""
+    validation's stacked core in fixed blocks, all three L at once, so
+    memory stays flat; min and max are exact, so the result is that of one
+    check_schedule_constraint call per L over the whole range."""
     passed = True
     worst = np.inf
     spread = 0.0
@@ -81,17 +91,10 @@ def _schedule_margins(horizon: int):
     # horizon.
     for start in range(1, horizon + 1, _SCHEDULE_BLOCK):
         Ts = np.arange(start, min(start + _SCHEDULE_BLOCK, horizon + 1))
-        margins = {}
-        for L in (0.1, 1.0, 10.0):
-            rep = check_schedule_constraint(Ts, L)
-            margins[L] = rep.margins
-            passed &= rep.passed
-            worst = min(worst, rep.worst_margin)
-        spread = max(
-            spread,
-            float(np.max(np.abs(margins[0.1] - margins[1.0]))),
-            float(np.max(np.abs(margins[10.0] - margins[1.0]))),
-        )
+        margins, ok = _schedule_rows(Ts, _SCHEDULE_LS)
+        passed &= bool(ok.all())
+        worst = min(worst, float(margins.min()))
+        spread = max(spread, float(np.max(np.abs(margins[::2] - margins[1]))))
     return passed, worst, spread
 
 
@@ -106,6 +109,23 @@ def _check_schedule(quick: bool) -> dict:
     )
 
 
+def _min_slack(rows, prob, count: int, *stacks) -> tuple[float, bool]:
+    """The least rhs - lhs of the stacked variance check ``rows`` over the
+    ``count`` items whose inputs are the rows of ``stacks``, and whether
+    every item passed.  The items go in chunks whose component-gradient
+    tables fill at most _CHUNK_BYTES; like a per-item loop, it stops at the
+    first item that fails, whose slack it includes."""
+    worst = np.inf
+    for start, stop in _chunks(count, 8 * prob.num_components * prob.dim):
+        lhs, rhs = rows(prob, *(a[start:stop] for a in stacks))
+        slack = rhs - lhs
+        failed = np.flatnonzero(~(lhs <= rhs))
+        if failed.size:
+            return min(worst, float(slack[: failed[0] + 1].min())), False
+        worst = min(worst, float(slack.min()))
+    return worst, True
+
+
 def _check_variance_recursion_step(quick: bool, seed: int) -> dict:
     prob = make_quadratic(50, 10, 1.0, seed=seed)
     rng = _generator([seed, 1])
@@ -115,13 +135,10 @@ def _check_variance_recursion_step(quick: bool, seed: int) -> dict:
     X_curr = X_prev + rng.normal(0.0, 0.5, (n_tuples, prob.dim))
     V_prev = rng.normal(0.0, 2.0, (n_tuples, prob.dim))
     betas = rng.uniform(0.01, 0.99, n_tuples)
-    worst = np.inf
-    for x_prev, x_curr, v_prev, beta in zip(X_prev, X_curr, V_prev, betas):
-        rep = check_variance_recursion_step(prob, x_prev, x_curr, v_prev, beta)
-        worst = min(worst, rep.rhs - rep.lhs)
-        if not rep.passed:
-            return _row("variance_recursion_step", False, f"slack={worst:.3e}",
-                        "lhs <= rhs on every tuple (exact enumeration)")
+    worst, ok = _min_slack(_step_rows, prob, n_tuples, X_prev, X_curr, V_prev, betas)
+    if not ok:
+        return _row("variance_recursion_step", False, f"slack={worst:.3e}",
+                    "lhs <= rhs on every tuple (exact enumeration)")
     return _row(
         "variance_recursion_step",
         worst >= 0.0,
@@ -134,17 +151,25 @@ def _check_variance_recursion_unrolled(quick: bool, seed: int) -> dict:
     prob = make_quadratic(50, 10, 1.0, seed=seed)
     rng = _generator([seed, 2])
     n_traj = 10 if quick else 100
-    worst = np.inf
+    # The draws go trajectory by trajectory: its steps, its start, its beta,
+    # then an initial batch size (even k) or a fixed initial direction (odd k).
+    walks = np.empty((n_traj, 10, prob.dim))
+    betas = np.empty(n_traj)
+    batches = np.zeros(n_traj, dtype=np.int64)
+    V0 = np.zeros((n_traj, prob.dim))
     for k in range(n_traj):
-        steps = rng.normal(0.0, 0.3, (9, prob.dim))
-        traj = np.vstack([rng.normal(0.0, 1.0, prob.dim), steps]).cumsum(axis=0)
-        beta = rng.uniform(0.05, 0.95)
-        v0 = int(rng.integers(1, 11)) if k % 2 == 0 else rng.normal(0.0, 1.0, prob.dim)
-        rep = check_variance_recursion_unrolled(prob, traj, v0, beta)
-        worst = min(worst, rep.rhs - rep.lhs)
-        if not rep.passed:
-            return _row("variance_recursion_unrolled", False, f"slack={worst:.3e}",
-                        "lhs <= rhs on every trajectory (exact expectation)")
+        walks[k, 1:] = rng.normal(0.0, 0.3, (9, prob.dim))
+        walks[k, 0] = rng.normal(0.0, 1.0, prob.dim)
+        betas[k] = rng.uniform(0.05, 0.95)
+        if k % 2 == 0:
+            batches[k] = rng.integers(1, 11)
+        else:
+            V0[k] = rng.normal(0.0, 1.0, prob.dim)
+    trajectories = walks.cumsum(axis=1)
+    worst, ok = _min_slack(_unrolled_rows, prob, n_traj, trajectories, batches, V0, betas)
+    if not ok:
+        return _row("variance_recursion_unrolled", False, f"slack={worst:.3e}",
+                    "lhs <= rhs on every trajectory (exact expectation)")
     return _row(
         "variance_recursion_unrolled",
         worst >= 0.0,

@@ -218,7 +218,10 @@ def test_parse_key_refuses_a_key_that_is_not_a_string(key):
     lambda: vp.make_robust_regression(10, 3, seed="1"),
     lambda: vp.make_quadratic(10, 3, seed=True),
     lambda: vp.make_quadratic(10, 3, seed=[1, -2]),
-], ids=["quad -1", "sigmoid -1", "sigmoid 1.5", "robust str", "quad bool", "quad list"])
+    lambda: vp.make_quadratic(2, 2, seed="x", centers=[[0.0, 0.0], [1.0, 1.0]]),
+    lambda: vp.make_quadratic(2, 2, seed=-1, centers=[[0.0, 0.0], [1.0, 1.0]]),
+], ids=["quad -1", "sigmoid -1", "sigmoid 1.5", "robust str", "quad bool", "quad list",
+        "quad centers str", "quad centers -1"])
 def test_builders_name_a_bad_seed(call):
     with pytest.raises(ValueError, match="seed must be an integer >= 0"):
         call()

@@ -1,12 +1,16 @@
 import inspect
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import vrprox as vp
 from vrprox import suite, validation
 from vrprox.estimators import MOMENTUM_SARAH, _recursion
+from vrprox.oracle import _CHUNK_BYTES, _chunks
 from vrprox.validation import initial_direction_variance
 
 
@@ -245,6 +249,16 @@ class TestUnrolled:
         with pytest.raises(ValueError, match="trajectory must hold at least one point"):
             vp.check_variance_recursion_unrolled(quad, np.zeros((0, quad.dim)), 2, 0.5)
 
+    def test_batch_variance_comes_from_the_first_table(self, quad, rng):
+        # One table of the n ids per point: the initial batch's variance
+        # reads the table at x_0 the first step uses, not a second one.
+        counted, calls = suite._counting(quad)
+        traj = _walk(quad, rng, 9)
+        want = vp.check_variance_recursion_unrolled(quad, traj, 3, 0.4)
+        got = vp.check_variance_recursion_unrolled(counted, traj, 3, 0.4)
+        assert calls["grad"] == 10 * quad.num_components
+        assert (got.lhs, got.rhs) == (want.lhs, want.rhs)
+
     def test_numpy_integer_initial_batch_size(self, quad):
         traj = np.zeros((3, quad.dim))
         reps = [vp.check_variance_recursion_unrolled(quad, traj, v0, 0.5)
@@ -340,7 +354,7 @@ class TestScheduleConstraint:
 
     @pytest.mark.parametrize("quick", [True, False])
     def test_suite_blocks_give_the_one_call_result(self, quick):
-        # The suite's row folds blocks of 2^14 horizons (quick: one partial
+        # The suite's row folds blocks of 5,461 horizons, three L at once (quick:
         # block); one call over the whole range gives the same bits.
         horizon = 10_000 if quick else 1_000_000
         Ts = np.arange(1, horizon + 1)
@@ -482,3 +496,126 @@ class TestSuiteStacks:
         # Whole per-regularizer stacks would hold 1.6 MB of nearby points,
         # times the temporaries of their objective.
         assert _traced_peak_mb(lambda: suite._check_prox_properties(False, 0)) < 1.2
+
+
+# One size for the three families: a chunk of the variance rows is then 68
+# items, and the property's k runs past it.
+_N, _DIM = 30, 8
+_FAMILY_KEYS = {"quad": f"quad:{_N}:{_DIM}:1.0", "sigmoid": f"sigmoid:{_N}:{_DIM}",
+                "robust": f"robust:{_N}:{_DIM}"}
+_CHUNK_ITEMS = _chunks(100, 8 * _N * _DIM)[0][1]
+
+
+def _direct_step(prob, x_prev, x_curr, v_prev, beta):
+    """(lhs, rhs) of the one-step check on one tuple, from its two (n, dim)
+    tables in plain numpy: the reference for the stacked evaluation."""
+    g_curr = prob.mean_grad(x_curr)
+    d_dir = v_prev - prob.mean_grad(x_prev)
+    d_step = x_curr - x_prev
+    one_m = (1.0 - beta) ** 2
+    rhs = (one_m * (d_dir @ d_dir) + 2.0 * one_m * prob.lipschitz_L**2 * (d_step @ d_step)
+           + 2.0 * beta**2 * prob.sigma_bound)
+    ids = np.arange(prob.num_components)
+    prev, curr = prob.grad_rows(x_prev, ids), prob.grad_rows(x_curr, ids)
+    v_new = curr if beta == 1.0 else curr + (1.0 - beta) * (v_prev - prev)
+    return float(np.sum((v_new - g_curr) ** 2, axis=1).mean()), float(rhs)
+
+
+def _direct_unrolled(prob, traj, v0, beta):
+    """(lhs, rhs) of the unrolled check on one trajectory, table by table in
+    plain numpy: the reference for the stacked evaluation."""
+    k = traj.shape[0] - 1
+    ids = np.arange(prob.num_components)
+    tables = [prob.grad_rows(x, ids) for x in traj]
+    if np.ndim(v0) == 0:
+        init = initial_direction_variance(prob, traj[0], v0)
+    else:
+        d0 = v0 - tables[0].mean(axis=0)
+        init = float(d0 @ d0)
+    noise = np.empty(k)
+    for i in range(k):
+        d = tables[i + 1] if beta == 1.0 else tables[i + 1] + (1.0 - beta) * (0.0 - tables[i])
+        d = d - d.mean(axis=0)
+        noise[i] = np.mean(np.sum(d * d, axis=1))
+    decay = (1.0 - beta) ** 2
+    lhs = decay**k * init + np.sum(decay ** np.arange(k - 1, -1, -1) * noise)
+    steps = np.sum(np.diff(traj, axis=0) ** 2, axis=1)
+    rhs = (decay**k * init + 2.0 * beta * prob.sigma_bound
+           + 2.0 * prob.lipschitz_L**2 * np.sum(decay ** np.arange(k, 0, -1) * steps))
+    return float(lhs), float(rhs)
+
+
+class TestStackedEngines:
+    """The stacked evaluations behind the variance and schedule rows against
+    the public one-item checkers and a direct per-item evaluation, bit for
+    bit."""
+
+    @settings(derandomize=True, deadline=None, max_examples=30)
+    @given(family=st.sampled_from(sorted(_FAMILY_KEYS)), k=st.integers(1, _CHUNK_ITEMS + 3),
+           m=st.integers(0, 4), seed=st.integers(0, 2**32 - 1))
+    def test_variance_engines_match_the_one_item_checks(self, family, k, m, seed):
+        prob = vp.from_key(_FAMILY_KEYS[family], seed=1)
+        rng = np.random.default_rng(seed)
+        # beta in (0, 1], a fifth of them exactly 1.
+        betas = np.where(rng.random(k) < 0.2, 1.0, 1.0 - rng.random(k))
+        X_prev = rng.normal(0.0, 2.0, (k, _DIM))
+        X_curr = X_prev + rng.normal(0.0, 0.5, (k, _DIM))
+        V_prev = rng.normal(0.0, 2.0, (k, _DIM))
+        lhs, rhs = validation._step_rows(prob, X_prev, X_curr, V_prev, betas)
+        for r in range(k):
+            rep = vp.check_variance_recursion_step(prob, X_prev[r], X_curr[r], V_prev[r], betas[r])
+            direct = _direct_step(prob, X_prev[r], X_curr[r], V_prev[r], float(betas[r]))
+            assert (lhs[r], rhs[r]) == (rep.lhs, rep.rhs) == direct
+
+        # Initial batches of 1..n samples and fixed directions, mixed.
+        trajectories = rng.normal(0.0, 0.5, (k, m + 1, _DIM)).cumsum(axis=1)
+        batches = np.where(rng.random(k) < 0.5, rng.integers(1, _N + 1, k), 0)
+        V0 = np.where(batches[:, None] == 0, rng.normal(0.0, 1.0, (k, _DIM)), 0.0)
+        lhs, rhs = validation._unrolled_rows(prob, trajectories, batches, V0, betas)
+        for r in range(k):
+            v0 = int(batches[r]) if batches[r] else V0[r]
+            rep = vp.check_variance_recursion_unrolled(prob, trajectories[r], v0, betas[r])
+            direct = _direct_unrolled(prob, trajectories[r], v0, float(betas[r]))
+            assert (lhs[r], rhs[r]) == (rep.lhs, rep.rhs) == direct
+
+    @settings(derandomize=True, deadline=None, max_examples=30)
+    @given(start=st.integers(1, 10**9), size=st.integers(1, 3000),
+           Ls=st.lists(st.floats(1e-6, 1e6), min_size=1, max_size=4))
+    def test_schedule_core_matches_the_one_L_check(self, start, size, Ls):
+        Ts = np.arange(start, start + size)
+        margins, passed = validation._schedule_rows(Ts, np.array(Ls)[:, None])
+        for j, L in enumerate(Ls):
+            rep = vp.check_schedule_constraint(Ts, L)
+            assert margins[j].tobytes() == rep.margins.tobytes()
+            assert bool(passed[j]) is rep.passed
+
+
+def test_full_scale_rows_stack_within_a_chunk(monkeypatch):
+    # Every grad_rows call of the two variance rows, and every schedule
+    # block, holds at most _CHUNK_BYTES, and each stacks many items.
+    sizes = []
+
+    def quadratic(*args, **kwargs):
+        prob = vp.make_quadratic(*args, **kwargs)
+
+        def recorded(x, ids):
+            rows = prob.grad_rows(x, ids)
+            sizes.append(rows.nbytes)
+            return rows
+
+        return replace(prob, grad_rows=recorded)
+
+    def schedule_rows(Ts, Ls):
+        margins, passed = validation._schedule_rows(Ts, Ls)
+        sizes.append(margins.nbytes)
+        return margins, passed
+
+    monkeypatch.setattr(suite, "make_quadratic", quadratic)
+    monkeypatch.setattr(suite, "_schedule_rows", schedule_rows)
+    table = 50 * 10 * 8  # one (n, dim) table of the rows' quad 50x10
+    for check in (lambda: suite._check_variance_recursion_step(False, 0),
+                  lambda: suite._check_variance_recursion_unrolled(False, 0),
+                  lambda: suite._check_schedule(False)):
+        sizes.clear()
+        assert check()["passed"]
+        assert table < min(sizes) and max(sizes) <= _CHUNK_BYTES
