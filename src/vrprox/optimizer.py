@@ -24,15 +24,15 @@ uniformly selected output iterate (drawn up front) plus optional
 per-iteration diagnostics computed from exact full gradients; diagnostic
 evaluations are counted separately and never enter the oracle-call tally.
 
-The loop runs in blocks of ``BLOCK`` steps.  Each step does only the
-recursion, the guarded prox step and, with diagnostics on, one exact
-``full_gradient`` at its iterate plus the problem's ``mean_value`` at the
-array that call has just checked; the block's sample ids are drawn in one
-call before it, and its diagnostics and step norms are computed after it
-with row-wise operations on the stacked iterates.  ``sample_gradient`` and
-``full_gradient`` stay checked oracle calls inside the loop: the traced
-benchmark counts one span of each per evaluation and per iterate.  A run
-holds O(BLOCK * p) memory whatever T is.
+The loop runs in blocks of ``BLOCK`` steps.  A step's budget: two checked
+``sample_gradient`` calls and three array operations for the recursion (three
+and five for the hybrid, one call for SGD), with diagnostics one checked
+``full_gradient`` and ``mean_value`` at the array it has just checked, then
+z = v * (-eta) + x in one temporary, the prox and the guard's dot product.
+Ids are drawn once per block; diagnostics and step norms are reduced after it.
+The checks cost more than the gradients they guard but stay until the seeds
+run in lockstep: the traced benchmark counts one span of each call per
+evaluation and per iterate.  A run holds O(BLOCK * p) memory whatever T is.
 """
 
 from __future__ import annotations
@@ -275,6 +275,9 @@ def run(
     else:
         grad_map_sq = obj = est_err_sq = None
 
+    # numpy multiplies by a 0-d array faster than by a Python float.
+    neg_eta = np.array(-eta)
+    mean_value = prob.mean_value
     x_prev = x
     for start in range(0, T + 1, BLOCK):
         stop = min(start + BLOCK, T + 1)
@@ -286,6 +289,7 @@ def run(
         # x_start..x_stop and, with diagnostics, v_t, grad f(x_t) and f(x_t),
         # kept by reference: nothing writes into them in place.
         xs, vs, gs, fs = [x], [], [], []
+        add_x, add_v, add_g, add_f = xs.append, vs.append, gs.append, fs.append
         for t in range(start, stop):
             # On entry x is x_t and x_prev is x_{t-1}; v becomes v_t here
             # (v_0 is the initial batch's direction).
@@ -294,18 +298,21 @@ def run(
                 zeta = next_id() if hybrid else None
                 v = _recursion(sample_gradient, prob, kind, v, x_prev, x, xi, zeta, beta)
             if diagnostics:
-                vs.append(v)
-                gs.append(full_gradient(prob, x))
+                add_v(v)
+                add_g(full_gradient(prob, x))
                 # f(x_t) at the array full_gradient has just checked.
-                fs.append(prob.mean_value(x))
-            # x_{t+1} = prox(x_t - eta v_t), guarded.
-            z = x - eta * v
+                add_f(mean_value(x))
+            # x_{t+1} = prox(x_t - eta v_t), guarded; v * -eta + x has the
+            # bits of x - eta * v, with one temporary.
+            z = v * neg_eta
+            z += x
             x_next = prox_eta(z)
-            _guard(x_next, t + 1, limit)
+            if not math.sqrt(x_next.dot(x_next)) <= limit:
+                _guard(x_next, t + 1, limit)
             if clamps:
                 _check_finite(z, t + 1)
             x_prev, x = x, x_next
-            xs.append(x)
+            add_x(x)
 
         if start <= output_index < stop:
             output_x = xs[output_index - start]

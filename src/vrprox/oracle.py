@@ -9,12 +9,14 @@ diagnostics and the variance checks use the exact expectations.
 It owns the library's two input policies: ``_finite_array`` makes every
 public array argument a float64 array, refusing by name a non-real dtype, a
 wrong shape or a non-finite entry, and ``_generator`` makes every seed a
-``Generator(PCG64(seed))``.  Points are checked once, where they enter.
+``Generator(PCG64(seed))``.  Points are checked once, where they enter:
+``_check_point`` screens a float64 point of the instance's shape by its dot
+product with the instance's read-only zero vector, and checks anything else
+in full.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -151,21 +153,19 @@ class ProblemInstance:
             raise ValueError(f"sigma_bound must be a finite scalar >= 0, got {self.sigma_bound}")
         if not np.isfinite(self.f_lower):
             raise ValueError(f"f_lower must be finite, got {self.f_lower}")
-
-
-@functools.lru_cache(maxsize=8)
-def _zeros(dim: int) -> np.ndarray:
-    z = np.zeros(dim)
-    z.flags.writeable = False
-    return z
+        # What _check_point's screen reads; not fields, so replace() rebuilds them.
+        zero = np.zeros(self.dim)
+        zero.flags.writeable = False
+        object.__setattr__(self, "_zero", zero)
+        object.__setattr__(self, "_shape", (self.dim,))
 
 
 def _check_point(prob: ProblemInstance, x: np.ndarray) -> np.ndarray:
     # The run loop's float64 iterates pass on a screen: x . 0 is 0 exactly
     # when every entry is finite, and unlike x . x it cannot overflow.
     # Anything else takes the full check, which names the failure.
-    if (type(x) is np.ndarray and x.dtype is _FLOAT and x.shape == (prob.dim,)
-            and x.dot(_zeros(prob.dim)) == 0.0):
+    if (type(x) is np.ndarray and x.dtype is _FLOAT and x.shape == prob._shape
+            and x.dot(prob._zero) == 0.0):
         return x
     return _finite_array("point", x, (prob.dim,))
 

@@ -74,12 +74,14 @@ def make_quadratic(
     with np.errstate(over="ignore"):
         cbar = centers.mean(axis=0)
         sigma2 = float(np.mean(np.sum((centers - cbar) ** 2, axis=1)))
+    rows = list(centers)
+    half_sigma2 = 0.5 * sigma2
 
     def grad_rows(x, ids):
-        return x - centers[ids]
+        return x - (centers[ids] if isinstance(ids, np.ndarray) else rows[ids])
 
     def value_sample(x, i):
-        d = x - centers[i]
+        d = x - rows[i]
         return 0.5 * float(d @ d)
 
     def mean_grad(x):
@@ -87,7 +89,7 @@ def make_quadratic(
 
     def mean_value(x):
         d = x - cbar
-        return 0.5 * float(d.dot(d)) + 0.5 * sigma2
+        return 0.5 * float(d.dot(d)) + half_sigma2
 
     return ProblemInstance(
         name=f"quadratic(n={n},p={p})",
@@ -97,7 +99,7 @@ def make_quadratic(
         value_sample=value_sample,
         lipschitz_L=1.0,
         sigma_bound=sigma2,
-        f_lower=0.5 * sigma2,
+        f_lower=half_sigma2,
         mean_grad=mean_grad,
         mean_value=mean_value,
         # Centers above a tenth of the float range give the largest float.

@@ -452,9 +452,11 @@ def test_run_matches_public_api_loop_bitwise(problem, psi, kind, T):
         assert trace.diagnostic_full_gradients == (T + 1 if diagnostics else 0)
 
 
+@pytest.mark.parametrize("problem", sorted(_EQUIV_PROBLEMS))
 @pytest.mark.parametrize("kind", [MOMENTUM_SARAH, HYBRID_SARAH, SARAH, SGD])
 @pytest.mark.parametrize("diagnostics", [True, False])
-def test_run_keeps_the_call_structure_the_benchmark_traces(monkeypatch, kind, diagnostics):
+def test_run_keeps_the_call_structure_the_benchmark_traces(monkeypatch, problem, kind,
+                                                           diagnostics):
     # A traced benchmark run wraps these module attributes and checks the
     # counts exactly: one sample_gradient per evaluation with a Python-int
     # id, one full_gradient per iterate with diagnostics on, and one initial
@@ -476,7 +478,7 @@ def test_run_keeps_the_call_structure_the_benchmark_traces(monkeypatch, kind, di
     monkeypatch.setattr(optimizer, "sample_gradient", sample_gradient)
     monkeypatch.setattr(optimizer, "full_gradient", full_gradient)
     monkeypatch.setattr(estimators, "minibatch_gradient", minibatch_gradient)
-    prob = _EQUIV_PROBLEMS["quad"]()
+    prob = _EQUIV_PROBLEMS[problem]()
     T = BLOCK + 5
     hp = vp.schedule_from_T(T, prob.lipschitz_L)
     trace = vp.run(prob, Zero(), hp, rng=7, kind=kind, diagnostics=diagnostics)

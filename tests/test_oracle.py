@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 import warnings
 from dataclasses import fields, replace
@@ -13,6 +14,7 @@ from vrprox.oracle import (
     sigma2_at,
 )
 from vrprox.problems import from_key
+from vrprox.suite import _counting
 
 
 def test_quadratic_sample_gradient_closed_form(quad_small, rng):
@@ -317,17 +319,73 @@ def test_huge_finite_point_accepted_without_warning(quad_small):
     assert np.all(np.isfinite(g)) and np.all(np.isfinite(full))
 
 
+def _warm_up(prob):
+    """Valid calls of every point-checking entry point, as a run makes them."""
+    x = np.linspace(-1.0, 1.0, prob.dim)
+    for _ in range(3):
+        vp.sample_gradient(prob, x, 0)
+        vp.full_gradient(prob, x)
+        vp.full_value(prob, x)
+
+
+def _refused_everywhere(prob, x, message):
+    for call in (lambda: vp.sample_gradient(prob, x, 0), lambda: vp.full_gradient(prob, x),
+                 lambda: vp.full_value(prob, x)):
+        with pytest.raises(ValueError, match=message):
+            call()
+
+
+# The float64 screen x . 0 meets inf * 0, which numpy flags as invalid.
 @pytest.mark.filterwarnings("ignore:invalid value encountered")
+@pytest.mark.parametrize("position", [0, 2, -1], ids=["first", "middle", "last"])
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-def test_nonfinite_points_rejected(quad_small, bad):
+def test_nonfinite_points_rejected(quad_small, bad, position):
+    _warm_up(quad_small)
     x = np.zeros(quad_small.dim)
-    x[2] = bad
-    with pytest.raises(ValueError, match="finite"):
-        vp.sample_gradient(quad_small, x, 0)
-    with pytest.raises(ValueError, match="finite"):
-        vp.full_gradient(quad_small, x)
-    with pytest.raises(ValueError, match="finite"):
-        vp.full_value(quad_small, x)
+    x[position] = bad
+    _refused_everywhere(quad_small, x, "^point must be finite$")
+    _refused_everywhere(quad_small, x.astype(np.float32), "^point must be finite$")
+
+
+@pytest.mark.parametrize("shape", [(7,), (1, 6), (6, 6), ()], ids=repr)
+def test_misshapen_points_rejected_on_a_warm_instance(quad_small, shape):
+    _warm_up(quad_small)
+    expected = re.escape(f"point has shape {shape}, expected (6,)")
+    _refused_everywhere(quad_small, np.zeros(shape), f"^{expected}$")
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.int64, np.int8])
+def test_other_real_dtypes_are_converted_on_a_warm_instance(quad_small, dtype):
+    # They miss the float64 screen and take the full check's conversion.
+    _warm_up(quad_small)
+    x = np.arange(quad_small.dim).astype(dtype)
+    ref = x.astype(float)
+    assert vp.sample_gradient(quad_small, x, 0).tobytes() == vp.sample_gradient(
+        quad_small, ref, 0).tobytes()
+    assert vp.full_gradient(quad_small, x).tobytes() == vp.full_gradient(quad_small, ref).tobytes()
+    assert vp.full_value(quad_small, x) == vp.full_value(quad_small, ref)
+
+
+def test_screen_zero_vector_is_read_only(quad_small):
+    _warm_up(quad_small)
+    with pytest.raises(ValueError, match="read-only"):
+        quad_small._zero[0] = np.nan
+    assert quad_small._zero.tobytes() == np.zeros(quad_small.dim).tobytes()
+
+
+def test_replaced_instance_screens_against_its_own_dimension(quad_small):
+    counted, calls = _counting(quad_small)
+    _warm_up(counted)
+    _refused_everywhere(counted, np.full(quad_small.dim, np.nan), "^point must be finite$")
+    assert calls["grad"] == 3
+    wider = replace(quad_small, dim=quad_small.dim + 1, grad_rows=lambda x, ids: x,
+                    mean_grad=lambda x: x, mean_value=lambda x: 0.0)
+    _warm_up(wider)
+    _refused_everywhere(wider, np.zeros(quad_small.dim),
+                        re.escape("point has shape (6,), expected (7,)"))
+    _warm_up(quad_small)
+    _refused_everywhere(quad_small, np.zeros(wider.dim),
+                        re.escape("point has shape (7,), expected (6,)"))
 
 
 @pytest.mark.parametrize("size", [1, 7, 255, 256, 257])
