@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .oracle import ProblemInstance, _check_generator, draw_sample_ids, minibatch_gradient
+from .oracle import ProblemInstance, _check_generator, _operand, draw_sample_ids, minibatch_gradient
 
 MOMENTUM_SARAH = "momentum_sarah"
 HYBRID_SARAH = "hybrid_sarah"
@@ -46,7 +46,26 @@ def init_estimator(prob: ProblemInstance, x0: np.ndarray, b_tilde: int, rng) -> 
     return minibatch_gradient(prob, x0, draw_sample_ids(prob, b_tilde, rng))
 
 
-def _recursion(grad, prob, kind, v, x_prev, x_curr, xi, zeta, beta) -> np.ndarray:
+def _weights(beta):
+    """The weights (1 - beta, beta) of :func:`_recursion`, resolved once.
+
+    A float ``beta`` of 1 gives None: the direction is then the fresh
+    gradient itself.  Any other float gives both weights as 0-d float64
+    arrays (see ``oracle._operand``) and no unit rows.  An array of weights,
+    one per stacked tuple and broadcasting against the sample terms, gives
+    the arrays ``1 - beta`` and ``beta`` and the mask of its entries equal to
+    1, or None where there are none; each tuple then has the bits of its
+    float weight.
+    """
+    if type(beta) is not np.ndarray:
+        if beta == 1.0:
+            return None
+        return _operand(1.0 - beta), _operand(beta), None
+    ones = beta == 1.0
+    return 1.0 - beta, beta, ones if ones.any() else None
+
+
+def _recursion(grad, prob, kind, v, x_prev, x_curr, xi, zeta, weights) -> np.ndarray:
     """The direction v_t of every kind, from v_{t-1} formed at ``x_prev``.
 
     ``grad(prob, x, sample)`` evaluates one sample (or batch) gradient; the
@@ -64,10 +83,12 @@ def _recursion(grad, prob, kind, v, x_prev, x_curr, xi, zeta, beta) -> np.ndarra
     terms since they share ids; the hybrid's ``zeta`` must give that shape
     too.  No input is written and the result is never one of them.
 
-    ``beta`` is a float, or for the same-sample kinds an array of weights
-    that broadcasts against the sample terms, one per stacked tuple, which
-    the variance checks pass to step many tuples at once; each tuple then
-    has the bits of a float ``beta``.
+    ``weights`` is :func:`_weights` of the run's ``beta``, resolved once by
+    the caller: a float weight becomes a 0-d float64 operand, never a Python
+    float per step, and an array of weights steps many tuples at once, the
+    variance checks' beta column.  Every operand keeps the order of the
+    plain formula, so a lane where both operands are NaN gives the plain
+    formula's NaN: numpy returns the first operand's.
     """
     if kind == SGD:
         return grad(prob, x_curr, xi)
@@ -75,23 +96,25 @@ def _recursion(grad, prob, kind, v, x_prev, x_curr, xi, zeta, beta) -> np.ndarra
     g_prev = grad(prob, x_prev, xi)
     if kind == HYBRID_SARAH:
         g_zeta = grad(prob, x_curr, zeta)
-        if beta == 1.0:
+        if weights is None:
             return g_zeta
+        keep, fresh, ones = weights
         d = v + g_curr
         d -= g_prev
-        d *= 1.0 - beta
-        d += beta * g_zeta
+        d *= keep
+        d += fresh * g_zeta
+        if ones is not None:
+            np.copyto(d, g_zeta, where=ones)
         return d
-    column = type(beta) is np.ndarray
-    if not column and beta == 1.0:
+    if weights is None:
         return g_curr
+    keep, _, ones = weights
     d = v - g_prev
-    d *= 1.0 - beta
-    np.add(g_curr, d, out=d)
-    if column:
-        # A row with beta = 1 is its fresh gradient, as the scalar branch
+    d *= keep
+    # g_curr + d written into d, positionally: the keyword form costs more.
+    np.add(g_curr, d, d)
+    if ones is not None:
+        # A row with beta = 1 is its fresh gradient, as the float weight
         # returns it; copying where no weight is 1 would cost a full pass.
-        ones = beta == 1.0
-        if ones.any():
-            np.copyto(d, g_curr, where=ones)
+        np.copyto(d, g_curr, where=ones)
     return d

@@ -190,8 +190,11 @@ def _single_run(task: dict) -> dict:
 
 
 def _run_tasks(tasks: list[dict], jobs: int) -> list[dict]:
-    if jobs > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
+    # A forking pool starts all its workers at the first submit, so it gets
+    # no more workers than tasks; one worker is the in-process loop.
+    workers = min(jobs, len(tasks))
+    if workers > 1:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(_single_run, tasks))
     return [_single_run(t) for t in tasks]
 

@@ -49,6 +49,7 @@ from .estimators import (
     MOMENTUM_SARAH,
     SARAH,
     _recursion,
+    _weights,
     init_estimator,
 )
 from .oracle import (
@@ -60,6 +61,7 @@ from .oracle import (
     _is_real,
     _finite_array,
     _generator,
+    _operand,
     draw_step_ids,
     full_gradient,
     sample_gradient,
@@ -235,7 +237,11 @@ def run(
 
     The inputs are validated once, here; the loop then runs on plain arrays
     with operators resolved up front, and draws from the seeded generator
-    exactly as the public oracle functions would.  Diagnostics come from one
+    exactly as the public oracle functions would.  Every scalar operand of an
+    array op in the loop (the step -eta, the recursion's weights, the prox's
+    threshold and shrink factor) is a 0-d float64 array resolved here or by
+    its operator, never a Python float per step: numpy 2 takes a slower
+    weak-scalar path for those, with the same bits.  Diagnostics come from one
     exact ``full_gradient`` per iterate and the problem's ``mean_value`` at
     the iterate that call has just checked, and are reduced a block of
     ``BLOCK`` iterates at a time, so memory stays O(BLOCK * p) whatever T is;
@@ -259,7 +265,7 @@ def run(
     T, eta = hp.T, hp.eta
     v = init_estimator(prob, x, hp.b_tilde, rng)
     output_index = int(rng.integers(0, T + 1))
-    beta = 0.0 if kind == SARAH else hp.beta
+    weights = _weights(0.0 if kind == SARAH else hp.beta)
     hybrid = kind == HYBRID_SARAH
     ids_per_step = 2 if hybrid else 1
     prox_eta = prox_operator(psi, eta)
@@ -275,8 +281,7 @@ def run(
     else:
         grad_map_sq = obj = est_err_sq = None
 
-    # numpy multiplies by a 0-d array faster than by a Python float.
-    neg_eta = np.array(-eta)
+    neg_eta = _operand(-eta)
     mean_value = prob.mean_value
     x_prev = x
     for start in range(0, T + 1, BLOCK):
@@ -296,7 +301,7 @@ def run(
             if t:
                 xi = next_id()
                 zeta = next_id() if hybrid else None
-                v = _recursion(sample_gradient, prob, kind, v, x_prev, x, xi, zeta, beta)
+                v = _recursion(sample_gradient, prob, kind, v, x_prev, x, xi, zeta, weights)
             if diagnostics:
                 add_v(v)
                 add_g(full_gradient(prob, x))

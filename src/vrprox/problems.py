@@ -28,7 +28,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from .oracle import ProblemInstance, _check_count, _check_positive_finite, _finite_array, _generator
+from .oracle import (
+    ProblemInstance,
+    _check_count,
+    _check_positive_finite,
+    _finite_array,
+    _generator,
+    _operand,
+)
 
 # max |s''| and max |s'| = max |s (1 - s)| (at u = 0) for the logistic
 # sigmoid s(u) = 1 / (1 + exp(-u)).
@@ -39,6 +46,9 @@ SIGMOID_SLOPE_BOUND = 0.25
 # r = 1/sqrt(3)) for phi(r) = r^2 / (1 + r^2).
 REDESCENDING_CURVATURE_BOUND = 2.0
 REDESCENDING_SLOPE_BOUND = 3.0 * np.sqrt(3.0) / 8.0
+
+# The array kernels' scalar operands (see oracle._operand).
+_ONE = _operand(1.0)
 
 
 def _check_sizes(n, p) -> None:
@@ -113,8 +123,10 @@ def _sigmoid(u):
     u >= 0 and e / (1 + e) otherwise, so exp never overflows.  A ``float``
     (numpy float64 included) takes that branch; an array stays branch-free,
     with ``minimum(u, -u)`` as the -|u| that keeps a NaN's own bits, and one
-    division of the selected numerator.  The array path works in place on
-    the temporaries it allocates and never writes into ``u``."""
+    division of the selected numerator.  That numerator is
+    ``maximum(e, u >= 0)``: 1 where u >= 0 since e <= 1, e elsewhere since
+    e >= +0, and e's own NaN.  The array path works in place on the
+    temporaries it allocates and never writes into ``u``."""
     if isinstance(u, float):
         if u >= 0:
             return 1.0 / (1.0 + np.exp(-u))
@@ -123,8 +135,8 @@ def _sigmoid(u):
     e = np.negative(u)
     np.minimum(u, e, out=e)
     np.exp(e, out=e)
-    s = np.where(u >= 0, 1.0, e)
-    e += 1.0
+    s = np.maximum(e, u >= 0)
+    e += _ONE
     s /= e
     return s
 
@@ -132,7 +144,9 @@ def _sigmoid(u):
 def _sigmoid_slope(s):
     """s (1 - s), the sigmoid's derivative at its value s; an array result
     is the one temporary ``1 - s``, scaled in place."""
-    slope = 1.0 - s
+    if isinstance(s, float):
+        return (1.0 - s) * s
+    slope = _ONE - s
     slope *= s
     return slope
 
@@ -159,6 +173,7 @@ def _linear_model(family: str, A: np.ndarray, curvature: float, s_max: float, li
     as one tuple, so one point's key is never paired with another's link.
     """
     n, p = A.shape
+    n_operand = _operand(n)
     row_sq = np.sum(A * A, axis=1)
     rows = list(A)
     memo = (None, None)
@@ -184,7 +199,9 @@ def _linear_model(family: str, A: np.ndarray, curvature: float, s_max: float, li
         return float(loss(link(rows[i].dot(x), i)))
 
     def mean_grad(x):
-        return A.T.dot(slope(link_all(x))) / n
+        g = A.T.dot(slope(link_all(x)))
+        g /= n_operand
+        return g
 
     def mean_value(x):
         return float(loss(link_all(x)).sum() / n)

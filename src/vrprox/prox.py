@@ -38,11 +38,13 @@ from typing import Callable
 
 import numpy as np
 
-from .oracle import _check_positive_finite, _finite_array, _is_real
+from .oracle import _check_positive_finite, _finite_array, _is_real, _operand
 
 # Points within this distance of a box face still count as feasible; prox
 # outputs are boundary-exact only up to rounding.
 BOX_MEMBERSHIP_TOL = 1e-12
+
+_ZERO = _operand(0.0)
 
 
 @dataclass(frozen=True)
@@ -107,13 +109,15 @@ class ElasticNet:
 PsiSpec = Zero | L1 | BoxIndicator | ElasticNet
 
 
-def _soft_threshold(z: np.ndarray, thresh: float) -> np.ndarray:
+def _soft_threshold(z: np.ndarray, thresh: np.ndarray) -> np.ndarray:
     """sign(z) * max(|z| - thresh, 0), computed in place in the new array
-    ``|z|``; ``z`` is left as it is.  Ties |z_i| == thresh map to exactly 0."""
+    ``|z|``; ``z`` is left as it is.  Ties |z_i| == thresh map to exactly 0.
+    ``thresh`` is a 0-d float64 array, as are the kernel's other scalars; the
+    product keeps sign(z) first, so a NaN input keeps its sign."""
     out = np.abs(z)
     out -= thresh
-    np.maximum(out, 0.0, out=out)
-    np.multiply(np.sign(z), out, out=out)
+    np.maximum(out, _ZERO, out=out)
+    np.multiply(np.sign(z), out, out)
     return out
 
 
@@ -125,19 +129,20 @@ def prox_operator(psi: PsiSpec, tau: float) -> Callable[[np.ndarray], np.ndarray
     identity of ``Zero`` returns its input itself; the others return a new
     array and leave their input as it is.  Zero, L1 and ElasticNet
     map a non-finite input to a non-finite output; the box clamps an
-    infinite entry onto its face.
+    infinite entry onto its face.  The threshold and shrink factor are
+    resolved here as 0-d float64 operands, once per operator.
     """
     _check_positive_finite("prox step tau", tau)
     if isinstance(psi, Zero):
         return lambda z: z
     if isinstance(psi, L1):
-        thresh = tau * psi.lam
+        thresh = _operand(tau * psi.lam)
         return lambda z: _soft_threshold(z, thresh)
     if isinstance(psi, BoxIndicator):
         lo, hi = psi.lo, psi.hi
         return lambda z: np.clip(z, lo, hi)
     if isinstance(psi, ElasticNet):
-        thresh, shrink = tau * psi.lam1, 1.0 + tau * psi.lam2
+        thresh, shrink = _operand(tau * psi.lam1), _operand(1.0 + tau * psi.lam2)
 
         def enet(z):
             out = _soft_threshold(z, thresh)

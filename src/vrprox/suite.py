@@ -29,7 +29,15 @@ from pathlib import Path
 import numpy as np
 
 from .config import parse_config
-from .estimators import HYBRID_SARAH, MOMENTUM_SARAH, SARAH, SGD, _recursion, init_estimator
+from .estimators import (
+    HYBRID_SARAH,
+    MOMENTUM_SARAH,
+    SARAH,
+    SGD,
+    _recursion,
+    _weights,
+    init_estimator,
+)
 from .experiment import run_experiment, stationarity_bound_rhs
 from .optimizer import HyperParams, gradient_mapping, mean_grad_map_sq, run, schedule_from_T
 from .oracle import (
@@ -334,7 +342,7 @@ def _check_degenerate_equivalences(seed: int) -> dict:
         x_new = x + rng.normal(0.0, 0.3, prob.dim)
         i = int(rng.integers(0, prob.num_components))
         total += sample_gradient(prob, x_new, i) - sample_gradient(prob, x, i)
-        v = _recursion(sample_gradient, prob, SARAH, v, x, x_new, i, None, 0.0)
+        v = _recursion(sample_gradient, prob, SARAH, v, x, x_new, i, None, _weights(0.0))
         x = x_new
     telescoping = float(np.linalg.norm(v - v0 - total))
 
@@ -349,7 +357,8 @@ def _check_degenerate_equivalences(seed: int) -> dict:
     worst_exact = error_sq(v, x)
     for _ in range(10):
         x_new = x + rng.normal(0.0, 0.3, prob.dim)
-        v = _recursion(minibatch_gradient, prob, MOMENTUM_SARAH, v, x, x_new, all_ids, None, 0.3)
+        v = _recursion(minibatch_gradient, prob, MOMENTUM_SARAH, v, x, x_new, all_ids, None,
+                       _weights(0.3))
         x = x_new
         worst_exact = max(worst_exact, error_sq(v, x))
 

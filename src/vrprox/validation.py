@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimators import MOMENTUM_SARAH, _recursion
+from .estimators import MOMENTUM_SARAH, _recursion, _weights
 from .optimizer import _eta_beta
 from .oracle import (
     ProblemInstance,
@@ -121,7 +121,7 @@ def _step_rows(prob, X_prev, X_curr, V_prev, betas) -> tuple[np.ndarray, np.ndar
     )
     prev, curr = _stacked_tables(prob, X_prev), _stacked_tables(prob, X_curr)
     E = _recursion(_table, None, MOMENTUM_SARAH, V_prev[:, None], prev, curr, None, None,
-                   betas[:, None, None])
+                   _weights(betas[:, None, None]))
     E -= G_curr[:, None]
     E *= E
     lhs = np.sum(E, axis=2).mean(axis=1)
@@ -203,11 +203,11 @@ def _unrolled_rows(prob, trajectories, batches, V0, betas) -> tuple[np.ndarray, 
     b = batches[drawn]
     init[drawn] = np.mean(np.sum(dev, axis=2), axis=1) * (n - b) / (b * (n - 1))
 
-    beta_col = betas[:, None, None]
+    weights = _weights(betas[:, None, None])
     noise = np.empty((betas.size, m))  # mean_j ||d_i(j) - mean_j d_i||^2 for i = 1..m
     for i in range(1, points):
         prev, rows = rows, _stacked_tables(prob, trajectories[:, i])
-        d = _recursion(_table, None, MOMENTUM_SARAH, 0.0, prev, rows, None, None, beta_col)
+        d = _recursion(_table, None, MOMENTUM_SARAH, 0.0, prev, rows, None, None, weights)
         d -= d.mean(axis=1, keepdims=True)
         d *= d
         noise[:, i - 1] = np.mean(np.sum(d, axis=2), axis=1)

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import vrprox as vp
-from vrprox.estimators import HYBRID_SARAH, MOMENTUM_SARAH, SARAH, SGD, _recursion
+from vrprox.estimators import HYBRID_SARAH, MOMENTUM_SARAH, SARAH, SGD, _recursion, _weights
 from vrprox.experiment import run_experiment, stationarity_bound_rhs
 from vrprox.prox import BoxIndicator, ElasticNet, L1, Zero, prox
 from vrprox.suite import _counting, central_difference_gradient
@@ -198,7 +198,7 @@ def test_criterion_7_degenerate_equivalences():
         x_new = x + rng.normal(0, 0.4, prob.dim)
         i = int(rng.integers(0, prob.num_components))
         total += vp.sample_gradient(prob, x_new, i) - vp.sample_gradient(prob, x, i)
-        v = _recursion(vp.sample_gradient, prob, SARAH, v, x, x_new, i, None, 0.0)
+        v = _recursion(vp.sample_gradient, prob, SARAH, v, x, x_new, i, None, _weights(0.0))
         x = x_new
     telescope = float(np.linalg.norm(v - v0 - total))
 
@@ -213,7 +213,8 @@ def test_criterion_7_degenerate_equivalences():
     worst = error_sq(v, x)
     for _ in range(15):
         x_new = x + rng.normal(0, 0.4, prob.dim)
-        v = _recursion(vp.minibatch_gradient, prob, MOMENTUM_SARAH, v, x, x_new, all_ids, None, 0.37)
+        v = _recursion(vp.minibatch_gradient, prob, MOMENTUM_SARAH, v, x, x_new, all_ids, None,
+                       _weights(0.37))
         x = x_new
         worst = max(worst, error_sq(v, x))
     _report(

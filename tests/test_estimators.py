@@ -8,13 +8,14 @@ from vrprox.estimators import (
     SARAH,
     SGD,
     _recursion,
+    _weights,
 )
 
 from conftest import counting_quadratic
 
 
 def _step(prob, kind, v, x_prev, x, xi, beta, zeta=None):
-    return _recursion(vp.sample_gradient, prob, kind, v, x_prev, x, xi, zeta, beta)
+    return _recursion(vp.sample_gradient, prob, kind, v, x_prev, x, xi, zeta, _weights(beta))
 
 
 def _fresh(prob, rng, b=4):
@@ -77,6 +78,70 @@ def test_init_variance_monte_carlo():
     assert errs.mean() <= prob.sigma_bound / b + 3 * se
 
 
+@pytest.mark.parametrize("kind", [MOMENTUM_SARAH, HYBRID_SARAH, SARAH, SGD])
+@pytest.mark.parametrize("make", [
+    lambda: vp.make_quadratic(20, 6, 1.0, seed=11),
+    lambda: vp.make_nonconvex_sigmoid(40, 6, seed=2),
+    lambda: vp.make_robust_regression(40, 6, seed=3),
+], ids=["quad", "sigmoid", "robust"])
+def test_float_weights_equal_the_beta_column_row_by_row(kind, make):
+    # Row r of one step on k stacked tuples with a beta column has the bits
+    # of the step on tuple r alone with its float beta, 0 and 1 included.
+    prob = make()
+    rng = np.random.default_rng(17)
+    k = 12
+    V, X_prev, X_curr = rng.normal(0, 1, (3, k, prob.dim))
+    xi, zeta = rng.integers(0, prob.num_components, (2, k))
+    betas = np.concatenate([[0.0, 1.0, 0.3, 1.0 - 1e-12], rng.uniform(0, 1, k - 4)])
+    stacked = _recursion(lambda prob, X, ids: prob.grad_rows(X, ids), prob, kind, V, X_prev,
+                         X_curr, xi, zeta, _weights(betas[:, None]))
+    for r in range(k):
+        one = _recursion(vp.sample_gradient, prob, kind, V[r], X_prev[r], X_curr[r],
+                         int(xi[r]), int(zeta[r]), _weights(float(betas[r])))
+        assert one.tobytes() == stacked[r].tobytes(), r
+
+
+def _nan(bits):
+    return np.array([bits], dtype=np.uint64).view(np.float64)[0]
+
+
+@pytest.mark.parametrize("kind", [MOMENTUM_SARAH, HYBRID_SARAH, SARAH])
+@pytest.mark.parametrize("beta", [0.0, 0.3, 0.9])
+def test_recursion_keeps_the_plain_formula_s_bits(kind, beta):
+    # The plain formulas with Python-float weights, term by term in the
+    # docstring's order.  ``grad`` returns the points themselves, as the
+    # validation engines' tables do, so NaNs of other payloads and signs
+    # meet in one lane; numpy then returns the first operand's NaN, and the
+    # recursion must keep every operand in the plain order.
+    rng = np.random.default_rng(5)
+    v, x_prev, x_curr, z = rng.normal(0, 1, (4, 12))
+    v[::3], x_curr[::3] = _nan(0x7FF8000000000011), _nan(0xFFF8000000000022)
+    x_prev[1::3], z[1::3] = -np.inf, _nan(0x7FF8000000000033)
+    v[2::3], z[2::3] = -0.0, -0.0
+    points = {id(x_prev): x_prev, id(x_curr): x_curr}
+
+    def grad(prob, x, sample):
+        return z if sample == "zeta" else points[id(x)]
+
+    with np.errstate(invalid="ignore"):
+        got = _recursion(grad, None, kind, v, x_prev, x_curr, "xi", "zeta", _weights(beta))
+        if kind == HYBRID_SARAH:
+            want = (v + x_curr - x_prev) * (1.0 - beta) + beta * z
+        else:
+            want = x_curr + (v - x_prev) * (1.0 - beta)
+    assert got.tobytes() == want.tobytes()
+
+
+def test_float_weights_are_read_only_zero_d_arrays():
+    keep, fresh, ones = _weights(0.3)
+    for w, value in ((keep, 1.0 - 0.3), (fresh, 0.3)):
+        assert (w.ndim, w.dtype, w.flags.writeable, float(w)) == (0, np.float64, False, value)
+    assert ones is None
+    assert _weights(1.0) is None and _weights(1) is None
+    # An integer weight becomes a float64 operand too.
+    assert _weights(0)[1].dtype == np.float64
+
+
 def test_beta_one_collapse_is_bitwise(quad_small, rng):
     v, x0 = _fresh(quad_small, rng)
     x = rng.normal(0, 1, quad_small.dim)
@@ -101,7 +166,7 @@ def test_full_batch_updates_stay_exact(quad_small, rng):
         for _ in range(5):
             x_new = x + rng.normal(0, 0.5, quad_small.dim)
             v = _recursion(vp.minibatch_gradient, quad_small, MOMENTUM_SARAH, v, x, x_new,
-                           all_ids, None, beta)
+                           all_ids, None, _weights(beta))
             x = x_new
             d = v - vp.full_gradient(quad_small, x)
             assert d @ d <= 1e-12

@@ -263,6 +263,42 @@ def test_trace_writer_matches_per_cell_format(tmp_path, diagnostics):
     assert (tmp_path / "t.csv").read_text() == _per_cell_trace(trace)
 
 
+@pytest.mark.parametrize("seeds, kinds", [(1, ["sgd"]), (3, ["sgd"]), (3, ["sgd", "sarah"])])
+def test_jobs_beyond_the_task_count_start_no_more_workers(tmp_path, monkeypatch, seeds, kinds):
+    # A forking pool starts every worker at its first submit; this one runs
+    # in-process and records how many workers it was asked for.
+    import concurrent.futures
+
+    asked = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    cfg = parse_config(CFG.replace("T = 30,60", "T = 30").replace("seeds = 3", f"seeds = {seeds}"))
+    tasks = seeds * len(kinds)
+    run = run_experiment if len(kinds) == 1 else (
+        lambda cfg, **kw: compare_experiment(cfg, kinds=kinds, **kw))
+    run(cfg, output_dir=tmp_path / "serial", master_seed=3, jobs=1)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    run(cfg, output_dir=tmp_path / "wide", master_seed=3, jobs=4096)
+    # One task runs in the calling process; more get one worker each.
+    assert asked == ([] if tasks == 1 else [tasks])
+    names = sorted(p.name for p in (tmp_path / "serial").iterdir())
+    assert names == sorted(p.name for p in (tmp_path / "wide").iterdir())
+    for name in names:
+        assert (tmp_path / "serial" / name).read_bytes() == (tmp_path / "wide" / name).read_bytes()
+
+
 def test_serial_experiment_builds_each_problem_once(tmp_path, monkeypatch):
     from vrprox import experiment, problems
 

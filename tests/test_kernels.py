@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 import vrprox as vp
-from vrprox.estimators import HYBRID_SARAH, MOMENTUM_SARAH, SARAH, SGD, _recursion
+from vrprox.estimators import HYBRID_SARAH, MOMENTUM_SARAH, SARAH, SGD, _recursion, _weights
 from vrprox.oracle import ProblemInstance
 from vrprox.problems import _sigmoid
 from vrprox.prox import L1, BoxIndicator, ElasticNet, Zero, prox_operator
@@ -213,7 +213,7 @@ def test_recursion_writes_no_input(kind, beta, batched):
     xi, zeta = (np.array([4, 9, 4]), np.array([1, 2, 59])) if batched else (4, 59)
     _call_checked(
         lambda v, x_prev, x_curr: _recursion(vp.sample_gradient, prob, kind, v, x_prev,
-                                             x_curr, xi, zeta, beta),
+                                             x_curr, xi, zeta, _weights(beta)),
         v, x_prev, x_curr)
 
 

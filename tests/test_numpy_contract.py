@@ -9,14 +9,23 @@ their one-id ``row.dot(x)`` only while the second identity holds.  The problems'
 ``ndarray.dot`` for ``@`` (``A.T.dot(w)`` included) and ``arr.sum() / n``
 for ``np.mean``, which are cheaper calls to the same arithmetic; the sigmoid
 family's margins are dot products with rows whose sign is folded in, and
-its link maps +0 and -0 alike.  The last tests pin all of that.  A numpy
-upgrade that breaks any of them must fail here, not change traces silently.
+its link maps +0 and -0 alike.  The tests up to the mean's pin all of that.
+
+The hot kernels pass every scalar operand as a 0-d float64 array, name an
+in-place output positionally and select the sigmoid's numerator with
+``np.maximum(e, u >= 0)``; the last tests pin each form against the plain
+one it replaced.  A numpy upgrade that breaks any of them must fail here, not
+change traces silently.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from vrprox.optimizer import BLOCK
+from vrprox.oracle import _operand
 from vrprox.problems import _sigmoid
 
 HIGHS = [1, 2, 3, 50, 100, 200, 1000, 12345, 2**31 + 1, 2**32 + 5, 2**62, 2**63]
@@ -152,3 +161,144 @@ def test_sum_over_n_equals_mean():
     for n in range(1, 4098):
         arr = rng.standard_normal(n) * 10.0 ** rng.integers(-8, 9, size=n)
         assert (arr.sum() / n).tobytes() == np.mean(arr).tobytes(), n
+
+
+# The hot kernels' operand forms (oracle._operand): a scalar operand is a
+# 0-d float64 array, and an in-place op names its output positionally.  Each
+# form must give the bits of the plain form it stands for, NaN payloads and
+# signs included.  Both operands NaN in one lane is covered too: numpy then
+# returns the first operand's NaN, so every form keeps the plain operand order.
+def _nan(bits):
+    return np.array([bits], dtype=np.uint64).view(np.float64)[0]
+
+
+OPERAND_SPECIAL = np.array([
+    np.nan, -np.nan, _nan(0x7FF8000000000123), _nan(0xFFF8000000000456),
+    0.0, -0.0, np.inf, -np.inf, 745.0, -745.0, 800.0, -800.0,
+    5e-324, -5e-324, 2.2250738585072e-308, -1e-310, 1.0, -1.0, 0.5, 1e300, -1e-300,
+])
+# Python floats, as the plain forms wrote them, and a count n for the mean.
+OPERAND_SCALARS = [0.0, -0.0, 1.0, 0.3, 1.0 - 0.3, 1.0 / 3.0, 5e-324, 1e-310, 745.0, -800.0,
+                   1e300, np.inf, -np.inf, float("nan"), -float("nan"), 1000]
+OPERAND_LENGTHS = [1, 3, 8, 20, 50, 1001]
+
+
+def _operand_array(length, seed):
+    # As many special values as fit, the rest mixed-scale normals, shuffled.
+    rng = np.random.default_rng(seed)
+    values = rng.standard_normal(length) * 10.0 ** rng.integers(-300, 300, size=length)
+    values[: min(length, OPERAND_SPECIAL.size)] = OPERAND_SPECIAL[:length]
+    return rng.permutation(values)
+
+
+def _scalar_op(op, arr, scalar):
+    out = arr.copy()
+    with np.errstate(all="ignore"):
+        if op == "*=":
+            out *= scalar
+        elif op == "-=":
+            out -= scalar
+        elif op == "+=":
+            out += scalar
+        elif op == "/=":
+            out /= scalar
+        elif op == "maximum":
+            np.maximum(out, scalar, out=out)
+        elif op == "scalar*":
+            out = scalar * out
+        else:  # "scalar-"
+            out = scalar - out
+    return out
+
+
+SCALAR_OPS = ["*=", "-=", "+=", "/=", "maximum", "scalar*", "scalar-"]
+
+
+def _check_scalar_op(op, arr, scalar):
+    want = _scalar_op(op, arr, scalar)
+    got = _scalar_op(op, arr, _operand(scalar))
+    assert got.dtype == want.dtype == np.float64
+    assert got.tobytes() == want.tobytes(), (op, scalar)
+
+
+@pytest.mark.parametrize("op", SCALAR_OPS)
+@pytest.mark.parametrize("length", OPERAND_LENGTHS)
+def test_zero_d_operand_equals_python_scalar(op, length):
+    arr = _operand_array(length, length)
+    for scalar in OPERAND_SCALARS:
+        _check_scalar_op(op, arr, scalar)
+
+
+@given(
+    arrays(np.float64, st.integers(1, 70), elements=st.floats(width=64)),
+    st.floats(width=64),
+    st.sampled_from(SCALAR_OPS),
+)
+@settings(derandomize=True, deadline=None, max_examples=300)
+def test_zero_d_operand_equals_python_scalar_on_samples(arr, scalar, op):
+    _check_scalar_op(op, arr, scalar)
+
+
+def _pair_with_nans(length, seed):
+    # Two arrays holding NaNs of other payloads and signs in every third
+    # lane, beside the special values (NaNs in one operand only included).
+    a, b = _operand_array(length, seed), _operand_array(length, seed + 1)
+    a[::3] = _nan(0x7FF8000000000011)
+    b[::3] = _nan(0xFFF8000000000022)
+    return (a, b) if seed % 2 else (b, a)
+
+
+@pytest.mark.parametrize("length", OPERAND_LENGTHS)
+def test_positional_out_equals_keyword_out(length):
+    # The recursion's g + d written into d, and the soft threshold's
+    # sign(z) * |..| written into its second operand.
+    for seed in (0, 1):
+        g, d0 = _pair_with_nans(length, seed)
+        with np.errstate(all="ignore"):
+            want = d0.copy()
+            np.add(g, want, out=want)
+            got = d0.copy()
+            np.add(g, got, got)
+            assert got.tobytes() == want.tobytes()
+            want = d0.copy()
+            np.multiply(np.sign(g), want, out=want)
+            got = d0.copy()
+            np.multiply(np.sign(g), got, got)
+            assert got.tobytes() == want.tobytes()
+
+
+@given(arrays(np.float64, st.integers(1, 70), elements=st.floats(width=64)),
+       arrays(np.float64, st.integers(1, 70), elements=st.floats(width=64)))
+@settings(derandomize=True, deadline=None, max_examples=200)
+def test_positional_out_equals_keyword_out_on_samples(g, d):
+    g, d = g[: min(g.size, d.size)], d[: min(g.size, d.size)]
+    with np.errstate(all="ignore"):
+        want = d.copy()
+        np.add(g, want, out=want)
+        got = d.copy()
+        np.add(g, got, got)
+    assert got.tobytes() == want.tobytes()
+
+
+def _sigmoid_numerators(u):
+    # The sigmoid's e = exp(-|u|) as it forms it, then the plain and the
+    # rewritten selection of its numerator.
+    e = np.negative(u)
+    np.minimum(u, e, out=e)
+    with np.errstate(all="ignore"):
+        np.exp(e, out=e)
+    return np.where(u >= 0, 1.0, e), np.maximum(e, u >= 0)
+
+
+@pytest.mark.parametrize("length", OPERAND_LENGTHS)
+def test_maximum_with_the_sign_mask_equals_where(length):
+    want, got = _sigmoid_numerators(_operand_array(length, length))
+    assert got.dtype == np.float64
+    assert got.tobytes() == want.tobytes()
+
+
+@given(arrays(np.float64, st.integers(1, 70), elements=st.floats(width=64)))
+@settings(derandomize=True, deadline=None, max_examples=300)
+def test_maximum_with_the_sign_mask_equals_where_on_samples(u):
+    want, got = _sigmoid_numerators(u)
+    assert got.tobytes() == want.tobytes()

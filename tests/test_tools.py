@@ -111,3 +111,108 @@ def test_bench_pairs_counts_ties_for_neither_side_and_flags_a_bound():
     assert wall["wins"] == iters["wins"] == 0
     assert not wall["within_bound"]  # 30% slower against a 25% bound
     assert iters["within_bound"]  # 1 / 1.3 is 23% fewer iterations per second
+
+
+def test_bench_pairs_workload_repeats_in_the_order_given():
+    args = bench_pairs.parse_args(["p", "c", "--workload", "rate_sweep", "--workload", "validate"])
+    assert args.workload == ["rate_sweep", "validate"]
+    assert bench_pairs.parse_args(["p", "c", "--workload", "validate"]).workload == ["validate"]
+    for argv in (["p", "c"], ["p", "c", "--workload", "validate", "--pairs", "0"]):
+        with pytest.raises(SystemExit):
+            bench_pairs.parse_args(argv)
+
+
+def test_bench_pairs_prints_one_summary_block_per_workload(monkeypatch, capsys):
+    calls = []
+
+    def canned(root, workload, seed, seconds):
+        calls.append((str(root), workload))
+        wall = 2.0 if str(root) == "parent" else 1.9
+        return bench_pairs.parse_result(_result_text(wall, 1.0 / wall))
+
+    monkeypatch.setattr(bench_pairs, "run_once", canned)
+    monkeypatch.setattr(bench_pairs, "end_to_end_metrics", lambda root: _METRICS)
+    argv = ["parent", "change", "--workload", "rate_sweep", "--workload", "validate",
+            "--pairs", "2"]
+    assert bench_pairs.main(argv) == 0
+    # Pair 0 runs the parent first, pair 1 the change first, per workload.
+    assert calls == [("parent", "rate_sweep"), ("change", "rate_sweep"),
+                     ("change", "rate_sweep"), ("parent", "rate_sweep"),
+                     ("parent", "validate"), ("change", "validate"),
+                     ("change", "validate"), ("parent", "validate")]
+    lines = capsys.readouterr().out.splitlines()
+    heads = [k for k, line in enumerate(lines) if line.startswith("== ")]
+    assert [lines[k] for k in heads] == ["== rate_sweep", "== validate"]
+    for k in heads:
+        block = lines[k + 1:k + 3]
+        assert [line.split(" ", 1)[0] for line in block] == ["wall_s", "iters_per_s"]
+        assert all("change wins 2 of 2" in line for line in block)
+
+
+_counts_spec = importlib.util.spec_from_file_location(
+    "traced_counts", ROOT / "tools" / "traced_counts.py")
+traced_counts = importlib.util.module_from_spec(_counts_spec)
+_counts_spec.loader.exec_module(traced_counts)
+
+
+def _traced(correct=True, calls=444_400.0, iterations=222_000.0, diag=222_060.0):
+    """The parts of one ``bench/run.py --trace 1`` result the counts read."""
+    metrics = {"oracle.oracle_calls": {"value": calls, "unit": "count"},
+               "optimizer.iterations": {"value": iterations, "unit": "count"},
+               "optimizer.diag_full_gradients": {"value": diag, "unit": "count"},
+               "optimizer.run.us_per_iter": {"value": 9.7, "unit": "us"}}
+    return {"correct": correct, "attempted": 3, "failed": 0, "metrics": metrics}
+
+
+def test_traced_counts_agree_on_equal_counts():
+    # Timings differ between runs; only correct and the exact counts are read.
+    change = _traced()
+    change["metrics"]["optimizer.run.us_per_iter"]["value"] = 8.1
+    lines, agree = traced_counts.compare("rate_sweep", _traced(), change)
+    assert agree
+    assert lines == [
+        "rate_sweep correct: parent True change True",
+        "rate_sweep oracle.oracle_calls: parent 444400.0 change 444400.0",
+        "rate_sweep optimizer.iterations: parent 222000.0 change 222000.0",
+        "rate_sweep optimizer.diag_full_gradients: parent 222060.0 change 222060.0",
+    ]
+
+
+@pytest.mark.parametrize("change, field", [
+    (_traced(calls=444_401.0), "oracle.oracle_calls"),
+    (_traced(iterations=221_999.0), "optimizer.iterations"),
+    (_traced(diag=222_000.0), "optimizer.diag_full_gradients"),
+    (_traced(correct=False), "correct"),
+])
+def test_traced_counts_flag_each_difference(change, field):
+    lines, agree = traced_counts.compare("validate", _traced(), change)
+    assert not agree
+    assert [line for line in lines if line.endswith(" DIFFERS")] == [
+        line for line in lines if line.startswith(f"validate {field}:")]
+
+
+def test_traced_counts_flag_a_missing_count_and_an_incorrect_change():
+    missing = _traced()
+    del missing["metrics"]["optimizer.iterations"]
+    lines, agree = traced_counts.compare("validate", _traced(), missing)
+    assert not agree and lines[2] == (
+        "validate optimizer.iterations: parent 222000.0 change None DIFFERS")
+    # The same counts on both sides still fail when the change is not correct.
+    lines, agree = traced_counts.compare("validate", _traced(False), _traced(False))
+    assert not agree and not any(line.endswith("DIFFERS") for line in lines)
+
+
+@pytest.mark.parametrize("differ", [False, True])
+def test_traced_counts_exit_code(monkeypatch, capsys, differ):
+    def canned(root, workload, seed, seconds):
+        assert (seed, seconds) == (3, 1.0)
+        odd = differ and root.name == "change" and workload == "validate"
+        return _traced(calls=1.0 if odd else 2.0)
+
+    monkeypatch.setattr(traced_counts, "run_traced", canned)
+    assert traced_counts.main([str(ROOT), str(ROOT.parent / "change")]) == int(differ)
+    out = capsys.readouterr().out
+    workloads = [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
+    assert [line.split(" ", 1)[0] for line in out.splitlines()] == [
+        w for w in workloads for _ in range(4)]
+    assert out.count("DIFFERS") == int(differ)

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import vrprox as vp
 from vrprox import suite, validation
-from vrprox.estimators import MOMENTUM_SARAH, _recursion
+from vrprox.estimators import MOMENTUM_SARAH, _recursion, _weights
 from vrprox.oracle import _CHUNK_BYTES, _chunks
 from vrprox.validation import initial_direction_variance
 
@@ -138,7 +138,7 @@ def _replayed_error(prob, traj, v0, beta, n_mc, rng):
     for i in range(1, k + 1):
         ids = rng.integers(0, prob.num_components, size=n_mc)
         V = _recursion(vp.sample_gradient, prob, MOMENTUM_SARAH, V, traj[i - 1], traj[i], ids,
-                       None, beta)
+                       None, _weights(beta))
     errs = np.sum((V - vp.full_gradient(prob, traj[k])) ** 2, axis=1)
     return errs.mean(), errs.std(ddof=1) / np.sqrt(n_mc)
 

@@ -3,14 +3,16 @@
 Usage::
 
     python3 tools/bench_pairs.py <parent root> <change root> \\
-        --workload rate_sweep --pairs 10 --seed 7 --seconds 40
+        --workload rate_sweep [--workload validate ...] --pairs 10 --seed 7 --seconds 40
 
-Runs each checkout's own ``bench/run.py --trace 0`` with the same workload,
-seed and length, ``--pairs`` times each.  Pair k runs the parent first when
-k is even and the change first when k is odd.  Each run's result is the JSON
-object on the last line of its standard output; one line per run is printed
-as it completes.  Then, for every end-to-end metric that the parent's
-``BENCHMARK.json`` lists, it prints:
+For each ``--workload`` in turn (the option repeats), runs each checkout's
+own ``bench/run.py --trace 0`` with that workload and the same seed and
+length, ``--pairs`` times each.  Pair k runs the parent first when k is even
+and the change first when k is odd.  Each run's result is the JSON object on
+the last line of its standard output; one line per run is printed as it
+completes.  Once a workload's pairs are done, it prints a block headed
+``== <workload>`` with, for every end-to-end metric that the parent's
+``BENCHMARK.json`` lists:
 
 - both sides' median and quartiles (numpy's default linear interpolation);
 - the change's wins over the pairs, in the metric's ``better`` direction
@@ -106,30 +108,37 @@ def run_once(root: Path, workload: str, seed: int, seconds: float) -> dict:
     return parse_result(got.stdout)
 
 
-def main(argv=None) -> int:
+def parse_args(argv=None) -> argparse.Namespace:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("parent", type=Path)
     ap.add_argument("change", type=Path)
-    ap.add_argument("--workload", required=True)
+    ap.add_argument("--workload", action="append", required=True,
+                    help="a workload to pair; repeat for more, run in the order given")
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--seconds", type=float, default=40.0)
     args = ap.parse_args(argv)
     if args.pairs < 1:
         ap.error("--pairs must be >= 1")
+    return args
+
+
+def main(argv=None) -> int:
+    args = parse_args(argv)
     metrics = end_to_end_metrics(args.parent)
     sides = {"parent": args.parent, "change": args.change}
-    pairs = []
-    for k in range(args.pairs):
-        results = {}
-        for name in ("parent", "change") if k % 2 == 0 else ("change", "parent"):
-            results[name] = res = run_once(sides[name], args.workload, args.seed, args.seconds)
-            values = " ".join(f"{m['name']}={res['metrics'][m['name']]['value']:.6g}"
-                              for m in metrics)
-            print(f"pair {k} {name}: correct={res['correct']} failed={res['failed']} {values}",
-                  flush=True)
-        pairs.append((results["parent"], results["change"]))
-    print("\n".join(format_rows(summarize(pairs, metrics))))
+    for workload in args.workload:
+        pairs = []
+        for k in range(args.pairs):
+            results = {}
+            for name in ("parent", "change") if k % 2 == 0 else ("change", "parent"):
+                results[name] = res = run_once(sides[name], workload, args.seed, args.seconds)
+                values = " ".join(f"{m['name']}={res['metrics'][m['name']]['value']:.6g}"
+                                  for m in metrics)
+                print(f"{workload} pair {k} {name}: correct={res['correct']} "
+                      f"failed={res['failed']} {values}", flush=True)
+            pairs.append((results["parent"], results["change"]))
+        print("\n".join([f"== {workload}"] + format_rows(summarize(pairs, metrics))), flush=True)
     return 0
 
 
