@@ -184,7 +184,7 @@ def _check_point(prob: ProblemInstance, x: np.ndarray) -> np.ndarray:
 def _check_ids(prob: ProblemInstance, ids):
     """One sample id as a Python int, or a 1-D integer id array; ids in [0, n)."""
     n = prob.num_components
-    # A list is converted once, below.
+    # The run loop passes Python ints; a list is converted once, below.
     if type(ids) is not int:
         if isinstance(ids, (list, tuple, range)) or np.ndim(ids):
             ids = _integer_array("sample ids", ids)
@@ -203,9 +203,6 @@ def sample_gradient(prob: ProblemInstance, x: np.ndarray, ids) -> np.ndarray:
     """Gradient of one sample realization, grad f_xi(x), for an integer id;
     the ``(len(ids), dim)`` stack of sample gradients for a 1-D id array."""
     x = _check_point(prob, x)
-    # The run loop's in-range Python int ids pass without a second call.
-    if type(ids) is int and 0 <= ids < prob.num_components:
-        return prob.grad_rows(x, ids)
     return prob.grad_rows(x, _check_ids(prob, ids))
 
 

@@ -11,7 +11,7 @@ from vrprox.estimators import (
     _weights,
 )
 
-from conftest import counting_quadratic
+from conftest import counting_quadratic, nan_with_bits
 
 
 def _step(prob, kind, v, x_prev, x, xi, beta, zeta=None):
@@ -101,10 +101,6 @@ def test_float_weights_equal_the_beta_column_row_by_row(kind, make):
         assert one.tobytes() == stacked[r].tobytes(), r
 
 
-def _nan(bits):
-    return np.array([bits], dtype=np.uint64).view(np.float64)[0]
-
-
 @pytest.mark.parametrize("kind", [MOMENTUM_SARAH, HYBRID_SARAH, SARAH])
 @pytest.mark.parametrize("beta", [0.0, 0.3, 0.9])
 def test_recursion_keeps_the_plain_formula_s_bits(kind, beta):
@@ -115,8 +111,8 @@ def test_recursion_keeps_the_plain_formula_s_bits(kind, beta):
     # recursion must keep every operand in the plain order.
     rng = np.random.default_rng(5)
     v, x_prev, x_curr, z = rng.normal(0, 1, (4, 12))
-    v[::3], x_curr[::3] = _nan(0x7FF8000000000011), _nan(0xFFF8000000000022)
-    x_prev[1::3], z[1::3] = -np.inf, _nan(0x7FF8000000000033)
+    v[::3], x_curr[::3] = nan_with_bits(0x7FF8000000000011), nan_with_bits(0xFFF8000000000022)
+    x_prev[1::3], z[1::3] = -np.inf, nan_with_bits(0x7FF8000000000033)
     v[2::3], z[2::3] = -0.0, -0.0
     points = {id(x_prev): x_prev, id(x_curr): x_curr}
 

@@ -11,10 +11,9 @@ for ``np.mean``, which are cheaper calls to the same arithmetic; the sigmoid
 family's margins are dot products with rows whose sign is folded in, and
 its link maps +0 and -0 alike.  The tests up to the mean's pin all of that.
 
-The hot kernels pass every scalar operand as a 0-d float64 array, name an
-in-place output positionally and select the sigmoid's numerator with
-``np.maximum(e, u >= 0)``; the last tests pin each form against the plain
-one it replaced.  A numpy upgrade that breaks any of them must fail here, not
+The hot kernels pass every scalar operand as a 0-d float64 array and select
+the sigmoid's numerator with ``np.maximum(e, u >= 0)``; the last tests pin
+each form against the plain one it replaced.  A numpy upgrade that breaks any of them must fail here, not
 change traces silently.
 """
 
@@ -27,6 +26,8 @@ from hypothesis.extra.numpy import arrays
 from vrprox.optimizer import BLOCK
 from vrprox.oracle import _operand
 from vrprox.problems import _sigmoid
+
+from conftest import nan_with_bits
 
 HIGHS = [1, 2, 3, 50, 100, 200, 1000, 12345, 2**31 + 1, 2**32 + 5, 2**62, 2**63]
 SIZES = [1, 7, BLOCK - 1, BLOCK, BLOCK + 1, 1000, 4001]
@@ -164,16 +165,10 @@ def test_sum_over_n_equals_mean():
 
 
 # The hot kernels' operand forms (oracle._operand): a scalar operand is a
-# 0-d float64 array, and an in-place op names its output positionally.  Each
-# form must give the bits of the plain form it stands for, NaN payloads and
-# signs included.  Both operands NaN in one lane is covered too: numpy then
-# returns the first operand's NaN, so every form keeps the plain operand order.
-def _nan(bits):
-    return np.array([bits], dtype=np.uint64).view(np.float64)[0]
-
-
+# 0-d float64 array.  Each form must give the bits of the plain form it
+# stands for, NaN payloads and signs included.
 OPERAND_SPECIAL = np.array([
-    np.nan, -np.nan, _nan(0x7FF8000000000123), _nan(0xFFF8000000000456),
+    np.nan, -np.nan, nan_with_bits(0x7FF8000000000123), nan_with_bits(0xFFF8000000000456),
     0.0, -0.0, np.inf, -np.inf, 745.0, -745.0, 800.0, -800.0,
     5e-324, -5e-324, 2.2250738585072e-308, -1e-310, 1.0, -1.0, 0.5, 1e300, -1e-300,
 ])
@@ -237,47 +232,6 @@ def test_zero_d_operand_equals_python_scalar(op, length):
 @settings(derandomize=True, deadline=None, max_examples=300)
 def test_zero_d_operand_equals_python_scalar_on_samples(arr, scalar, op):
     _check_scalar_op(op, arr, scalar)
-
-
-def _pair_with_nans(length, seed):
-    # Two arrays holding NaNs of other payloads and signs in every third
-    # lane, beside the special values (NaNs in one operand only included).
-    a, b = _operand_array(length, seed), _operand_array(length, seed + 1)
-    a[::3] = _nan(0x7FF8000000000011)
-    b[::3] = _nan(0xFFF8000000000022)
-    return (a, b) if seed % 2 else (b, a)
-
-
-@pytest.mark.parametrize("length", OPERAND_LENGTHS)
-def test_positional_out_equals_keyword_out(length):
-    # The recursion's g + d written into d, and the soft threshold's
-    # sign(z) * |..| written into its second operand.
-    for seed in (0, 1):
-        g, d0 = _pair_with_nans(length, seed)
-        with np.errstate(all="ignore"):
-            want = d0.copy()
-            np.add(g, want, out=want)
-            got = d0.copy()
-            np.add(g, got, got)
-            assert got.tobytes() == want.tobytes()
-            want = d0.copy()
-            np.multiply(np.sign(g), want, out=want)
-            got = d0.copy()
-            np.multiply(np.sign(g), got, got)
-            assert got.tobytes() == want.tobytes()
-
-
-@given(arrays(np.float64, st.integers(1, 70), elements=st.floats(width=64)),
-       arrays(np.float64, st.integers(1, 70), elements=st.floats(width=64)))
-@settings(derandomize=True, deadline=None, max_examples=200)
-def test_positional_out_equals_keyword_out_on_samples(g, d):
-    g, d = g[: min(g.size, d.size)], d[: min(g.size, d.size)]
-    with np.errstate(all="ignore"):
-        want = d.copy()
-        np.add(g, want, out=want)
-        got = d.copy()
-        np.add(g, got, got)
-    assert got.tobytes() == want.tobytes()
 
 
 def _sigmoid_numerators(u):

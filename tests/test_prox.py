@@ -18,6 +18,8 @@ from vrprox.prox import (
     psi_value,
 )
 
+from conftest import nan_with_bits
+
 VARIANTS = [
     Zero(),
     L1(lam=1.3),
@@ -190,17 +192,13 @@ def test_prox_operator_matches_prox_bitwise(psi, rng):
         assert operator(Z[0]).tobytes() == prox(psi, Z[0], tau).tobytes()
 
 
-def _nan(bits):
-    return np.array([bits], dtype=np.uint64).view(np.float64)[0]
-
-
 @pytest.mark.parametrize("psi", [L1(lam=1.3), ElasticNet(lam1=0.8, lam2=2.0)], ids=repr)
 def test_soft_threshold_operators_keep_the_plain_formula_s_bits(psi, rng):
     # sign(z) * max(|z| - tau lam1, 0) / (1 + tau lam2) with Python floats, as
     # written plainly; the operators' 0-d operands and in-place order must
     # give its bits, the sign and payload of a NaN input included.
-    z = np.concatenate([rng.normal(0, 2, 20), [np.nan, _nan(0xFFF8000000000123),
-                        _nan(0x7FF8000000000456), np.inf, -np.inf, 0.0, -0.0, 5e-324,
+    z = np.concatenate([rng.normal(0, 2, 20), [np.nan, nan_with_bits(0xFFF8000000000123),
+                        nan_with_bits(0x7FF8000000000456), np.inf, -np.inf, 0.0, -0.0, 5e-324,
                         -5e-324, 1.04, -1.04, 800.0, -745.0]])
     lam1, lam2 = (psi.lam, 0.0) if isinstance(psi, L1) else (psi.lam1, psi.lam2)
     for tau in (1e-3, 0.8, 5.0):

@@ -2,7 +2,7 @@
 
 Usage::
 
-    python3 tools/traced_counts.py <parent root> <change root> [--seed 3] [--seconds 1]
+    python3 tools/traced_counts.py <parent root> <change root>
 
 For every workload that the parent's ``BENCHMARK.json`` lists, runs each
 checkout's own ``bench/run.py --workload W --seed 3 --seconds 1 --trace 1``
@@ -24,6 +24,9 @@ import sys
 from pathlib import Path
 
 COUNTS = ("oracle.oracle_calls", "optimizer.iterations", "optimizer.diag_full_gradients")
+# The one run the counts are recorded at.
+SEED = 3
+SECONDS = 1.0
 
 
 def counts(result: dict) -> dict:
@@ -42,10 +45,10 @@ def compare(workload: str, parent: dict, change: dict) -> tuple[list[str], bool]
     return lines, p == c and c["correct"] is True
 
 
-def run_traced(root: Path, workload: str, seed: int, seconds: float) -> dict:
+def run_traced(root: Path, workload: str) -> dict:
     got = subprocess.run(
-        [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
-         "--seconds", str(seconds), "--trace", "1"],
+        [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(SEED),
+         "--seconds", str(SECONDS), "--trace", "1"],
         cwd=root, capture_output=True, text=True)
     if got.returncode:
         raise SystemExit(f"{root}: bench/run.py exited {got.returncode}\n{got.stderr}")
@@ -56,14 +59,12 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("parent", type=Path)
     ap.add_argument("change", type=Path)
-    ap.add_argument("--seed", type=int, default=3)
-    ap.add_argument("--seconds", type=float, default=1.0)
     args = ap.parse_args(argv)
     benchmark = json.loads((args.parent / "BENCHMARK.json").read_text())
     same = True
     for workload in (w["name"] for w in benchmark["workloads"]):
-        parent = run_traced(args.parent, workload, args.seed, args.seconds)
-        change = run_traced(args.change, workload, args.seed, args.seconds)
+        parent = run_traced(args.parent, workload)
+        change = run_traced(args.change, workload)
         lines, agree = compare(workload, parent, change)
         print("\n".join(lines), flush=True)
         same = same and agree
