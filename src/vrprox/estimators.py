@@ -14,9 +14,9 @@ the baselines:
   v_t = (1 - beta) * [v_{t-1} + grad f_xi(x_t) - grad f_xi(x_{t-1})]
         + beta * grad f_zeta(x_t), three evaluations per step.
 
-One private helper forms the direction of every kind on plain arrays;
-:func:`vrprox.optimizer.run` validates its inputs once and is the public way
-to advance the recursion.
+``_recursion`` forms every kind's direction from sample gradients its caller
+evaluated; :func:`vrprox.optimizer.run`, which makes a step's sample calls and
+validates its inputs once, is the public way to advance the recursion.
 """
 
 from __future__ import annotations
@@ -65,23 +65,21 @@ def _weights(beta):
     return 1.0 - beta, beta, ones if ones.any() else None
 
 
-def _recursion(grad, prob, kind, v, x_prev, x_curr, xi, zeta, weights) -> np.ndarray:
-    """The direction v_t of every kind, from v_{t-1} formed at ``x_prev``.
-
-    ``grad(prob, x, sample)`` evaluates one sample (or batch) gradient; the
-    same-sample kinds evaluate ``xi`` at both points, the hybrid adds ``zeta``
-    at ``x_curr``, plain SGD evaluates ``xi`` at ``x_curr`` only.  No input
-    checks: the callers validate up front.  It is the one copy of the
-    recursion: :func:`vrprox.optimizer.run` steps it on sample gradients,
-    the suite's degenerate check on mini-batch means, and both variance
-    checks of :mod:`vrprox.validation` on (k, n, dim) stacks of k tuples'
-    component-gradient tables of every sample id, which ``grad`` returns as
-    passed in place of the points.
+def _recursion(kind, v, g_curr, g_prev, g_zeta, weights) -> np.ndarray:
+    """The direction v_t of every kind from v_{t-1} and the sample gradients
+    its caller evaluated and checked: ``g_curr`` of sample xi at x_t,
+    ``g_prev`` of xi at x_{t-1} and the hybrid's ``g_zeta`` of its second
+    sample at x_t; one the kind does not read may be None (SGD reads only
+    ``g_curr``).  It is the one copy of the recursion: ``optimizer.run``
+    steps it on sample gradients, the suite's degenerate check on mini-batch
+    means, and both variance checks of :mod:`vrprox.validation` on (k, n, dim)
+    stacks of k tuples' component-gradient tables of every sample id.
 
     The recursions work in place on their first fresh difference
     ``v - g_prev`` or ``v + g_curr``, which has the shape of both sample
-    terms since they share ids; the hybrid's ``zeta`` must give that shape
-    too.  No input is written and the result is never one of them.
+    terms, as ``g_zeta`` must.  No input is written.  The result is a fresh
+    array, except that SGD and a float weight of 1 return the ``g_curr``
+    (the hybrid's ``g_zeta``) passed in, which the caller holds nowhere else.
 
     ``weights`` is :func:`_weights` of the run's ``beta``, resolved once by
     the caller: a float weight becomes a 0-d float64 operand, never a Python
@@ -91,11 +89,8 @@ def _recursion(grad, prob, kind, v, x_prev, x_curr, xi, zeta, weights) -> np.nda
     formula's NaN: numpy returns the first operand's.
     """
     if kind == SGD:
-        return grad(prob, x_curr, xi)
-    g_curr = grad(prob, x_curr, xi)
-    g_prev = grad(prob, x_prev, xi)
+        return g_curr
     if kind == HYBRID_SARAH:
-        g_zeta = grad(prob, x_curr, zeta)
         if weights is None:
             return g_zeta
         keep, fresh, ones = weights

@@ -29,7 +29,7 @@ from . import __version__, problems
 from .config import MAX_SEED_COUNT, ConfigError, ExperimentConfig, check_initial_batch
 from .estimators import KINDS
 from .optimizer import DivergenceError, HyperParams, mean_grad_map_sq, run, schedule_from_T
-from .oracle import ProblemInstance, full_value
+from .oracle import ProblemInstance, _is_integer, full_value
 from .prox import parse_psi, psi_value
 
 TRACE_HEADER = "t,grad_map_sq,obj,est_err_sq,step_sq"
@@ -87,13 +87,16 @@ def expand_seeds(seeds, master_seed: int = 0) -> list[int]:
     """Resolve a seed list or count into explicit seeds.
 
     A count expands deterministically from the master seed, so one number
-    reproduces a whole sweep; it lies in [1, ``MAX_SEED_COUNT``].
+    reproduces a whole sweep; it lies in [1, ``MAX_SEED_COUNT``].  A list or
+    tuple holds integers >= 0; anything else is a ``ValueError``.
     """
-    if isinstance(seeds, int):
+    if _is_integer(seeds):
         if not 1 <= seeds <= MAX_SEED_COUNT:
-            raise ValueError(f"seed count must lie in [1, {MAX_SEED_COUNT}], got {seeds}")
+            raise ValueError(f"seeds: seed count must lie in [1, {MAX_SEED_COUNT}], got {seeds}")
         state = np.random.SeedSequence(master_seed).generate_state(seeds, dtype=np.uint64)
         return [int(s) for s in state]
+    if not (isinstance(seeds, (list, tuple)) and all(_is_integer(s) and s >= 0 for s in seeds)):
+        raise ValueError(f"seeds must be a count or a list of integers >= 0, got {seeds!r}")
     return [int(s) for s in seeds]
 
 
@@ -334,6 +337,8 @@ def compare_experiment(
     measures the gradient the same-sample recursion saves per step, not the
     second step size this paper drops.
     """
+    if isinstance(kinds, str):
+        raise ConfigError(f"kinds must be a sequence of estimator kinds, not the string {kinds!r}")
     kinds = list(kinds)
     if not kinds:
         raise ConfigError(f"no estimator kind to compare; valid kinds: {', '.join(KINDS)}")

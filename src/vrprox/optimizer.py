@@ -25,14 +25,15 @@ per-iteration diagnostics computed from exact full gradients; diagnostic
 evaluations are counted separately and never enter the oracle-call tally.
 
 The loop runs in blocks of ``BLOCK`` steps.  A step's budget: two checked
-``sample_gradient`` calls and three array operations for the recursion (three
-and five for the hybrid, one call for SGD), with diagnostics one checked
-``full_gradient`` and ``mean_value`` at the array it has just checked, then
-z = v * (-eta) + x in one temporary, the prox and the guard's dot product.
-Ids are drawn once per block; diagnostics and step norms are reduced after it.
-The checks cost more than the gradients they guard but stay until the seeds
-run in lockstep: the traced benchmark counts one span of each call per
-evaluation and per iterate.  A run holds O(BLOCK * p) memory whatever T is.
+``sample_gradient`` calls made here, whose results ``estimators._recursion``
+combines in three array operations (three and five for the hybrid, one call
+for SGD), with diagnostics one checked ``full_gradient`` and ``mean_value``
+at the array it has just checked, then z = v * (-eta) + x in one temporary,
+the prox and the guard's dot product.  Ids are drawn once per block;
+diagnostics and step norms are reduced after it.  The checks cost more than
+the gradients they guard but stay until the seeds run in lockstep: the
+traced benchmark counts one span of each call per evaluation and per
+iterate.  A run holds O(BLOCK * p) memory whatever T is.
 """
 
 from __future__ import annotations
@@ -48,6 +49,7 @@ from .estimators import (
     KINDS,
     MOMENTUM_SARAH,
     SARAH,
+    SGD,
     _recursion,
     _weights,
     init_estimator,
@@ -237,17 +239,18 @@ def run(
 
     The inputs are validated once, here; the loop then runs on plain arrays
     with operators resolved up front, and draws from the seeded generator
-    exactly as the public oracle functions would.  Every scalar operand of an
-    array op in the loop (the step -eta, the recursion's weights, the prox's
-    threshold and shrink factor) is a 0-d float64 array resolved here or by
-    its operator, never a Python float per step: numpy 2 takes a slower
-    weak-scalar path for those, with the same bits.  Diagnostics come from one
-    exact ``full_gradient`` per iterate and the problem's ``mean_value`` at
-    the iterate that call has just checked, and are reduced a block of
-    ``BLOCK`` iterates at a time, so memory stays O(BLOCK * p) whatever T is;
-    the traces have the bits of a per-step computation.  The loop's
-    ``sample_gradient`` and ``full_gradient`` calls stay checked, one per
-    evaluation and one per iterate, because the traced benchmark counts them.
+    exactly as the public oracle functions would.  A step draws xi (and the
+    hybrid's zeta) and passes the recursion xi at x_t, xi at x_{t-1} and zeta
+    at x_t, as far as its kind reads them.  Every scalar operand of an array
+    op in the loop (the step -eta, the weights, the prox's threshold and
+    shrink factor) is a 0-d float64 array resolved here or by its operator,
+    never a Python float per step: numpy 2 takes a slower weak-scalar path
+    for those, with the same bits.  Diagnostics come from one exact
+    ``full_gradient`` per iterate and ``mean_value`` at the iterate that call
+    has just checked, reduced ``BLOCK`` iterates at a time, so memory stays
+    O(BLOCK * p) whatever T is; the traces have the bits of a per-step
+    computation.  The loop's oracle calls stay checked, one per evaluation
+    and one per iterate, because the traced benchmark counts them.
     """
     if kind not in KINDS:
         raise ValueError(f"unknown estimator kind {kind!r}; expected one of {KINDS}")
@@ -266,7 +269,7 @@ def run(
     v = init_estimator(prob, x, hp.b_tilde, rng)
     output_index = int(rng.integers(0, T + 1))
     weights = _weights(0.0 if kind == SARAH else hp.beta)
-    hybrid = kind == HYBRID_SARAH
+    hybrid, reads_prev = kind == HYBRID_SARAH, kind != SGD
     ids_per_step = 2 if hybrid else 1
     prox_eta = prox_operator(psi, eta)
     limit = _guard_limit(prob)
@@ -300,8 +303,10 @@ def run(
             # (v_0 is the initial batch's direction).
             if t:
                 xi = next_id()
-                zeta = next_id() if hybrid else None
-                v = _recursion(sample_gradient, prob, kind, v, x_prev, x, xi, zeta, weights)
+                g_curr = sample_gradient(prob, x, xi)
+                g_prev = sample_gradient(prob, x_prev, xi) if reads_prev else None
+                g_zeta = sample_gradient(prob, x, next_id()) if hybrid else None
+                v = _recursion(kind, v, g_curr, g_prev, g_zeta, weights)
             if diagnostics:
                 add_v(v)
                 add_g(full_gradient(prob, x))

@@ -201,6 +201,9 @@ def parse_psi(key: str) -> PsiSpec:
     Accepted forms: ``zero``, ``l1:<lam>``, ``box:<lo>:<hi>``,
     ``enet:<lam1>:<lam2>``.
     """
+    expected = "expected zero | l1:<lam> | box:<lo>:<hi> | enet:<l1>:<l2>"
+    if not isinstance(key, str):
+        raise ValueError(f"bad regularizer key {key!r} (not a string); {expected}")
     parts = key.strip().split(":")
     name = parts[0]
     try:
@@ -214,6 +217,4 @@ def parse_psi(key: str) -> PsiSpec:
             return ElasticNet(lam1=float(parts[1]), lam2=float(parts[2]))
     except ValueError as exc:
         raise ValueError(f"bad regularizer key {key!r}: {exc}") from exc
-    raise ValueError(
-        f"bad regularizer key {key!r}; expected zero | l1:<lam> | box:<lo>:<hi> | enet:<l1>:<l2>"
-    )
+    raise ValueError(f"bad regularizer key {key!r}; {expected}")

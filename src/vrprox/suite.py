@@ -56,13 +56,12 @@ from .prox import L1, BoxIndicator, ElasticNet, Zero, prox, psi_value
 from .validation import _schedule_rows, _step_rows, _unrolled_rows, rate_slope
 
 
-def _row(check: str, passed: bool, value, threshold: str, detail: str = "") -> dict:
+def _row(check: str, passed: bool, value, threshold: str) -> dict:
     return {
         "check": check,
         "passed": bool(passed),
         "value": value,
         "threshold": threshold,
-        "detail": detail,
     }
 
 
@@ -341,8 +340,9 @@ def _check_degenerate_equivalences(seed: int) -> dict:
     for _ in range(20):
         x_new = x + rng.normal(0.0, 0.3, prob.dim)
         i = int(rng.integers(0, prob.num_components))
-        total += sample_gradient(prob, x_new, i) - sample_gradient(prob, x, i)
-        v = _recursion(sample_gradient, prob, SARAH, v, x, x_new, i, None, _weights(0.0))
+        g_curr, g_prev = sample_gradient(prob, x_new, i), sample_gradient(prob, x, i)
+        total += g_curr - g_prev
+        v = _recursion(SARAH, v, g_curr, g_prev, None, _weights(0.0))
         x = x_new
     telescoping = float(np.linalg.norm(v - v0 - total))
 
@@ -357,8 +357,8 @@ def _check_degenerate_equivalences(seed: int) -> dict:
     worst_exact = error_sq(v, x)
     for _ in range(10):
         x_new = x + rng.normal(0.0, 0.3, prob.dim)
-        v = _recursion(minibatch_gradient, prob, MOMENTUM_SARAH, v, x, x_new, all_ids, None,
-                       _weights(0.3))
+        v = _recursion(MOMENTUM_SARAH, v, minibatch_gradient(prob, x_new, all_ids),
+                       minibatch_gradient(prob, x, all_ids), None, _weights(0.3))
         x = x_new
         worst_exact = max(worst_exact, error_sq(v, x))
 

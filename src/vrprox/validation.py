@@ -85,12 +85,6 @@ def _check_beta_open(beta) -> float:
     return float(beta)
 
 
-def _table(_, table: np.ndarray, ids) -> np.ndarray:
-    # The estimator's grad(prob, x, ids) on every row of a stack of
-    # component-gradient tables, passed in place of the points.
-    return table
-
-
 def _stacked_tables(prob: ProblemInstance, X: np.ndarray) -> np.ndarray:
     """The (k, n, dim) component-gradient tables at the k rows of ``X``, from
     one ``grad_rows`` call on a (k*n, dim) stack: table r has the bits of
@@ -119,9 +113,8 @@ def _step_rows(prob, X_prev, X_curr, V_prev, betas) -> tuple[np.ndarray, np.ndar
         + 2.0 * one_m * prob.lipschitz_L**2 * np.vecdot(D_step, D_step)
         + 2.0 * beta_sq * prob.sigma_bound
     )
-    prev, curr = _stacked_tables(prob, X_prev), _stacked_tables(prob, X_curr)
-    E = _recursion(_table, None, MOMENTUM_SARAH, V_prev[:, None], prev, curr, None, None,
-                   _weights(betas[:, None, None]))
+    E = _recursion(MOMENTUM_SARAH, V_prev[:, None], _stacked_tables(prob, X_curr),
+                   _stacked_tables(prob, X_prev), None, _weights(betas[:, None, None]))
     E -= G_curr[:, None]
     E *= E
     lhs = np.sum(E, axis=2).mean(axis=1)
@@ -207,7 +200,7 @@ def _unrolled_rows(prob, trajectories, batches, V0, betas) -> tuple[np.ndarray, 
     noise = np.empty((betas.size, m))  # mean_j ||d_i(j) - mean_j d_i||^2 for i = 1..m
     for i in range(1, points):
         prev, rows = rows, _stacked_tables(prob, trajectories[:, i])
-        d = _recursion(_table, None, MOMENTUM_SARAH, 0.0, prev, rows, None, None, weights)
+        d = _recursion(MOMENTUM_SARAH, 0.0, rows, prev, None, weights)
         d -= d.mean(axis=1, keepdims=True)
         d *= d
         noise[:, i - 1] = np.mean(np.sum(d, axis=2), axis=1)

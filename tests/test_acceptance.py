@@ -197,8 +197,9 @@ def test_criterion_7_degenerate_equivalences():
     for _ in range(30):
         x_new = x + rng.normal(0, 0.4, prob.dim)
         i = int(rng.integers(0, prob.num_components))
-        total += vp.sample_gradient(prob, x_new, i) - vp.sample_gradient(prob, x, i)
-        v = _recursion(vp.sample_gradient, prob, SARAH, v, x, x_new, i, None, _weights(0.0))
+        g_curr, g_prev = vp.sample_gradient(prob, x_new, i), vp.sample_gradient(prob, x, i)
+        total += g_curr - g_prev
+        v = _recursion(SARAH, v, g_curr, g_prev, None, _weights(0.0))
         x = x_new
     telescope = float(np.linalg.norm(v - v0 - total))
 
@@ -213,8 +214,8 @@ def test_criterion_7_degenerate_equivalences():
     worst = error_sq(v, x)
     for _ in range(15):
         x_new = x + rng.normal(0, 0.4, prob.dim)
-        v = _recursion(vp.minibatch_gradient, prob, MOMENTUM_SARAH, v, x, x_new, all_ids, None,
-                       _weights(0.37))
+        v = _recursion(MOMENTUM_SARAH, v, vp.minibatch_gradient(prob, x_new, all_ids),
+                       vp.minibatch_gradient(prob, x, all_ids), None, _weights(0.37))
         x = x_new
         worst = max(worst, error_sq(v, x))
     _report(

@@ -1,7 +1,8 @@
-"""A derandomized property over the public array arguments that
-``oracle._finite_array`` guards: each call returns, or raises a
-``ValueError`` or ``TypeError`` that names the argument; never an
-``AttributeError``, a numpy-internal message or a warning."""
+"""Derandomized properties over the public array arguments that
+``oracle._finite_array`` guards, and over the readers of regularizer keys,
+problem keys and seeds: each call returns, or raises a ``ValueError`` or
+``TypeError`` that names the argument; never an ``AttributeError``, a
+numpy-internal message or a warning."""
 
 import re
 import warnings
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import vrprox as vp
+from vrprox.experiment import expand_seeds
 
 PROB = vp.make_quadratic(4, 3, 1.0, seed=0)
 HP = vp.HyperParams(eta=0.1, beta=0.5, b_tilde=2, T=2)
@@ -99,3 +101,53 @@ def test_array_arguments_return_or_name_themselves(target, data):
     base = data.draw(arrays(np.float64, TARGETS[target][1], elements=st.floats(-10.0, 10.0)))
     for variant in VARIANTS:
         _call(target, variant, _variant(variant, base, data))
+
+
+# argument: (pattern its refusals must match, call, valid values, which must return)
+READERS = {
+    "parse_psi key": ("regularizer key", vp.parse_psi, st.one_of(
+        st.just("zero"),
+        st.builds("l1:{}".format, st.floats(0.0, 10.0)),
+        st.builds("enet:{}:{}".format, st.floats(0.0, 10.0), st.floats(0.0, 10.0)),
+        st.builds("box:{}:{}".format, st.floats(-10.0, 0.0), st.floats(0.0, 10.0)))),
+    "from_key key": ("problem key", lambda v: vp.from_key(v, 0), st.one_of(
+        st.builds("quad:{}:{}:{}".format, st.integers(1, 6), st.integers(1, 4),
+                  st.floats(0.1, 10.0)),
+        st.builds("{}:{}:{}".format, st.sampled_from(["sigmoid", "robust"]),
+                  st.integers(1, 6), st.integers(1, 4)))),
+    "expand_seeds seeds": (r"\bseeds\b", lambda v: expand_seeds(v, 0), st.one_of(
+        st.integers(1, 8),
+        st.lists(st.integers(0, 2**70), max_size=4),
+        st.tuples(st.integers(0, 9), st.integers(0, 9)))),
+}
+
+# Junk for every reader.  Strings stay at most 12 characters, so a key that
+# parses builds at most a 999 x 99 problem.
+JUNK = st.one_of(
+    st.text(max_size=12),
+    st.text(alphabet="quadsigmorbtzenl1:.-059e ", max_size=12),
+    st.none(),
+    st.booleans(),
+    st.floats(),
+    st.integers(-3, 3),
+    st.just(2**70),
+    st.binary(max_size=6),
+    st.lists(st.one_of(st.integers(-3, 3), st.floats(), st.booleans(), st.text(max_size=2)),
+             max_size=3),
+)
+
+
+@pytest.mark.parametrize("target", sorted(READERS))
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(data=st.data())
+def test_text_and_seed_readers_return_or_name_their_argument(target, data):
+    pattern, call, valid = READERS[target]
+    for value, must_return in ((data.draw(valid), True), (data.draw(JUNK), False)):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                call(value)
+            except (ValueError, TypeError) as exc:
+                assert not must_return, f"{target} refused {value!r}: {exc}"
+                assert re.search(pattern, str(exc)), f"{target}: {exc}"
+        assert not caught, f"{target} warned on {value!r}: {caught[0].message}"

@@ -15,7 +15,10 @@ from conftest import counting_quadratic, nan_with_bits
 
 
 def _step(prob, kind, v, x_prev, x, xi, beta, zeta=None):
-    return _recursion(vp.sample_gradient, prob, kind, v, x_prev, x, xi, zeta, _weights(beta))
+    # The step's sample gradients, then the recursion on them.
+    g_prev = vp.sample_gradient(prob, x_prev, xi)
+    g_zeta = None if zeta is None else vp.sample_gradient(prob, x, zeta)
+    return _recursion(kind, v, vp.sample_gradient(prob, x, xi), g_prev, g_zeta, _weights(beta))
 
 
 def _fresh(prob, rng, b=4):
@@ -93,11 +96,11 @@ def test_float_weights_equal_the_beta_column_row_by_row(kind, make):
     V, X_prev, X_curr = rng.normal(0, 1, (3, k, prob.dim))
     xi, zeta = rng.integers(0, prob.num_components, (2, k))
     betas = np.concatenate([[0.0, 1.0, 0.3, 1.0 - 1e-12], rng.uniform(0, 1, k - 4)])
-    stacked = _recursion(lambda prob, X, ids: prob.grad_rows(X, ids), prob, kind, V, X_prev,
-                         X_curr, xi, zeta, _weights(betas[:, None]))
+    stacked = _recursion(kind, V, prob.grad_rows(X_curr, xi), prob.grad_rows(X_prev, xi),
+                         prob.grad_rows(X_curr, zeta), _weights(betas[:, None]))
     for r in range(k):
-        one = _recursion(vp.sample_gradient, prob, kind, V[r], X_prev[r], X_curr[r],
-                         int(xi[r]), int(zeta[r]), _weights(float(betas[r])))
+        one = _step(prob, kind, V[r], X_prev[r], X_curr[r], int(xi[r]), float(betas[r]),
+                    zeta=int(zeta[r]))
         assert one.tobytes() == stacked[r].tobytes(), r
 
 
@@ -105,22 +108,17 @@ def test_float_weights_equal_the_beta_column_row_by_row(kind, make):
 @pytest.mark.parametrize("beta", [0.0, 0.3, 0.9])
 def test_recursion_keeps_the_plain_formula_s_bits(kind, beta):
     # The plain formulas with Python-float weights, term by term in the
-    # docstring's order.  ``grad`` returns the points themselves, as the
-    # validation engines' tables do, so NaNs of other payloads and signs
-    # meet in one lane; numpy then returns the first operand's NaN, and the
-    # recursion must keep every operand in the plain order.
+    # docstring's order.  The sample terms are arrays whose NaNs of other
+    # payloads and signs meet in one lane; numpy then returns the first
+    # operand's NaN, and the recursion must keep every operand in the plain
+    # order.
     rng = np.random.default_rng(5)
     v, x_prev, x_curr, z = rng.normal(0, 1, (4, 12))
     v[::3], x_curr[::3] = nan_with_bits(0x7FF8000000000011), nan_with_bits(0xFFF8000000000022)
     x_prev[1::3], z[1::3] = -np.inf, nan_with_bits(0x7FF8000000000033)
     v[2::3], z[2::3] = -0.0, -0.0
-    points = {id(x_prev): x_prev, id(x_curr): x_curr}
-
-    def grad(prob, x, sample):
-        return z if sample == "zeta" else points[id(x)]
-
     with np.errstate(invalid="ignore"):
-        got = _recursion(grad, None, kind, v, x_prev, x_curr, "xi", "zeta", _weights(beta))
+        got = _recursion(kind, v, x_curr, x_prev, z, _weights(beta))
         if kind == HYBRID_SARAH:
             want = (v + x_curr - x_prev) * (1.0 - beta) + beta * z
         else:
@@ -161,8 +159,8 @@ def test_full_batch_updates_stay_exact(quad_small, rng):
     for beta in (0.0, 0.3, 0.9):
         for _ in range(5):
             x_new = x + rng.normal(0, 0.5, quad_small.dim)
-            v = _recursion(vp.minibatch_gradient, quad_small, MOMENTUM_SARAH, v, x, x_new,
-                           all_ids, None, _weights(beta))
+            v = _recursion(MOMENTUM_SARAH, v, vp.minibatch_gradient(quad_small, x_new, all_ids),
+                           vp.minibatch_gradient(quad_small, x, all_ids), None, _weights(beta))
             x = x_new
             d = v - vp.full_gradient(quad_small, x)
             assert d @ d <= 1e-12
@@ -217,12 +215,14 @@ def test_hybrid_beta_endpoints(quad_small, rng):
 
 
 def test_evaluation_accounting():
+    # The initial batch evaluates one gradient per id, and each step of run
+    # the sample gradients its kind reads.
     prob, calls = counting_quadratic(n=10, p=4)
     rng = np.random.default_rng(5)
-    v = vp.init_estimator(prob, np.zeros(4), 6, rng)
+    vp.init_estimator(prob, np.zeros(4), 6, rng)
     assert calls["grad"] == 6
-    for kind, zeta, expected in ((MOMENTUM_SARAH, None, 2), (SARAH, None, 2),
-                                 (HYBRID_SARAH, 2, 3), (SGD, None, 1)):
+    hp = vp.HyperParams(eta=0.1, beta=0.5, b_tilde=6, T=3)
+    for kind, expected in ((MOMENTUM_SARAH, 2), (SARAH, 2), (HYBRID_SARAH, 3), (SGD, 1)):
         calls["grad"] = 0
-        _step(prob, kind, v, np.zeros(4), np.ones(4), 3, 0.5, zeta=zeta)
-        assert calls["grad"] == expected, kind
+        vp.run(prob, vp.Zero(), hp, rng=5, diagnostics=False, kind=kind)
+        assert calls["grad"] == 6 + expected * hp.T, kind

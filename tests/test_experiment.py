@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import vrprox as vp
-from vrprox.config import MAX_SEED_COUNT, parse_config
+from vrprox.config import MAX_SEED_COUNT, ConfigError, parse_config
 from vrprox.experiment import (
     COMPARE_HEADER,
     SUMMARY_HEADER,
@@ -45,6 +45,24 @@ def test_expand_seeds_refuses_counts_above_the_maximum():
     for count in (MAX_SEED_COUNT + 1, 99999999999999999999):
         with pytest.raises(ValueError, match="seed count must lie in"):
             expand_seeds(count)
+
+
+@pytest.mark.parametrize("bad", ["12", True, [-1, 2], [2.7], (1, True), 2.5, None,
+                                 np.array([1, 2])], ids=repr)
+def test_expand_seeds_refuses_what_is_neither_a_count_nor_a_seed_list(bad):
+    with pytest.raises(ValueError, match=r"^seeds must be a count or a list of integers >= 0"):
+        expand_seeds(bad)
+
+
+def test_expand_seeds_takes_numpy_counts_and_seed_tuples():
+    assert expand_seeds(np.int64(3), 2) == expand_seeds(3, 2)
+    assert expand_seeds((5, np.int64(6))) == [5, 6]
+
+
+def test_compare_refuses_a_string_of_kinds(tmp_path):
+    with pytest.raises(ConfigError, match=r"^kinds must be a sequence of estimator kinds, "
+                                          r"not the string 'sgd'$"):
+        compare_experiment(parse_config(CFG), kinds="sgd", output_dir=tmp_path)
 
 
 def test_run_experiment_files_and_headers(tmp_path):

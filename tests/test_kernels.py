@@ -167,14 +167,15 @@ def test_per_sample_and_mean_kernels_match_reference(family):
         assert vp.full_value(prob, x) == vp.full_value(ref, x)
 
 
-def _call_checked(fn, *inputs):
+def _call_checked(fn, *inputs, returns=None):
     """fn(*inputs), asserting that every input keeps its bytes and that the
-    result shares no memory with one."""
+    result shares no memory with one; or, given ``returns``, is that input."""
     before = [arr.tobytes() for arr in inputs]
     result = fn(*inputs)
+    assert returns is None or result is returns
     for arr, data in zip(inputs, before):
         assert arr.tobytes() == data
-        assert not np.shares_memory(result, arr)
+        assert arr is returns or not np.shares_memory(result, arr)
     return result
 
 
@@ -207,14 +208,18 @@ def test_prox_operators_write_no_input(psi):
 @pytest.mark.parametrize("beta", [0.0, 0.3, 1.0])
 @pytest.mark.parametrize("batched", [False, True], ids=["one_id", "id_array"])
 def test_recursion_writes_no_input(kind, beta, batched):
+    # SGD and beta = 1 return the fresh gradient passed in, which the loop's
+    # oracle call made for this step alone; any other result is a new array.
     prob = vp.make_nonconvex_sigmoid(60, 5, seed=2)
     rng = np.random.default_rng(3)
     v, x_prev, x_curr = rng.standard_normal((3, prob.dim))
     xi, zeta = (np.array([4, 9, 4]), np.array([1, 2, 59])) if batched else (4, 59)
-    _call_checked(
-        lambda v, x_prev, x_curr: _recursion(vp.sample_gradient, prob, kind, v, x_prev,
-                                             x_curr, xi, zeta, _weights(beta)),
-        v, x_prev, x_curr)
+    g_curr, g_prev, g_zeta = (vp.sample_gradient(prob, x, ids)
+                              for x, ids in ((x_curr, xi), (x_prev, xi), (x_curr, zeta)))
+    fresh = g_zeta if kind == HYBRID_SARAH else g_curr
+    _call_checked(lambda *terms: _recursion(kind, *terms, _weights(beta)),
+                  v, g_curr, g_prev, g_zeta,
+                  returns=fresh if kind == SGD or beta == 1.0 else None)
 
 
 @pytest.mark.parametrize("family", sorted(FAMILIES))

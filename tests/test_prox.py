@@ -163,6 +163,13 @@ def test_parse_psi():
             parse_psi(bad)
 
 
+@pytest.mark.parametrize("bad", [None, 5, b"zero"])
+def test_parse_psi_refuses_a_key_that_is_not_a_string(bad):
+    with pytest.raises(ValueError, match=rf"^bad regularizer key {bad!r} \(not a string\); "
+                                         r"expected zero \| l1:<lam> \|"):
+        parse_psi(bad)
+
+
 def test_input_validation():
     with pytest.raises(ValueError):
         prox(L1(lam=1.0), np.array([np.nan, 0.0]), 1.0)

@@ -75,7 +75,7 @@ class TestOneStep:
         calls = []
 
         def faulty(*args):
-            calls.append(args[2])
+            calls.append(args[0])
             return 2.0 * _recursion(*args)
 
         monkeypatch.setattr(validation, "_recursion", faulty)
@@ -137,8 +137,8 @@ def _replayed_error(prob, traj, v0, beta, n_mc, rng):
         V = np.tile(v0, (n_mc, 1))
     for i in range(1, k + 1):
         ids = rng.integers(0, prob.num_components, size=n_mc)
-        V = _recursion(vp.sample_gradient, prob, MOMENTUM_SARAH, V, traj[i - 1], traj[i], ids,
-                       None, _weights(beta))
+        V = _recursion(MOMENTUM_SARAH, V, vp.sample_gradient(prob, traj[i], ids),
+                       vp.sample_gradient(prob, traj[i - 1], ids), None, _weights(beta))
     errs = np.sum((V - vp.full_gradient(prob, traj[k])) ** 2, axis=1)
     return errs.mean(), errs.std(ddof=1) / np.sqrt(n_mc)
 
@@ -211,7 +211,7 @@ class TestUnrolled:
         calls = []
 
         def faulty(*args):
-            calls.append(args[2])
+            calls.append(args[0])
             return 2.0 * _recursion(*args)
 
         monkeypatch.setattr(validation, "_recursion", faulty)
