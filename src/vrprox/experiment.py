@@ -88,7 +88,8 @@ def expand_seeds(seeds, master_seed: int = 0) -> list[int]:
 
     A count expands deterministically from the master seed, so one number
     reproduces a whole sweep; it lies in [1, ``MAX_SEED_COUNT``].  A list or
-    tuple holds integers >= 0; anything else is a ``ValueError``.
+    tuple holds distinct integers >= 0, at least one: a repeated seed would
+    run one run twice and count it twice.  Anything else is a ``ValueError``.
     """
     if _is_integer(seeds):
         if not 1 <= seeds <= MAX_SEED_COUNT:
@@ -97,7 +98,10 @@ def expand_seeds(seeds, master_seed: int = 0) -> list[int]:
         return [int(s) for s in state]
     if not (isinstance(seeds, (list, tuple)) and all(_is_integer(s) and s >= 0 for s in seeds)):
         raise ValueError(f"seeds must be a count or a list of integers >= 0, got {seeds!r}")
-    return [int(s) for s in seeds]
+    seeds = [int(s) for s in seeds]
+    if not seeds or len(set(seeds)) < len(seeds):
+        raise ValueError(f"seeds must be distinct and at least one, got {seeds!r}")
+    return seeds
 
 
 def stationarity_bound_rhs(prob: ProblemInstance, psi, T: int) -> float:

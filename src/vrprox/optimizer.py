@@ -27,13 +27,14 @@ evaluations are counted separately and never enter the oracle-call tally.
 The loop runs in blocks of ``BLOCK`` steps.  A step's budget: two checked
 ``sample_gradient`` calls made here, whose results ``estimators._recursion``
 combines in three array operations (three and five for the hybrid, one call
-for SGD), with diagnostics one checked ``full_gradient`` and ``mean_value``
-at the array it has just checked, then z = v * (-eta) + x in one temporary,
-the prox and the guard's dot product.  Ids are drawn once per block;
-diagnostics and step norms are reduced after it.  The checks cost more than
-the gradients they guard but stay until the seeds run in lockstep: the
-traced benchmark counts one span of each call per evaluation and per
-iterate.  A run holds O(BLOCK * p) memory whatever T is.
+for SGD), with diagnostics one checked ``full_gradient``, then
+z = v * (-eta) + x in one temporary, the prox and the guard's dot product.
+Ids are drawn once per block; after it, one ``mean_value`` call gives f at
+the block's stacked iterates, and the diagnostics and step norms are
+reduced.  The checks cost more than the gradients they guard but stay until
+the seeds run in lockstep: the traced benchmark counts one span of each call
+per evaluation and per iterate.  A run holds O(BLOCK * p) memory whatever T
+is.
 """
 
 from __future__ import annotations
@@ -246,11 +247,12 @@ def run(
     shrink factor) is a 0-d float64 array resolved here or by its operator,
     never a Python float per step: numpy 2 takes a slower weak-scalar path
     for those, with the same bits.  Diagnostics come from one exact
-    ``full_gradient`` per iterate and ``mean_value`` at the iterate that call
-    has just checked, reduced ``BLOCK`` iterates at a time, so memory stays
-    O(BLOCK * p) whatever T is; the traces have the bits of a per-step
-    computation.  The loop's oracle calls stay checked, one per evaluation
-    and one per iterate, because the traced benchmark counts them.
+    ``full_gradient`` per iterate and one ``mean_value`` call per block of
+    ``BLOCK`` iterates, on their ``(k, p)`` stack, and are reduced a block at
+    a time, so memory stays O(BLOCK * p) whatever T is; the traces have the
+    bits of a per-step computation.  The loop's oracle calls stay checked,
+    one per evaluation and one per iterate, because the traced benchmark
+    counts them.
     """
     if kind not in KINDS:
         raise ValueError(f"unknown estimator kind {kind!r}; expected one of {KINDS}")
@@ -285,7 +287,6 @@ def run(
         grad_map_sq = obj = est_err_sq = None
 
     neg_eta = _operand(-eta)
-    mean_value = prob.mean_value
     x_prev = x
     for start in range(0, T + 1, BLOCK):
         stop = min(start + BLOCK, T + 1)
@@ -294,10 +295,10 @@ def run(
         next_id = iter(
             draw_step_ids(prob, ids_per_step * (stop - first), rng).tolist()
         ).__next__
-        # x_start..x_stop and, with diagnostics, v_t, grad f(x_t) and f(x_t),
-        # kept by reference: nothing writes into them in place.
-        xs, vs, gs, fs = [x], [], [], []
-        add_x, add_v, add_g, add_f = xs.append, vs.append, gs.append, fs.append
+        # x_start..x_stop and, with diagnostics, v_t and grad f(x_t), kept
+        # by reference: nothing writes into them in place.
+        xs, vs, gs = [x], [], []
+        add_x, add_v, add_g = xs.append, vs.append, gs.append
         for t in range(start, stop):
             # On entry x is x_t and x_prev is x_{t-1}; v becomes v_t here
             # (v_0 is the initial batch's direction).
@@ -310,8 +311,6 @@ def run(
             if diagnostics:
                 add_v(v)
                 add_g(full_gradient(prob, x))
-                # f(x_t) at the array full_gradient has just checked.
-                add_f(mean_value(x))
             # x_{t+1} = prox(x_t - eta v_t), guarded; v * -eta + x has the
             # bits of x - eta * v, with one temporary.
             z = v * neg_eta
@@ -334,7 +333,8 @@ def run(
             G = np.array(gs)
             M = (X - prox_eta(X - eta * G)) / eta
             grad_map_sq[start:stop] = np.vecdot(M, M)
-            obj[start:stop] = np.array(fs) + psi_value(psi, X)
+            # f(x_t) for the block's iterates, which full_gradient has checked.
+            obj[start:stop] = prob.mean_value(X) + psi_value(psi, X)
             E = np.array(vs) - G
             est_err_sq[start:stop] = np.vecdot(E, E)
 

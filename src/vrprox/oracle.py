@@ -134,6 +134,10 @@ class ProblemInstance:
     ``grad_rows(X[r], int(ids[r]))``, on every family.  ``value_sample(x, i)`` is one
     summand's value; ``mean_grad(x)`` and ``mean_value(x)`` give the exact
     mean gradient and value in closed form.  All four must agree.
+    ``mean_value(X)`` on a ``(k, dim)`` stack gives the k values, each with
+    the bits of ``mean_value(X[r])``, which gives a float: a run's
+    diagnostics read f once per block of iterates, so a custom instance's
+    ``mean_value`` must take a stack too.
 
     ``lipschitz_L`` must be a certified upper bound on the mean-square
     Lipschitz constant of the sample gradients,
@@ -148,7 +152,7 @@ class ProblemInstance:
     grad_rows: Callable[[np.ndarray, int | np.ndarray], np.ndarray]
     value_sample: Callable[[np.ndarray, int], float]
     mean_grad: Callable[[np.ndarray], np.ndarray]
-    mean_value: Callable[[np.ndarray], float]
+    mean_value: Callable[[np.ndarray], float | np.ndarray]
     lipschitz_L: float
     sigma_bound: float
     f_lower: float

@@ -17,7 +17,8 @@ Three families, all deterministic in their seed:
 The two nonconvex families differ only in a scalar loss of a_i^T x: each
 generates its data and hands three one-line formulas to ``_linear_model``,
 which builds the closures, the certified L, sigma^2 (from the loss's slope
-bound) and f_lower = 0 (both losses are >= 0), and a one-entry link memo.
+bound) and f_lower = 0 (both losses are >= 0), and a record of the values
+at the points of the latest mean gradients.
 The sigmoid family hands it the rows -y_i a_i in place of a_i: negation is
 exact, so every margin, gradient and mean has the bits of the unfolded form,
 and no call multiplies by a label.  Its instances hold that n x p matrix
@@ -28,6 +29,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .optimizer import BLOCK
 from .oracle import (
     ProblemInstance,
     _check_count,
@@ -98,8 +100,10 @@ def make_quadratic(
         return x - cbar
 
     def mean_value(x):
+        # vecdot has the bits of d.dot(d), for a point or row by row.
         d = x - cbar
-        return 0.5 * float(d.dot(d)) + half_sigma2
+        f = 0.5 * np.vecdot(d, d) + half_sigma2
+        return f if d.ndim > 1 else float(f)
 
     return ProblemInstance(
         name=f"quadratic(n={n},p={p})",
@@ -165,28 +169,22 @@ def _linear_model(family: str, A: np.ndarray, curvature: float, s_max: float, li
     with a point or a stack, has its bits, and the mean closures' ``A.dot(x)``
     and ``A.T.dot(w)`` have those of ``@`` (tests/test_numpy_contract.py).
 
-    The mean gradient and value share a one-entry memo of the link over all
-    n samples, keyed by the point's float64 bytes: the diagnostics ask for
-    both at one point, and the second then costs a sum instead of a second
-    ``A.dot(x)``.  A point changed in place, or -0.0 for 0.0, is a miss, which
-    costs time, never a different result.  Key and value are stored and read
-    as one tuple, so one point's key is never paired with another's link.
+    ``mean_grad(x)`` also records f(x) from the link over all n samples it
+    has just formed, keyed by the point's float64 bytes, for the last
+    ``optimizer.BLOCK`` points, the oldest out first.  ``mean_value`` reads a
+    point, or each row of a ``(k, p)`` stack, from that record and computes
+    a miss in full, so a run's block of diagnostics repeats no ``A.dot(x)``.
+    A point changed in place, or -0.0 for 0.0, is a miss, which costs time,
+    never a different result.
     """
     n, p = A.shape
     n_operand = _operand(n)
     row_sq = np.sum(A * A, axis=1)
     rows = list(A)
-    memo = (None, None)
+    recorded = {}
 
-    def link_all(x):
-        nonlocal memo
-        key = x.tobytes()
-        cached_key, value = memo
-        if key != cached_key:
-            value = link(A.dot(x), slice(None))
-            value.flags.writeable = False
-            memo = (key, value)
-        return value
+    def value_at(l):
+        return float(loss(l).sum() / n)
 
     def grad_rows(x, ids):
         if isinstance(ids, np.ndarray):
@@ -199,12 +197,19 @@ def _linear_model(family: str, A: np.ndarray, curvature: float, s_max: float, li
         return float(loss(link(rows[i].dot(x), i)))
 
     def mean_grad(x):
-        g = A.T.dot(slope(link_all(x)))
+        l = link(A.dot(x), slice(None))
+        recorded[x.tobytes()] = value_at(l)
+        if len(recorded) > BLOCK:
+            del recorded[next(iter(recorded))]
+        g = A.T.dot(slope(l))
         g /= n_operand
         return g
 
     def mean_value(x):
-        return float(loss(link_all(x)).sum() / n)
+        if x.ndim > 1:
+            return np.array([mean_value(row) for row in x])
+        f = recorded.get(x.tobytes())
+        return value_at(link(A.dot(x), slice(None))) if f is None else f
 
     return ProblemInstance(
         name=f"{family}(n={n},p={p})",

@@ -117,8 +117,8 @@ READERS = {
                   st.integers(1, 6), st.integers(1, 4)))),
     "expand_seeds seeds": (r"\bseeds\b", lambda v: expand_seeds(v, 0), st.one_of(
         st.integers(1, 8),
-        st.lists(st.integers(0, 2**70), max_size=4),
-        st.tuples(st.integers(0, 9), st.integers(0, 9)))),
+        st.lists(st.integers(0, 2**70), min_size=1, max_size=4, unique=True),
+        st.lists(st.integers(0, 9), min_size=2, max_size=2, unique=True).map(tuple))),
 }
 
 # Junk for every reader.  Strings stay at most 12 characters, so a key that

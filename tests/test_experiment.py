@@ -1,4 +1,5 @@
 import platform
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -52,6 +53,20 @@ def test_expand_seeds_refuses_counts_above_the_maximum():
 def test_expand_seeds_refuses_what_is_neither_a_count_nor_a_seed_list(bad):
     with pytest.raises(ValueError, match=r"^seeds must be a count or a list of integers >= 0"):
         expand_seeds(bad)
+
+
+@pytest.mark.parametrize("bad", [[], (), [4, 4], (3, 3)], ids=repr)
+def test_expand_seeds_refuses_an_empty_or_repeating_seed_list(tmp_path, bad):
+    # A repeated seed would run one run twice and count it as two in the
+    # summary; an empty list would write a summary of no runs.
+    match = r"^seeds must be distinct and at least one"
+    with pytest.raises(ValueError, match=match):
+        expand_seeds(bad)
+    cfg = replace(parse_config(CFG), seeds=bad)
+    for call in (run_experiment, compare_experiment):
+        with pytest.raises(ValueError, match=match):
+            call(cfg, output_dir=tmp_path / call.__name__)
+        assert not (tmp_path / call.__name__).exists()
 
 
 def test_expand_seeds_takes_numpy_counts_and_seed_tuples():

@@ -3,11 +3,11 @@
 The reference closures below are the straightforward kernels: a masked
 sigmoid on 0-d or 1-d arrays, a robust slope that squares ``1 + r^2`` as a
 product, a one-id sample gradient whose id-array form is the stack of its
-one-id rows, and a fresh ``A @ x`` for every mean gradient and mean value.
-The library's kernels (``_sigmoid``'s branch-free array path and its scalar
-branch, and the closures and one-entry link memo that ``_linear_model``
-builds) must give the same bytes at every finite point, +0, -0 and saturated
-margins included.
+one-id rows, and a fresh ``A @ x`` for every mean gradient and mean value
+(a stack's values are its rows' values).  The library's kernels
+(``_sigmoid``'s branch-free array path and its scalar branch, and the
+closures and value record that ``_linear_model`` builds) must give the same
+bytes at every finite point, +0, -0 and saturated margins included.
 
 The kernels compute in place on their own temporaries; the last tests check
 that no sample or mean gradient, prox or recursion writes into an input or
@@ -19,8 +19,9 @@ import pytest
 
 import vrprox as vp
 from vrprox.estimators import HYBRID_SARAH, MOMENTUM_SARAH, SARAH, SGD, _recursion, _weights
+from vrprox.optimizer import BLOCK
 from vrprox.oracle import ProblemInstance
-from vrprox.problems import _sigmoid
+from vrprox.problems import _linear_model, _sigmoid
 from vrprox.prox import L1, BoxIndicator, ElasticNet, Zero, prox_operator
 
 
@@ -87,6 +88,11 @@ def _reference(prob, grad_row, value_sample, mean_grad, mean_value):
             return grad_row(x, ids)
         return np.array([grad_row(x, i) for i in ids])
 
+    def mean_values(x):
+        if np.ndim(x) == 1:
+            return mean_value(x)
+        return np.array([mean_value(row) for row in x])
+
     return ProblemInstance(
         name="reference-" + prob.name,
         dim=prob.dim,
@@ -97,7 +103,7 @@ def _reference(prob, grad_row, value_sample, mean_grad, mean_value):
         sigma_bound=prob.sigma_bound,
         f_lower=prob.f_lower,
         mean_grad=mean_grad,
-        mean_value=mean_value,
+        mean_value=mean_values,
     )
 
 
@@ -279,3 +285,86 @@ def test_memo_alternating_points(pair):
     for x in (a, b, a, a, b, a):
         _same(prob, ref, x)
 
+
+
+def _value_stack(prob, rows, seen):
+    """``rows`` random points in a stack: +0 and -0 rows, a repeated row, and
+    the first ``seen`` rows passed to ``full_gradient`` beforehand (the rest
+    never were)."""
+    rng = np.random.default_rng(rows)
+    X = rng.uniform(-3.0, 3.0, (rows, prob.dim))
+    X[rows // 2] = 0.0
+    if rows > 2:
+        X[1] = -0.0
+        X[-1] = X[0]
+    for x in X[:seen]:
+        vp.full_gradient(prob, x)
+    return X
+
+
+def _assert_stacked_values(prob, X, ref=None):
+    got = prob.mean_value(X)
+    points = [prob.mean_value(x) for x in X]
+    assert all(type(f) is float for f in points)
+    assert got.shape == (len(X),) and got.tobytes() == np.array(points).tobytes()
+    if ref is not None:
+        assert got.tobytes() == ref.mean_value(X).tobytes()
+
+
+@pytest.mark.parametrize("family", sorted(ALL_FAMILIES))
+@pytest.mark.parametrize("rows", [1, BLOCK - 1, BLOCK, BLOCK + 1])
+def test_stacked_mean_value_matches_its_points(family, rows):
+    prob = ALL_FAMILIES[family]()
+    ref = FAMILIES[family][1](prob) if family in FAMILIES else None
+    X = _value_stack(prob, rows, seen=rows // 3)
+    _assert_stacked_values(prob, X, ref)
+    if ref is None:
+        # The quadratic's plain form: 0.5 d.d + sigma^2 / 2 in float arithmetic.
+        d = X - prob.meta["cbar"]
+        want = [0.5 * float(r.dot(r)) + prob.f_lower for r in d]
+        assert prob.mean_value(X).tolist() == want
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_stacked_mean_value_recomputes_evicted_points(family):
+    # More than BLOCK full gradients: the oldest points' values left the record.
+    prob = FAMILIES[family][0]()
+    X = _value_stack(prob, BLOCK + 40, seen=BLOCK + 40)
+    _assert_stacked_values(prob, X, FAMILIES[family][1](prob))
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_stacked_mean_value_sees_rows_changed_in_place(family):
+    prob = FAMILIES[family][0]()
+    ref = FAMILIES[family][1](prob)
+    X = _value_stack(prob, 12, seen=12)
+    X[3] += 0.25
+    X[5] *= -1.0
+    _assert_stacked_values(prob, X, ref)
+    x = X[7].copy()
+    vp.full_gradient(prob, x)
+    x[0] += 0.5
+    assert prob.mean_value(x) == ref.mean_value(x)
+
+
+def test_block_read_forms_no_link_at_recorded_points():
+    # The record keeps the last BLOCK mean gradients' values: reading a stack
+    # of those points forms no link over the n samples, and only the points
+    # evicted first form one.
+    base = vp.make_robust_regression(60, 5, seed=2)
+    b, links = base.meta["b"], []
+
+    def link(z, i):
+        links.append(i)
+        return z - b[i]
+
+    prob = _linear_model("robust", base.meta["A"], 2.0, 1.0, link, slope=lambda r: r,
+                         loss=lambda r: r * r, meta={})
+    X = np.random.default_rng(4).standard_normal((BLOCK + 3, prob.dim))
+    for x in X:
+        vp.full_gradient(prob, x)
+    links.clear()
+    assert prob.mean_value(X[3:]).tobytes() == np.array([prob.mean_value(x) for x in X[3:]]).tobytes()
+    assert links == []
+    prob.mean_value(X)
+    assert links == [slice(None)] * 3

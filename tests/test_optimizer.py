@@ -1,5 +1,5 @@
 import warnings
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -460,8 +460,9 @@ def test_run_keeps_the_call_structure_the_benchmark_traces(monkeypatch, problem,
     # A traced benchmark run wraps these module attributes and checks the
     # counts exactly: one sample_gradient per evaluation with a Python-int
     # id, one full_gradient per iterate with diagnostics on, and one initial
-    # batch of b_tilde ids.
-    sample_ids, full_points, batches = [], [], []
+    # batch of b_tilde ids.  f(x_t) comes from one mean_value call per block,
+    # on the stack of the block's iterates, and from none without diagnostics.
+    sample_ids, full_points, batches, value_stacks = [], [], [], []
 
     def sample_gradient(prob, x, ids):
         sample_ids.append(ids)
@@ -479,6 +480,13 @@ def test_run_keeps_the_call_structure_the_benchmark_traces(monkeypatch, problem,
     monkeypatch.setattr(optimizer, "full_gradient", full_gradient)
     monkeypatch.setattr(estimators, "minibatch_gradient", minibatch_gradient)
     prob = _EQUIV_PROBLEMS[problem]()
+    mean_value = prob.mean_value
+
+    def stacked_value(X):
+        value_stacks.append(X.copy())
+        return mean_value(X)
+
+    prob = replace(prob, mean_value=stacked_value)
     T = BLOCK + 5
     hp = vp.schedule_from_T(T, prob.lipschitz_L)
     trace = vp.run(prob, Zero(), hp, rng=7, kind=kind, diagnostics=diagnostics)
@@ -487,6 +495,12 @@ def test_run_keeps_the_call_structure_the_benchmark_traces(monkeypatch, problem,
     assert len(full_points) == (T + 1 if diagnostics else 0)
     assert len(batches) == 1 and np.size(batches[0]) == hp.b_tilde > 1
     assert trace.oracle_calls == hp.b_tilde + len(sample_ids)
+    if not diagnostics:
+        assert value_stacks == []
+        return
+    assert len(value_stacks) == -(-(T + 1) // BLOCK)
+    assert [X.shape for X in value_stacks] == [(BLOCK, prob.dim), (T + 1 - BLOCK, prob.dim)]
+    assert np.concatenate(value_stacks).tobytes() == np.array(full_points).tobytes()
 
 
 @pytest.mark.parametrize("psi", [Zero(), L1(lam=0.01), vp.ElasticNet(0.001, 0.001)], ids=repr)

@@ -156,17 +156,18 @@ _counts_spec.loader.exec_module(traced_counts)
 
 
 def _traced(correct=True, calls=444_400.0, iterations=222_000.0, diag=222_060.0,
-            per_iter=(2.0, 1.00027, 0.00027, 0.00027)):
+            per_iter=(2.0, 1.00027, 0.00027, 0.00027, 0.0)):
     """The parts of one ``bench/run.py --trace 1`` result the counts read;
     ``per_iter`` holds the calls per iteration of ``sample_gradient``,
-    ``full_gradient``, ``minibatch_gradient`` and ``draw_sample_ids``."""
+    ``full_gradient``, ``minibatch_gradient``, ``draw_sample_ids`` and
+    ``full_value``."""
     metrics = {"oracle.oracle_calls": {"value": calls, "unit": "count"},
                "optimizer.iterations": {"value": iterations, "unit": "count"},
                "optimizer.diag_full_gradients": {"value": diag, "unit": "count"},
                "optimizer.run.us_per_iter": {"value": 9.7, "unit": "us"},
                "oracle.sample_gradient.us_per_call": {"value": 1.4, "unit": "us"}}
     for fn, value in zip(("sample_gradient", "full_gradient", "minibatch_gradient",
-                          "draw_sample_ids"), per_iter):
+                          "draw_sample_ids", "full_value"), per_iter):
         metrics[f"oracle.{fn}.calls_per_iter"] = {"value": value, "unit": "count/iter"}
     return {"correct": correct, "attempted": 3, "failed": 0, "metrics": metrics}
 
@@ -187,6 +188,7 @@ def test_traced_counts_agree_on_equal_counts():
         "rate_sweep oracle.full_gradient.calls_per_iter: parent 1.00027 change 1.00027",
         "rate_sweep oracle.minibatch_gradient.calls_per_iter: parent 0.00027 change 0.00027",
         "rate_sweep oracle.draw_sample_ids.calls_per_iter: parent 0.00027 change 0.00027",
+        "rate_sweep oracle.full_value.calls_per_iter: parent 0.0 change 0.0",
     ]
 
 
@@ -194,10 +196,14 @@ def test_traced_counts_agree_on_equal_counts():
     (_traced(calls=444_401.0), "oracle.oracle_calls"),
     (_traced(iterations=221_999.0), "optimizer.iterations"),
     (_traced(diag=222_000.0), "optimizer.diag_full_gradients"),
-    (_traced(per_iter=(3.0, 1.00027, 0.00027, 0.00027)), "oracle.sample_gradient.calls_per_iter"),
-    (_traced(per_iter=(2.0, 1.0, 0.00027, 0.00027)), "oracle.full_gradient.calls_per_iter"),
-    (_traced(per_iter=(2.0, 1.00027, 0.0, 0.00027)), "oracle.minibatch_gradient.calls_per_iter"),
-    (_traced(per_iter=(2.0, 1.00027, 0.00027, 0.0)), "oracle.draw_sample_ids.calls_per_iter"),
+    (_traced(per_iter=(3.0, 1.00027, 0.00027, 0.00027, 0.0)),
+     "oracle.sample_gradient.calls_per_iter"),
+    (_traced(per_iter=(2.0, 1.0, 0.00027, 0.00027, 0.0)), "oracle.full_gradient.calls_per_iter"),
+    (_traced(per_iter=(2.0, 1.00027, 0.0, 0.00027, 0.0)),
+     "oracle.minibatch_gradient.calls_per_iter"),
+    (_traced(per_iter=(2.0, 1.00027, 0.00027, 0.0, 0.0)), "oracle.draw_sample_ids.calls_per_iter"),
+    # One full_value per iterate would read 1 more call per iteration.
+    (_traced(per_iter=(2.0, 1.00027, 0.00027, 0.00027, 1.0)), "oracle.full_value.calls_per_iter"),
     (_traced(correct=False), "correct"),
 ])
 def test_traced_counts_flag_each_difference(change, field):
@@ -229,5 +235,5 @@ def test_traced_counts_exit_code(monkeypatch, capsys, differ):
     out = capsys.readouterr().out
     workloads = [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
     assert [line.split(" ", 1)[0] for line in out.splitlines()] == [
-        w for w in workloads for _ in range(8)]
+        w for w in workloads for _ in range(9)]
     assert out.count("DIFFERS") == int(differ)

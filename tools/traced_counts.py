@@ -9,9 +9,10 @@ checkout's own ``bench/run.py --workload W --seed 3 --seconds 1 --trace 1``
 and compares ``correct``, the counts that tracing reports exactly
 (``oracle.oracle_calls``, ``optimizer.iterations`` and
 ``optimizer.diag_full_gradients``) and the calls per iteration of the
-oracle functions the loop calls (``oracle.<fn>.calls_per_iter`` for
-``sample_gradient``, ``full_gradient``, ``minibatch_gradient`` and
-``draw_sample_ids``), ratios of exact counts.  A count a checkout does not
+oracle functions (``oracle.<fn>.calls_per_iter`` for ``sample_gradient``,
+``full_gradient``, ``minibatch_gradient``, ``draw_sample_ids`` and
+``full_value``, which the loop does not call per iterate), ratios of exact
+counts.  A count a checkout does not
 report reads as missing.  Prints one line per workload and field, marking a difference
 ``DIFFERS``, and exits 1 when any field differs or a change's run is not
 ``correct``, 0 otherwise.  Nothing is written under either checkout beyond
@@ -28,7 +29,8 @@ from pathlib import Path
 
 COUNTS = ("oracle.oracle_calls", "optimizer.iterations", "optimizer.diag_full_gradients",
           *(f"oracle.{fn}.calls_per_iter" for fn in (
-              "sample_gradient", "full_gradient", "minibatch_gradient", "draw_sample_ids")))
+              "sample_gradient", "full_gradient", "minibatch_gradient", "draw_sample_ids",
+              "full_value")))
 # The one run the counts are recorded at.
 SEED = 3
 SECONDS = 1.0
