@@ -20,7 +20,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .config import ConfigError, parse_config
+from .config import ConfigError, parse_config, read_int
 from .estimators import KINDS
 from .experiment import compare_experiment, run_experiment
 from .optimizer import schedule_from_T
@@ -44,12 +44,9 @@ def _int_at_least(minimum: int):
 
     def parse(raw: str) -> int:
         try:
-            value = int(raw)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"needs an integer, got {raw!r}") from None
-        if value < minimum:
-            raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
-        return value
+            return read_int(raw, minimum)
+        except ConfigError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
 
     return parse
 
@@ -87,7 +84,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def _read_config(path: str):
     try:
         text = Path(path).read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path!r}: {exc}") from None
     return parse_config(text)
 

@@ -20,6 +20,12 @@ single explicit seed, and a count is at most ``MAX_SEED_COUNT``.  A horizon
 is at most ``optimizer.MAX_HORIZON`` = 2**53 - 1.  A manual schedule needs
 ``eta``, ``beta`` and ``b_tilde``.  Every run starts at x0 = 0, so ``psi``
 must be finite there: a box must contain the origin.
+
+``READERS`` holds one reader per key: it takes the value's text and returns
+the typed value, or raises a ValueError, and ``parse_config`` puts the line
+number in front of its message.  The CLI's integer flags parse through
+``read_int``, and ``experiment`` passes a hand-built config's ``psi`` and
+estimator kinds through the table's readers before it writes anything.
 """
 
 from __future__ import annotations
@@ -27,6 +33,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -44,15 +51,6 @@ class ConfigError(ValueError):
 MAX_SEED_COUNT = 10_000
 
 REQUIRED_KEYS = ("problem", "estimator", "T", "seeds")
-KNOWN_KEYS = REQUIRED_KEYS + (
-    "problem_seed",
-    "psi",
-    "schedule",
-    "eta",
-    "beta",
-    "b_tilde",
-    "diagnostics",
-)
 
 
 @dataclass
@@ -71,32 +69,82 @@ class ExperimentConfig:
     source_text: str = field(default="", repr=False)
 
 
-def _parse_int(raw: str, key: str, lineno: int, minimum: int, maximum: float = math.inf) -> int:
+def read_int(raw: str, minimum: int, maximum: float = math.inf, key: str = "") -> int:
+    """An integer in [minimum, maximum]; the message names ``key`` if one is given."""
+    name = f"key {key!r} " if key else ""
     try:
         value = int(raw)
     except ValueError:
-        raise ConfigError(f"line {lineno}: key {key!r} needs an integer, got {raw!r}") from None
+        raise ConfigError(f"{name}needs an integer, got {raw!r}") from None
     if value < minimum:
-        raise ConfigError(f"line {lineno}: key {key!r} must be >= {minimum}, got {value}")
+        raise ConfigError(f"{name}must be >= {minimum}, got {value}")
     if value > maximum:
-        raise ConfigError(f"line {lineno}: key {key!r} must be <= {maximum}, got {value}")
+        raise ConfigError(f"{name}must be <= {maximum}, got {value}")
     return value
 
 
-def _parse_float(raw: str, key: str, lineno: int) -> float:
+def _distinct_ints(raw: str, key: str, minimum: int, maximum: float = math.inf) -> list[int]:
+    """A comma list of distinct integers: a repeated horizon or seed would run
+    the same runs twice and count them as independent in ``summary.csv``."""
+    items = [read_int(p.strip(), minimum, maximum, key) for p in raw.split(",") if p.strip()]
+    if not items:
+        raise ConfigError(f"key {key!r} has no value")
+    repeated = sorted(v for v, count in Counter(items).items() if count > 1)
+    if repeated:
+        raise ConfigError(f"key {key!r} repeats {', '.join(str(v) for v in repeated)}")
+    return items
+
+
+def _number(raw: str, key: str) -> float:
     try:
         return float(raw)
     except ValueError:
-        raise ConfigError(f"line {lineno}: key {key!r} needs a number, got {raw!r}") from None
+        raise ConfigError(f"key {key!r} needs a number, got {raw!r}") from None
 
 
-def _check_distinct(items: list[int], key: str, lineno: int) -> None:
-    """A repeated horizon or seed would run the same runs twice and count
-    them as independent in ``summary.csv``."""
-    repeated = sorted(v for v, count in Counter(items).items() if count > 1)
-    if repeated:
-        listed = ", ".join(str(v) for v in repeated)
-        raise ConfigError(f"line {lineno}: key {key!r} repeats {listed}")
+def _choice(raw: str, key: str, choices: dict):
+    if raw not in choices:
+        raise ConfigError(f"{key} must be {' or '.join(choices)}, got {raw!r}")
+    return choices[raw]
+
+
+def _read_problem(raw: str) -> str:
+    problems.parse_key(raw)
+    return raw
+
+
+def _read_psi(raw: str) -> str:
+    """A regularizer key whose psi is finite at the start point x0 = 0."""
+    # A config's bounds are scalars, so one coordinate stands for any
+    # dimension.
+    if math.isinf(psi_value(parse_psi(raw), np.zeros(1))):
+        raise ConfigError(f"key 'psi' = {raw!r} is infinite at the start point x0 = 0")
+    return raw
+
+
+def _read_estimator(raw: str) -> str:
+    if raw not in KINDS:
+        raise ConfigError(f"unknown estimator {raw!r}; valid kinds: {', '.join(KINDS)}")
+    return raw
+
+
+# One reader per key: it takes the value's text and returns the typed value,
+# or raises a ValueError (ConfigError is one) whose message follows "line N: ".
+READERS = {
+    "problem": _read_problem,
+    "estimator": _read_estimator,
+    "T": partial(_distinct_ints, key="T", minimum=1, maximum=MAX_HORIZON),
+    # A comma makes a seed list; a bare integer is a count.
+    "seeds": lambda raw: (_distinct_ints(raw, "seeds", minimum=0) if "," in raw
+                          else read_int(raw, minimum=1, maximum=MAX_SEED_COUNT, key="seeds")),
+    "problem_seed": partial(read_int, minimum=0, key="problem_seed"),
+    "psi": _read_psi,
+    "schedule": partial(_choice, key="schedule", choices={"auto": "auto", "manual": "manual"}),
+    "eta": partial(_number, key="eta"),
+    "beta": partial(_number, key="beta"),
+    "b_tilde": partial(read_int, minimum=1, key="b_tilde"),
+    "diagnostics": partial(_choice, key="diagnostics", choices={"on": True, "off": False}),
+}
 
 
 def check_initial_batch(b_tilde: int, problem: str, name: str = "b_tilde") -> None:
@@ -114,75 +162,20 @@ def parse_config(text: str) -> ExperimentConfig:
         line = raw_line.split("#", 1)[0].strip()
         if not line:
             continue
-        if "=" not in line:
-            raise ConfigError(f"line {lineno}: expected key = value, got {raw_line.strip()!r}")
-        key, _, raw = line.partition("=")
-        key = key.strip()
-        raw = raw.strip()
-        if key not in KNOWN_KEYS:
-            raise ConfigError(f"line {lineno}: unknown key {key!r}")
-        if key in values:
-            raise ConfigError(
-                f"line {lineno}: key {key!r} already set on line {lines_seen[key]}"
-            )
-        if not raw:
-            raise ConfigError(f"line {lineno}: key {key!r} has no value")
+        try:
+            if "=" not in line:
+                raise ConfigError(f"expected key = value, got {raw_line.strip()!r}")
+            key, _, raw = (part.strip() for part in line.partition("="))
+            if key not in READERS:
+                raise ConfigError(f"unknown key {key!r}")
+            if key in lines_seen:
+                raise ConfigError(f"key {key!r} already set on line {lines_seen[key]}")
+            if not raw:
+                raise ConfigError(f"key {key!r} has no value")
+            values[key] = READERS[key](raw)
+        except ValueError as exc:
+            raise ConfigError(f"line {lineno}: {exc}") from None
         lines_seen[key] = lineno
-
-        if key == "problem":
-            try:
-                problems.parse_key(raw)
-            except ValueError as exc:
-                raise ConfigError(f"line {lineno}: {exc}") from None
-            values[key] = raw
-        elif key == "psi":
-            try:
-                psi = parse_psi(raw)
-            except ValueError as exc:
-                raise ConfigError(f"line {lineno}: {exc}") from None
-            # A config's bounds are scalars, so one coordinate stands for any
-            # dimension.
-            if math.isinf(psi_value(psi, np.zeros(1))):
-                raise ConfigError(
-                    f"line {lineno}: key 'psi' = {raw!r} is infinite at the start point x0 = 0"
-                )
-            values[key] = raw
-        elif key == "estimator":
-            if raw not in KINDS:
-                raise ConfigError(
-                    f"line {lineno}: unknown estimator {raw!r}; "
-                    f"valid kinds: {', '.join(KINDS)}"
-                )
-            values[key] = raw
-        elif key == "T":
-            parts = [p.strip() for p in raw.split(",") if p.strip()]
-            values[key] = [_parse_int(p, key, lineno, minimum=1, maximum=MAX_HORIZON) for p in parts]
-            if not values[key]:
-                raise ConfigError(f"line {lineno}: key 'T' has no value")
-            _check_distinct(values[key], key, lineno)
-        elif key == "seeds":
-            if "," in raw:
-                parts = [p.strip() for p in raw.split(",") if p.strip()]
-                values[key] = [_parse_int(p, key, lineno, minimum=0) for p in parts]
-                if not values[key]:
-                    raise ConfigError(f"line {lineno}: key 'seeds' has no value")
-                _check_distinct(values[key], key, lineno)
-            else:
-                values[key] = _parse_int(raw, key, lineno, minimum=1, maximum=MAX_SEED_COUNT)
-        elif key == "problem_seed":
-            values[key] = _parse_int(raw, key, lineno, minimum=0)
-        elif key == "schedule":
-            if raw not in ("auto", "manual"):
-                raise ConfigError(f"line {lineno}: schedule must be auto or manual, got {raw!r}")
-            values[key] = raw
-        elif key in ("eta", "beta"):
-            values[key] = _parse_float(raw, key, lineno)
-        elif key == "b_tilde":
-            values[key] = _parse_int(raw, key, lineno, minimum=1)
-        elif key == "diagnostics":
-            if raw not in ("on", "off"):
-                raise ConfigError(f"line {lineno}: diagnostics must be on or off, got {raw!r}")
-            values[key] = raw == "on"
 
     for key in REQUIRED_KEYS:
         if key not in values:

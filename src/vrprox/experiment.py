@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, problems
-from .config import MAX_SEED_COUNT, ConfigError, ExperimentConfig, check_initial_batch
+from .config import MAX_SEED_COUNT, READERS, ConfigError, ExperimentConfig, check_initial_batch
 from .estimators import KINDS
 from .optimizer import DivergenceError, HyperParams, mean_grad_map_sq, run, schedule_from_T
 from .oracle import ProblemInstance, _is_integer, full_value
@@ -219,6 +219,11 @@ def _plan(cfg: ExperimentConfig, kinds, output_dir, master_seed: int, traces: bo
     per (T, seed, kind), in that order.  With ``traces`` each run writes
     ``trace_T<T>_s<seed>.csv`` there.  Returns (problem, seeds, directory, tasks).
     """
+    for kind in kinds:
+        READERS["estimator"](kind)
+    if len(set(kinds)) < len(kinds):
+        raise ConfigError(f"estimator kinds repeat: {','.join(kinds)}")
+    READERS["psi"](cfg.psi)
     try:
         prob = _problem(cfg.problem, cfg.problem_seed)
     except (ValueError, MemoryError) as exc:
@@ -286,8 +291,8 @@ def run_experiment(
     column, and every file is written all the same.  Every input is resolved
     before the output directory is created.
     """
-    psi = parse_psi(cfg.psi)
     prob, seeds, out, tasks = _plan(cfg, [cfg.estimator], output_dir, master_seed, traces=True)
+    psi = parse_psi(cfg.psi)
     rows = _run_tasks(tasks, jobs)
 
     summary_lines = [SUMMARY_HEADER]
@@ -346,11 +351,6 @@ def compare_experiment(
     kinds = list(kinds)
     if not kinds:
         raise ConfigError(f"no estimator kind to compare; valid kinds: {', '.join(KINDS)}")
-    for kind in kinds:
-        if kind not in KINDS:
-            raise ConfigError(f"unknown estimator {kind!r}; valid kinds: {', '.join(KINDS)}")
-    if len(set(kinds)) < len(kinds):
-        raise ConfigError(f"estimator kinds repeat: {','.join(kinds)}")
     _, seeds, out, tasks = _plan(cfg, kinds, output_dir, master_seed, traces=False)
     rows = _run_tasks(tasks, jobs)
 

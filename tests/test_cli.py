@@ -113,6 +113,18 @@ def test_run_missing_config_file(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+def test_config_that_is_not_utf8_is_config_error(tmp_path, capsys):
+    cfg = tmp_path / "binary.cfg"
+    cfg.write_bytes(b"\xff\xfe\x00bad")
+    for command in ("run", "compare"):
+        out_dir = tmp_path / command
+        assert main([command, "--config", str(cfg), "--output", str(out_dir)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: cannot read config {str(cfg)!r}: ")
+        assert "can't decode byte 0xff" in err and "Traceback" not in err
+        assert not out_dir.exists()
+
+
 def test_run_bad_config_exits_one(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(CFG + "estimator = again\n")
@@ -401,8 +413,29 @@ def test_nonpositive_jobs_is_config_error(tmp_path, capsys):
 
 
 def test_negative_validate_seed_is_config_error(capsys):
-    assert main(["validate", "--quick", "--seed", "-1"]) == 1
-    assert "config error:" in capsys.readouterr().err
+    for seed, message in (("-1", "must be >= 0, got -1"), ("abc", "needs an integer, got 'abc'")):
+        assert main(["validate", "--quick", "--seed", seed]) == 1
+        assert capsys.readouterr().err == f"config error: argument --seed: {message}\n"
+
+
+_KINDS = "momentum_sarah, hybrid_sarah, sarah, sgd"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["run", "--jobs", "0"], "argument --jobs: must be >= 1, got 0"),
+    (["compare", "--jobs", "1.5"], "argument --jobs: needs an integer, got '1.5'"),
+    (["run", "--master-seed", "-1"], "argument --master-seed: must be >= 0, got -1"),
+    (["compare", "--estimators", "zen,zen"], f"unknown estimator 'zen'; valid kinds: {_KINDS}"),
+    (["compare", "--estimators", "sarah,sarah"], "estimator kinds repeat: sarah,sarah"),
+    (["compare", "--estimators", " , "], f"no estimator kind to compare; valid kinds: {_KINDS}"),
+], ids=" ".join)
+def test_flag_refusal_messages_are_exact(tmp_path, capsys, argv, message):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(CFG)
+    out_dir = tmp_path / "o"
+    assert main(argv[:1] + ["--config", str(cfg), "--output", str(out_dir)] + argv[1:]) == 1
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not out_dir.exists()
 
 
 def test_compare_with_no_estimator_kind_is_config_error(tmp_path, capsys):

@@ -74,6 +74,33 @@ def test_expand_seeds_takes_numpy_counts_and_seed_tuples():
     assert expand_seeds((5, np.int64(6))) == [5, 6]
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("psi", "box:1:2", "key 'psi' = 'box:1:2' is infinite at the start point x0 = 0"),
+    ("estimator", "bogus",
+     "unknown estimator 'bogus'; valid kinds: momentum_sarah, hybrid_sarah, sarah, sgd"),
+], ids=["psi", "estimator"])
+def test_a_hand_built_config_is_checked_before_the_output_directory(tmp_path, field, value,
+                                                                    message):
+    # A hand-built config skips parse_config; run_experiment refuses what
+    # parse_config would, before anything is written.
+    cfg = replace(parse_config(CFG), **{field: value})
+    with pytest.raises(ConfigError) as err:
+        run_experiment(cfg, output_dir=tmp_path / "out")
+    assert str(err.value) == message
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("psi, match", [
+    ("box:1:2", r"^key 'psi' = 'box:1:2' is infinite at the start point x0 = 0$"),
+    ("l3:1", r"^bad regularizer key 'l3:1'; expected zero \| l1:<lam>"),
+])
+def test_compare_checks_a_hand_built_psi_before_the_output_directory(tmp_path, psi, match):
+    cfg = replace(parse_config(CFG), psi=psi)
+    with pytest.raises(ValueError, match=match):
+        compare_experiment(cfg, kinds=["sgd"], output_dir=tmp_path / "out")
+    assert not (tmp_path / "out").exists()
+
+
 def test_compare_refuses_a_string_of_kinds(tmp_path):
     with pytest.raises(ConfigError, match=r"^kinds must be a sequence of estimator kinds, "
                                           r"not the string 'sgd'$"):
