@@ -133,9 +133,12 @@ def main(argv=None) -> int:
             print(f"beta={hp.beta!r}")
             print(f"b_tilde={hp.b_tilde}")
             return EXIT_OK
-        # validate; a report path in a missing directory fails before the suite.
+        # validate; a report path in a missing directory, or on a directory,
+        # fails before the suite.
         if args.output and not Path(args.output).parent.is_dir():
             raise ConfigError(f"cannot write {args.output!r}: no such directory")
+        if args.output and Path(args.output).is_dir():
+            raise ConfigError(f"cannot write {args.output!r}: is a directory")
         rows = run_suite(quick=args.quick, seed=args.seed)
         print(format_table(rows))
         if args.output:

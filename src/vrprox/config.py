@@ -23,9 +23,9 @@ must be finite there: a box must contain the origin.
 
 ``READERS`` holds one reader per key: it takes the value's text and returns
 the typed value, or raises a ValueError, and ``parse_config`` puts the line
-number in front of its message.  The CLI's integer flags parse through
-``read_int``, and ``experiment`` passes a hand-built config's ``psi`` and
-estimator kinds through the table's readers before it writes anything.
+number in front of its message.  A config is made only from its text, so
+no config skips them.  The CLI's integer flags parse through ``read_int``, and
+``experiment`` checks ``compare``'s estimator kinds with the table's reader.
 """
 
 from __future__ import annotations
@@ -51,22 +51,6 @@ class ConfigError(ValueError):
 MAX_SEED_COUNT = 10_000
 
 REQUIRED_KEYS = ("problem", "estimator", "T", "seeds")
-
-
-@dataclass
-class ExperimentConfig:
-    problem: str
-    estimator: str
-    T: list[int]
-    seeds: list[int] | int  # explicit seeds, or a count to expand
-    problem_seed: int = 0
-    psi: str = "zero"
-    schedule: str = "auto"
-    eta: float | None = None
-    beta: float | None = None
-    b_tilde: int | None = None
-    diagnostics: bool = True
-    source_text: str = field(default="", repr=False)
 
 
 def read_int(raw: str, minimum: int, maximum: float = math.inf, key: str = "") -> int:
@@ -154,44 +138,68 @@ def check_initial_batch(b_tilde: int, problem: str, name: str = "b_tilde") -> No
         raise ConfigError(f"{name} = {b_tilde} exceeds the {n} components of problem {problem!r}")
 
 
+@dataclass(frozen=True)
+class ExperimentConfig:
+    """A parsed config text and nothing else.
+
+    ``ExperimentConfig(text)`` is ``parse_config(text)``: every field but
+    ``source_text`` is read from the text, so ``run_meta.txt``, which records
+    the text, records the config that ran.  Passing another field is a
+    ``TypeError``, and ``replace()`` on one is a ``ValueError``.
+    """
+
+    source_text: str = field(repr=False)
+    problem: str = field(init=False)
+    estimator: str = field(init=False)
+    T: list[int] = field(init=False)
+    seeds: list[int] | int = field(init=False)  # explicit seeds, or a count to expand
+    problem_seed: int = field(init=False, default=0)
+    psi: str = field(init=False, default="zero")
+    schedule: str = field(init=False, default="auto")
+    eta: float | None = field(init=False, default=None)
+    beta: float | None = field(init=False, default=None)
+    b_tilde: int | None = field(init=False, default=None)
+    diagnostics: bool = field(init=False, default=True)
+
+    def __post_init__(self):
+        lines_seen: dict = {}
+        for lineno, raw_line in enumerate(self.source_text.splitlines(), start=1):
+            line = raw_line.split("#", 1)[0].strip()
+            if not line:
+                continue
+            try:
+                if "=" not in line:
+                    raise ConfigError(f"expected key = value, got {raw_line.strip()!r}")
+                key, _, raw = (part.strip() for part in line.partition("="))
+                if key not in READERS:
+                    raise ConfigError(f"unknown key {key!r}")
+                if key in lines_seen:
+                    raise ConfigError(f"key {key!r} already set on line {lines_seen[key]}")
+                if not raw:
+                    raise ConfigError(f"key {key!r} has no value")
+                object.__setattr__(self, key, READERS[key](raw))
+            except ValueError as exc:
+                raise ConfigError(f"line {lineno}: {exc}") from None
+            lines_seen[key] = lineno
+
+        for key in REQUIRED_KEYS:
+            if key not in lines_seen:
+                raise ConfigError(f"missing required key {key!r}")
+
+        if self.schedule == "manual":
+            if self.eta is None or self.beta is None or self.b_tilde is None:
+                raise ConfigError("manual schedule requires eta, beta, b_tilde")
+            try:
+                HyperParams(eta=self.eta, beta=self.beta, b_tilde=self.b_tilde, T=self.T[0])
+            except ValueError as exc:
+                raise ConfigError(str(exc)) from None
+            check_initial_batch(self.b_tilde, self.problem)
+        else:
+            for key in ("eta", "beta", "b_tilde"):
+                if key in lines_seen:
+                    raise ConfigError(f"key {key!r} is only valid with schedule = manual")
+
+
 def parse_config(text: str) -> ExperimentConfig:
     """Parse and validate a config document; raises ConfigError with the line."""
-    values: dict = {}
-    lines_seen: dict = {}
-    for lineno, raw_line in enumerate(text.splitlines(), start=1):
-        line = raw_line.split("#", 1)[0].strip()
-        if not line:
-            continue
-        try:
-            if "=" not in line:
-                raise ConfigError(f"expected key = value, got {raw_line.strip()!r}")
-            key, _, raw = (part.strip() for part in line.partition("="))
-            if key not in READERS:
-                raise ConfigError(f"unknown key {key!r}")
-            if key in lines_seen:
-                raise ConfigError(f"key {key!r} already set on line {lines_seen[key]}")
-            if not raw:
-                raise ConfigError(f"key {key!r} has no value")
-            values[key] = READERS[key](raw)
-        except ValueError as exc:
-            raise ConfigError(f"line {lineno}: {exc}") from None
-        lines_seen[key] = lineno
-
-    for key in REQUIRED_KEYS:
-        if key not in values:
-            raise ConfigError(f"missing required key {key!r}")
-
-    cfg = ExperimentConfig(source_text=text, **values)
-    if cfg.schedule == "manual":
-        if cfg.eta is None or cfg.beta is None or cfg.b_tilde is None:
-            raise ConfigError("manual schedule requires eta, beta, b_tilde")
-        try:
-            HyperParams(eta=cfg.eta, beta=cfg.beta, b_tilde=cfg.b_tilde, T=cfg.T[0])
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
-        check_initial_batch(cfg.b_tilde, cfg.problem)
-    else:
-        for key in ("eta", "beta", "b_tilde"):
-            if getattr(cfg, key) is not None:
-                raise ConfigError(f"key {key!r} is only valid with schedule = manual")
-    return cfg
+    return ExperimentConfig(text)

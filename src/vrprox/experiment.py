@@ -26,10 +26,10 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, problems
-from .config import MAX_SEED_COUNT, READERS, ConfigError, ExperimentConfig, check_initial_batch
+from .config import READERS, ConfigError, ExperimentConfig, check_initial_batch
 from .estimators import KINDS
 from .optimizer import DivergenceError, HyperParams, mean_grad_map_sq, run, schedule_from_T
-from .oracle import ProblemInstance, _is_integer, full_value
+from .oracle import ProblemInstance, full_value
 from .prox import parse_psi, psi_value
 
 TRACE_HEADER = "t,grad_map_sq,obj,est_err_sq,step_sq"
@@ -83,27 +83,6 @@ def _fmt(value) -> str:
     return f"{float(value):.17g}"
 
 
-def expand_seeds(seeds, master_seed: int = 0) -> list[int]:
-    """Resolve a seed list or count into explicit seeds.
-
-    A count expands deterministically from the master seed, so one number
-    reproduces a whole sweep; it lies in [1, ``MAX_SEED_COUNT``].  A list or
-    tuple holds distinct integers >= 0, at least one: a repeated seed would
-    run one run twice and count it twice.  Anything else is a ``ValueError``.
-    """
-    if _is_integer(seeds):
-        if not 1 <= seeds <= MAX_SEED_COUNT:
-            raise ValueError(f"seeds: seed count must lie in [1, {MAX_SEED_COUNT}], got {seeds}")
-        state = np.random.SeedSequence(master_seed).generate_state(seeds, dtype=np.uint64)
-        return [int(s) for s in state]
-    if not (isinstance(seeds, (list, tuple)) and all(_is_integer(s) and s >= 0 for s in seeds)):
-        raise ValueError(f"seeds must be a count or a list of integers >= 0, got {seeds!r}")
-    seeds = [int(s) for s in seeds]
-    if not seeds or len(set(seeds)) < len(seeds):
-        raise ValueError(f"seeds must be distinct and at least one, got {seeds!r}")
-    return seeds
-
-
 def stationarity_bound_rhs(prob: ProblemInstance, psi, T: int) -> float:
     """A-priori bound (4 L [F(x0) - F*] + 4 sigma^2) / (T+1)^{2/3} from x0 = 0.
 
@@ -146,6 +125,28 @@ def _problem(key: str, seed: int) -> ProblemInstance:
     return problems.from_key(key, seed)
 
 
+def _row(task: dict) -> dict:
+    """The row of a task's run before it runs."""
+    return {
+        "T": task["hp"].T,
+        "seed": task["seed"],
+        "estimator": task["estimator"],
+        "status": "ok",
+        "mean_gms": None,
+        "obj_final": None,
+        "oracle_calls": None,
+    }
+
+
+def _failed(row: dict, kind: str, exc: BaseException) -> dict:
+    """Mark ``row`` as an ``error(<kind>)`` run; call it inside the handler,
+    whose traceback the row carries."""
+    row["status"] = f"error({kind})"
+    row["error"] = f"{kind}: {exc}"
+    row["traceback"] = traceback.format_exc()
+    return row
+
+
 def _single_run(task: dict) -> dict:
     """Execute one (T, seed) run; used directly and by worker processes.
 
@@ -155,15 +156,7 @@ def _single_run(task: dict) -> dict:
     prob = _problem(task["problem"], task["problem_seed"])
     psi = parse_psi(task["psi"])
     hp: HyperParams = task["hp"]
-    row = {
-        "T": hp.T,
-        "seed": task["seed"],
-        "estimator": task["estimator"],
-        "status": "ok",
-        "mean_gms": None,
-        "obj_final": None,
-        "oracle_calls": None,
-    }
+    row = _row(task)
     try:
         # A step that overflows ends in DivergenceError, reported in the
         # status row; numpy's overflow warning would only repeat it on
@@ -183,10 +176,7 @@ def _single_run(task: dict) -> dict:
     except Exception as exc:
         # One failed run must not cost the sweep its other rows and files.
         # The report travels as text: not every exception pickles.
-        row["status"] = f"error({type(exc).__name__})"
-        row["error"] = f"{type(exc).__name__}: {exc}"
-        row["traceback"] = traceback.format_exc()
-        return row
+        return _failed(row, type(exc).__name__, exc)
     row["oracle_calls"] = trace.oracle_calls
     if trace.grad_map_sq is not None:
         row["mean_gms"] = mean_grad_map_sq(trace)
@@ -200,10 +190,27 @@ def _run_tasks(tasks: list[dict], jobs: int) -> list[dict]:
     # A forking pool starts all its workers at the first submit, so it gets
     # no more workers than tasks; one worker is the in-process loop.
     workers = min(jobs, len(tasks))
-    if workers > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(_single_run, tasks))
-    return [_single_run(t) for t in tasks]
+    if workers <= 1:
+        return [_single_run(t) for t in tasks]
+    with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
+        futures = [pool.submit(_single_run, t) for t in tasks]
+    # A worker that dies breaks the pool, and with it every task not yet
+    # finished; each of those reruns alone, so only a task that kills its
+    # worker again is lost.
+    broken = concurrent.futures.BrokenExecutor
+    return [_run_alone(t) if isinstance(f.exception(), broken) else f.result()
+            for f, t in zip(futures, tasks)]
+
+
+def _run_alone(task: dict) -> dict:
+    """Run one task in a fresh one-worker pool; a worker that dies there
+    makes it an ``error(WorkerDied)`` row."""
+    with concurrent.futures.ProcessPoolExecutor(max_workers=1) as pool:
+        future = pool.submit(_single_run, task)
+        try:
+            return future.result()
+        except concurrent.futures.BrokenExecutor as exc:
+            return _failed(_row(task), "WorkerDied", exc)
 
 
 def _hyperparams_for(cfg: ExperimentConfig, prob: ProblemInstance, T: int) -> HyperParams:
@@ -216,21 +223,25 @@ def _hyperparams_for(cfg: ExperimentConfig, prob: ProblemInstance, T: int) -> Hy
 
 def _plan(cfg: ExperimentConfig, kinds, output_dir, master_seed: int, traces: bool):
     """Resolve every input, then create the output directory and list one task
-    per (T, seed, kind), in that order.  With ``traces`` each run writes
-    ``trace_T<T>_s<seed>.csv`` there.  Returns (problem, seeds, directory, tasks).
+    per (T, seed, kind), in that order.  ``cfg`` was checked when its text was
+    parsed; the kinds, the problem build and the auto schedule's initial batch
+    are checked here.  A seed count expands from ``master_seed``.  With
+    ``traces`` each run writes ``trace_T<T>_s<seed>.csv`` there.  Returns
+    (problem, seeds, directory, tasks).
     """
     for kind in kinds:
         READERS["estimator"](kind)
     if len(set(kinds)) < len(kinds):
         raise ConfigError(f"estimator kinds repeat: {','.join(kinds)}")
-    READERS["psi"](cfg.psi)
     try:
         prob = _problem(cfg.problem, cfg.problem_seed)
     except (ValueError, MemoryError) as exc:
         # A valid key can still overflow, as quad:4:2:1e200 does, or ask for
         # more memory than the process can map.
         raise ConfigError(f"key 'problem' = {cfg.problem!r}: {exc}") from None
-    seeds = expand_seeds(cfg.seeds, master_seed)
+    seeds = cfg.seeds
+    if isinstance(seeds, int):
+        seeds = np.random.SeedSequence(master_seed).generate_state(seeds, dtype=np.uint64).tolist()
     hps = [_hyperparams_for(cfg, prob, T) for T in cfg.T]
     out = Path(output_dir or "runs")
     try:

@@ -1,6 +1,6 @@
 """Derandomized properties over the public array arguments that
-``oracle._finite_array`` guards, and over the readers of regularizer keys,
-problem keys and seeds: each call returns, or raises a ``ValueError`` or
+``oracle._finite_array`` guards, and over the readers of regularizer keys
+and problem keys: each call returns, or raises a ``ValueError`` or
 ``TypeError`` that names the argument; never an ``AttributeError``, a
 numpy-internal message or a warning."""
 
@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import vrprox as vp
-from vrprox.experiment import expand_seeds
 
 PROB = vp.make_quadratic(4, 3, 1.0, seed=0)
 HP = vp.HyperParams(eta=0.1, beta=0.5, b_tilde=2, T=2)
@@ -115,10 +114,6 @@ READERS = {
                   st.floats(0.1, 10.0)),
         st.builds("{}:{}:{}".format, st.sampled_from(["sigmoid", "robust"]),
                   st.integers(1, 6), st.integers(1, 4)))),
-    "expand_seeds seeds": (r"\bseeds\b", lambda v: expand_seeds(v, 0), st.one_of(
-        st.integers(1, 8),
-        st.lists(st.integers(0, 2**70), min_size=1, max_size=4, unique=True),
-        st.lists(st.integers(0, 9), min_size=2, max_size=2, unique=True).map(tuple))),
 }
 
 # Junk for every reader.  Strings stay at most 12 characters, so a key that

@@ -1,8 +1,10 @@
 import contextlib
 import io
+import multiprocessing
 import os
 import subprocess
 import sys
+import tempfile
 import warnings
 from pathlib import Path
 
@@ -13,6 +15,7 @@ from hypothesis import strategies as st
 from vrprox import experiment
 from vrprox.cli import main
 from vrprox.config import MAX_SEED_COUNT, parse_config
+from vrprox.estimators import KINDS
 from vrprox.optimizer import MAX_HORIZON
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -174,6 +177,38 @@ def _fail_at(monkeypatch, T, seed):
         return real(prob, psi, hp, rng, **kw)
 
     monkeypatch.setattr(experiment, "run", flaky)
+
+
+@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                    reason="the dying patch reaches the workers by fork")
+def test_a_dead_worker_costs_one_row_not_the_sweep(tmp_path, capsys, monkeypatch):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(ERROR_CFG)
+    main(["run", "--config", str(cfg), "--output", str(tmp_path / "clean")])
+    real = experiment.run
+
+    def dying(prob, psi, hp, rng, **kw):
+        # Only pool workers get here: --jobs 2 runs no task in this process.
+        if hp.T == 40 and rng == 6:
+            os._exit(9)
+        return real(prob, psi, hp, rng, **kw)
+
+    monkeypatch.setattr(experiment, "run", dying)
+    capsys.readouterr()
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg), "--output", str(out), "--jobs", "2"]) == 4
+    err = capsys.readouterr().err
+    assert "run error: T=40 seed=6 estimator=momentum_sarah: WorkerDied: A process in " in err
+    assert "Traceback" in err
+    summary = (out / "summary.csv").read_text().splitlines()
+    clean = (tmp_path / "clean" / "summary.csv").read_text().splitlines()
+    assert summary[:2] == clean[:2]
+    assert summary[2].startswith("40,3,") and summary[2].endswith(",error(WorkerDied):1")
+    traces = sorted(f.name for f in out.glob("trace_*.csv"))
+    assert traces == sorted(f.name for f in (tmp_path / "clean").glob("trace_*.csv")
+                            if f.name != "trace_T40_s6.csv")
+    for name in traces + ["run_meta.txt"]:
+        assert (out / name).read_bytes() == (tmp_path / "clean" / name).read_bytes()
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])
@@ -390,9 +425,11 @@ def test_unwritable_output_is_config_error(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.err.startswith("config error: cannot write") and captured.out == ""
     assert not missing.parent.exists()
-    # A directory where the report should be fails at the write.
+    # So is a directory where the report should be.
     assert main(["validate", "--quick", "--output", str(tmp_path)]) == 1
-    assert capsys.readouterr().err.startswith("config error: cannot write")
+    captured = capsys.readouterr()
+    assert captured.err == f"config error: cannot write {str(tmp_path)!r}: is a directory\n"
+    assert captured.out == ""
 
 
 def test_negative_master_seed_is_config_error(tmp_path, capsys):
@@ -468,3 +505,109 @@ def test_oversized_seed_count_is_config_error(tmp_path, capsys):
             err = capsys.readouterr().err
             assert err.startswith("config error:") and "'seeds'" in err
             assert not out_dir.exists()
+
+
+# Config values small enough to run in-process: n, p <= 20, T <= 50 and at
+# most 3 seeds.  Each key's junk values are refused by the parser or by the
+# problem build, so the limits MAX_HORIZON and MAX_SEED_COUNT are only parsed.
+_SMALL = {
+    "problem": st.builds("quad:{}:{}:{}".format, st.integers(1, 20), st.integers(1, 20),
+                         st.sampled_from(["1.0", "0.5", "1e13", "1e150"]))
+    | st.builds("{}:{}:{}".format, st.sampled_from(["sigmoid", "robust"]),
+                st.integers(1, 20), st.integers(1, 20)),
+    "estimator": st.sampled_from(KINDS),
+    "T": st.lists(st.integers(1, 50), min_size=1, max_size=2, unique=True).map(
+        lambda ts: ",".join(map(str, ts))),
+    "seeds": st.integers(1, 3).map(str)
+    | st.lists(st.integers(0, 2**64), min_size=1, max_size=3, unique=True).map(
+        lambda ss: ",".join(map(str, ss)) + ","),
+    "problem_seed": st.integers(0, 5).map(str),
+    "psi": st.sampled_from(["zero", "l1:0.5", "box:0:1", "box:-3:3", "enet:0.1:0.2"]),
+    "schedule": st.sampled_from(["auto", "manual"]),
+    "eta": st.sampled_from(["0.1", "0.01", "1e11"]),
+    "beta": st.sampled_from(["0", "0.5", "1"]),
+    "b_tilde": st.sampled_from(["1", "2", "25"]),
+    "diagnostics": st.sampled_from(["on", "off"]),
+}
+_REFUSED = {
+    "problem": ["quad:10:4", "quad:2:2:inf", "quad:4:2:1e200", "robust:2:1:3"],
+    "estimator": ["warp_drive"],
+    "T": [str(MAX_HORIZON + 1), "0", "5,5", "1.5"],
+    "seeds": [str(MAX_SEED_COUNT + 1), "0", "3,3", "-1,2"],
+    "problem_seed": ["-1", "x"],
+    "psi": ["box:1:2", "l3:1", "l1:-1"],
+    "schedule": ["bogus"],
+    "eta": ["0", "nan", "x"],
+    "beta": ["2"],
+    "b_tilde": ["0", "99999999999999999999"],
+    "diagnostics": ["yes"],
+}
+_REQUIRED = ("problem", "estimator", "T", "seeds")
+_FLAG = {
+    "--jobs": st.sampled_from(["1", "2"]) | st.sampled_from(["0", "-1", "x"]),
+    "--master-seed": st.sampled_from(["0", "3", "-1", "x"]),
+    "--estimators": st.sampled_from(["sgd", "sarah,sgd", "momentum_sarah,hybrid_sarah",
+                                     "zen", "sgd,sgd", ","]),
+    "--seed": st.sampled_from(["0", "1", "-1", "x"]),
+}
+_COMMAND_FLAGS = {
+    "run": ("--jobs", "--master-seed"),
+    "compare": ("--jobs", "--master-seed", "--estimators"),
+    "validate": ("--seed",),
+}
+
+
+@st.composite
+def _config_text(draw):
+    keys = dict(draw(st.fixed_dictionaries(
+        {k: _SMALL[k] for k in _REQUIRED},
+        optional={k: v for k, v in _SMALL.items() if k not in _REQUIRED})))
+    # About half the texts hold a refused value, and a quarter lack a key.
+    junk = draw(st.sampled_from([None] * len(_REFUSED) + sorted(_REFUSED)))
+    if junk:
+        keys[junk] = draw(st.sampled_from(_REFUSED[junk]))
+    missing = draw(st.sampled_from([None] * 3 * len(_REQUIRED) + list(_REQUIRED)))
+    keys.pop(missing, None)
+    return "".join(f"{key} = {value}\n" for key, value in keys.items())
+
+
+@st.composite
+def _argv(draw):
+    command = draw(st.sampled_from(sorted(_COMMAND_FLAGS)))
+    argv = [command, "--quick"] if command == "validate" else [command, "--config", "exp.cfg"]
+    for flag in _COMMAND_FLAGS[command]:
+        value = draw(st.none() | _FLAG[flag])
+        if value is not None:
+            argv += [flag, value]
+    # Where the output goes: a new path, an existing file, an existing
+    # directory, or a path in a missing directory.
+    target = draw(st.sampled_from(["new", "new", "file", "dir", "missing"]))
+    if command != "validate" or target != "new" or draw(st.booleans()):
+        argv += ["--output", {"new": "out", "file": "exp.cfg", "dir": ".",
+                              "missing": "missing/out"}[target]]
+    return argv
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(text=_config_text(), argv=_argv())
+def test_any_cli_call_ends_in_a_known_exit_code(text, argv):
+    with tempfile.TemporaryDirectory(prefix="vrprox-fuzz-") as tmp:
+        work = Path(tmp)
+        (work / "exp.cfg").write_text(text)
+        paths = {"exp.cfg": work / "exp.cfg", ".": work, "out": work / "out",
+                 "missing/out": work / "missing" / "out"}
+        argv = [str(paths.get(arg, arg)) for arg in argv]
+        out, err = io.StringIO(), io.StringIO()
+        with warnings.catch_warnings(record=True) as caught, \
+                contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            warnings.simplefilter("always")
+            code = main(argv)
+        stderr = err.getvalue()
+        assert code in (0, 1, 2, 3, 4)
+        assert (code == 1) == stderr.startswith("config error:"), stderr
+        assert ("Traceback" in stderr) == (code == 4), stderr
+        assert not caught, caught[0].message
+        if code == 1:
+            assert out.getvalue() == "" and not (work / "missing").exists()
+        elif argv[0] in ("run", "compare"):
+            assert (Path(argv[argv.index("--output") + 1]) / "run_meta.txt").exists()

@@ -1,11 +1,11 @@
 import platform
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, fields, replace
 
 import numpy as np
 import pytest
 
 import vrprox as vp
-from vrprox.config import MAX_SEED_COUNT, ConfigError, parse_config
+from vrprox.config import ConfigError, ExperimentConfig, parse_config
 from vrprox.experiment import (
     COMPARE_HEADER,
     SUMMARY_HEADER,
@@ -14,7 +14,6 @@ from vrprox.experiment import (
     _summary_status,
     _write_trace,
     compare_experiment,
-    expand_seeds,
     run_experiment,
     stationarity_bound_rhs,
 )
@@ -31,74 +30,50 @@ diagnostics = on
 """
 
 
-def test_expand_seeds():
-    a = expand_seeds(4, master_seed=1)
-    b = expand_seeds(4, master_seed=1)
-    c = expand_seeds(4, master_seed=2)
-    assert a == b and a != c and len(a) == 4
-    assert expand_seeds([5, 6], master_seed=1) == [5, 6]
-    with pytest.raises(ValueError):
-        expand_seeds(0)
+def _meta_seeds(out) -> list[int]:
+    """The resolved seeds that ``run_meta.txt`` in ``out`` records."""
+    lines = (out / "run_meta.txt").read_text().splitlines()
+    line = next(line for line in lines if line.startswith("seeds = "))
+    return [int(s) for s in line.removeprefix("seeds = ").split(",")]
 
 
-def test_expand_seeds_refuses_counts_above_the_maximum():
-    # Only counts above the maximum: they are refused before anything is drawn.
-    for count in (MAX_SEED_COUNT + 1, 99999999999999999999):
-        with pytest.raises(ValueError, match="seed count must lie in"):
-            expand_seeds(count)
+def test_a_seed_count_expands_from_the_master_seed(tmp_path):
+    cfg = parse_config(CFG.replace("T = 30,60", "T = 30").replace("seeds = 3", "seeds = 4"))
+    seeds = []
+    for name, master_seed in (("a", 1), ("b", 1), ("c", 2)):
+        run_experiment(cfg, output_dir=tmp_path / name, master_seed=master_seed)
+        seeds.append(_meta_seeds(tmp_path / name))
+    assert seeds[0] == seeds[1] != seeds[2] and len(seeds[0]) == 4
+    # An explicit list is the seeds themselves, whatever the master seed.
+    run_experiment(parse_config(CFG.replace("seeds = 3", "seeds = 5,6")),
+                   output_dir=tmp_path / "list", master_seed=1)
+    assert _meta_seeds(tmp_path / "list") == [5, 6]
 
 
-@pytest.mark.parametrize("bad", ["12", True, [-1, 2], [2.7], (1, True), 2.5, None,
-                                 np.array([1, 2])], ids=repr)
-def test_expand_seeds_refuses_what_is_neither_a_count_nor_a_seed_list(bad):
-    with pytest.raises(ValueError, match=r"^seeds must be a count or a list of integers >= 0"):
-        expand_seeds(bad)
-
-
-@pytest.mark.parametrize("bad", [[], (), [4, 4], (3, 3)], ids=repr)
-def test_expand_seeds_refuses_an_empty_or_repeating_seed_list(tmp_path, bad):
-    # A repeated seed would run one run twice and count it as two in the
-    # summary; an empty list would write a summary of no runs.
-    match = r"^seeds must be distinct and at least one"
-    with pytest.raises(ValueError, match=match):
-        expand_seeds(bad)
-    cfg = replace(parse_config(CFG), seeds=bad)
-    for call in (run_experiment, compare_experiment):
-        with pytest.raises(ValueError, match=match):
-            call(cfg, output_dir=tmp_path / call.__name__)
-        assert not (tmp_path / call.__name__).exists()
-
-
-def test_expand_seeds_takes_numpy_counts_and_seed_tuples():
-    assert expand_seeds(np.int64(3), 2) == expand_seeds(3, 2)
-    assert expand_seeds((5, np.int64(6))) == [5, 6]
-
-
-@pytest.mark.parametrize("field, value, message", [
-    ("psi", "box:1:2", "key 'psi' = 'box:1:2' is infinite at the start point x0 = 0"),
-    ("estimator", "bogus",
-     "unknown estimator 'bogus'; valid kinds: momentum_sarah, hybrid_sarah, sarah, sgd"),
-], ids=["psi", "estimator"])
-def test_a_hand_built_config_is_checked_before_the_output_directory(tmp_path, field, value,
-                                                                    message):
-    # A hand-built config skips parse_config; run_experiment refuses what
-    # parse_config would, before anything is written.
-    cfg = replace(parse_config(CFG), **{field: value})
-    with pytest.raises(ConfigError) as err:
-        run_experiment(cfg, output_dir=tmp_path / "out")
-    assert str(err.value) == message
+def test_a_config_is_made_only_from_its_text(tmp_path):
+    with pytest.raises(TypeError):
+        ExperimentConfig(problem="quad:20:5:1.0", estimator="sgd", T=[30], seeds=[1])
+    cfg = parse_config(CFG)
+    for f in fields(ExperimentConfig):
+        if f.name != "source_text":
+            with pytest.raises(ValueError, match=f"^field {f.name} is declared with init=False"):
+                run_experiment(replace(cfg, **{f.name: getattr(cfg, f.name)}),
+                               output_dir=tmp_path / "out")
+    with pytest.raises(FrozenInstanceError):
+        cfg.psi = "l1:0.5"
     assert not (tmp_path / "out").exists()
+    text = CFG.replace("T = 30,60", "T = 12")
+    assert replace(cfg, source_text=text) == parse_config(text) == ExperimentConfig(text)
 
 
-@pytest.mark.parametrize("psi, match", [
-    ("box:1:2", r"^key 'psi' = 'box:1:2' is infinite at the start point x0 = 0$"),
-    ("l3:1", r"^bad regularizer key 'l3:1'; expected zero \| l1:<lam>"),
-])
-def test_compare_checks_a_hand_built_psi_before_the_output_directory(tmp_path, psi, match):
-    cfg = replace(parse_config(CFG), psi=psi)
-    with pytest.raises(ValueError, match=match):
-        compare_experiment(cfg, kinds=["sgd"], output_dir=tmp_path / "out")
-    assert not (tmp_path / "out").exists()
+@pytest.mark.parametrize("call", [run_experiment, compare_experiment], ids=lambda c: c.__name__)
+def test_run_meta_records_the_config_that_ran(tmp_path, call):
+    text = CFG.replace("T = 30,60", "T = 12").replace("seeds = 3", "seeds = 5,") + "psi = l1:0.5\n"
+    result = call(replace(parse_config(CFG), source_text=text), output_dir=tmp_path)
+    assert result.summary_rows and {r["T"] for r in result.summary_rows} == {12}
+    meta = (tmp_path / "run_meta.txt").read_text()
+    assert "\nseeds = 5\n" in meta
+    assert meta.split("\nconfig:\n", 1)[1] == "".join(f"  {line}\n" for line in text.splitlines())
 
 
 def test_compare_refuses_a_string_of_kinds(tmp_path):
@@ -111,7 +86,7 @@ def test_run_experiment_files_and_headers(tmp_path):
     cfg = parse_config(CFG)
     result = run_experiment(cfg, output_dir=tmp_path, master_seed=3)
     assert result.exit_code == 0
-    seeds = expand_seeds(3, 3)
+    seeds = _meta_seeds(tmp_path)
     assert TRACE_HEADER == "t,grad_map_sq,obj,est_err_sq,step_sq"
     assert SUMMARY_HEADER == "T,seeds,mean_grad_map_sq,stderr,bound_rhs,oracle_calls,status"
     for T in (30, 60):
@@ -169,7 +144,7 @@ def test_deterministic_instance_trace_descends(tmp_path):
         "schedule = manual\neta = 0.4\nbeta = 0.5\nb_tilde = 1\n"
     )
     run_experiment(cfg, output_dir=tmp_path, master_seed=0)
-    trace = (tmp_path / f"trace_T10_s{expand_seeds(1, 0)[0]}.csv").read_text().splitlines()
+    trace = (tmp_path / f"trace_T10_s{_meta_seeds(tmp_path)[0]}.csv").read_text().splitlines()
     gms = [float(line.split(",")[1]) for line in trace[1:]]
     assert all(a >= b - 1e-15 for a, b in zip(gms, gms[1:]))
 
@@ -263,7 +238,7 @@ def test_diagnostics_off_leaves_columns_empty(tmp_path):
         "problem = quad:15:4:1.0\nestimator = sgd\nT = 10\nseeds = 1\ndiagnostics = off\n"
     )
     run_experiment(cfg, output_dir=tmp_path, master_seed=0)
-    seed = expand_seeds(1, 0)[0]
+    seed = _meta_seeds(tmp_path)[0]
     lines = (tmp_path / f"trace_T10_s{seed}.csv").read_text().splitlines()
     assert lines[0] == TRACE_HEADER
     for line in lines[1:]:
@@ -289,7 +264,7 @@ def test_nonconvex_families_run_under_auto_schedule(tmp_path):
 def test_trace_floats_have_full_precision(tmp_path):
     cfg = parse_config(CFG.replace("T = 30,60", "T = 12").replace("seeds = 3", "seeds = 1"))
     run_experiment(cfg, output_dir=tmp_path, master_seed=0)
-    seed = expand_seeds(1, 0)[0]
+    seed = _meta_seeds(tmp_path)[0]
     lines = (tmp_path / f"trace_T12_s{seed}.csv").read_text().splitlines()[1:]
     # 17 significant digits round-trip doubles exactly
     values = [float(line.split(",")[1]) for line in lines]
@@ -341,8 +316,10 @@ def test_jobs_beyond_the_task_count_start_no_more_workers(tmp_path, monkeypatch,
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, items):
-            return map(fn, items)
+        def submit(self, fn, item):
+            future = concurrent.futures.Future()
+            future.set_result(fn(item))
+            return future
 
     cfg = parse_config(CFG.replace("T = 30,60", "T = 30").replace("seeds = 3", f"seeds = {seeds}"))
     tasks = seeds * len(kinds)

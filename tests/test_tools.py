@@ -29,13 +29,16 @@ def test_output_digests_of_one_command(capsys):
 
 
 def test_output_digests_list_every_written_file():
-    # T = 50,200 and 3 seeds: summary.csv and 6 traces; run_meta.txt is left out.
+    # T = 50,200 and 3 seeds: run_meta.txt's config block, summary.csv and 6 traces.
     command = "run --config robust_run.cfg --jobs 1"
     assert command in output_digests.commands()
     lines = output_digests._run(command, output_digests.vrprox_env(ROOT))
     names = [line.split("  ", 1)[1].rsplit("/", 1)[1] for line in lines]
-    assert names[:3] == ["stdout", "exit_code", "summary.csv"]
-    assert len(names) == 9 and all(name.startswith("trace_T") for name in names[3:])
+    assert names[:4] == ["stdout", "exit_code", "run_meta.txt:config", "summary.csv"]
+    assert len(names) == 10 and all(name.startswith("trace_T") for name in names[4:])
+    text = (ROOT / "demos" / "configs" / "robust_run.cfg").read_text()
+    block = "config:\n" + "".join(f"  {line}\n" for line in text.splitlines())
+    assert lines[2].split("  ", 1)[0] == _sha256(block.encode())
 
 
 _pairs_spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "tools" / "bench_pairs.py")

@@ -8,9 +8,10 @@ Runs a fixed list of ``vrprox`` commands with ``<repo root>/src`` first on
 ``PYTHONPATH``, each in its own temporary directory, and writes one line
 ``<sha256>  <command>/<name>`` per output file, per stdout and per exit code
 (the sha256 of its decimal text), sorted by name.  ``run`` and ``compare``
-write to ``--output out``.  ``run_meta.txt`` is left out: it
-records the Python and numpy versions.  One copy of this script digests any
-checkout, so a byte-identity check is::
+write to ``--output out``.  Of ``run_meta.txt`` only the ``config:`` block is
+digested, as ``run_meta.txt:config``: the lines above it record the Python,
+numpy and BLAS builds.  One copy of this script digests any checkout, so a
+byte-identity check is::
 
     git archive <parent> | tar -x -C /tmp/parent
     python3 tools/output_digests.py /tmp/parent parent.txt
@@ -89,12 +90,11 @@ def _run(command: str, env: dict) -> list[str]:
             f"{_sha256(str(proc.returncode).encode())}  {command}/exit_code",
         ]
         out = work / "out"
-        if out.is_dir():
-            lines += [
-                f"{_sha256(p.read_bytes())}  {command}/{p.name}"
-                for p in sorted(out.iterdir())
-                if p.name != "run_meta.txt"
-            ]
+        for path in sorted(out.iterdir()) if out.is_dir() else []:
+            data, name = path.read_bytes(), path.name
+            if name == "run_meta.txt":
+                data, name = data[data.index(b"\nconfig:\n") + 1:], "run_meta.txt:config"
+            lines.append(f"{_sha256(data)}  {command}/{name}")
         return lines
 
 
