@@ -11,6 +11,7 @@ from vrprox.experiment import (
     SUMMARY_HEADER,
     TRACE_HEADER,
     _fmt,
+    _plan,
     _summary_status,
     _write_trace,
     compare_experiment,
@@ -48,6 +49,49 @@ def test_a_seed_count_expands_from_the_master_seed(tmp_path):
     run_experiment(parse_config(CFG.replace("seeds = 3", "seeds = 5,6")),
                    output_dir=tmp_path / "list", master_seed=1)
     assert _meta_seeds(tmp_path / "list") == [5, 6]
+
+
+@pytest.mark.parametrize("count, master_seed, seeds", [
+    (1, 0, [15793235383387715774]),
+    (3, 3, [12467808127879573787, 12872254111863797241, 15240777121589344685]),
+    (4, 1, [7434755675892716031, 10007452063617845036, 5266248848659119178,
+            15045448681910192573]),
+    (4, 2, [10128210881749538955, 6172844041825227978, 3303114536655263186,
+            16777746787465981431]),
+], ids=["count1-master0", "count3-master3", "count4-master1", "count4-master2"])
+def test_a_seed_count_expands_to_the_seeds_it_always_did(tmp_path, count, master_seed, seeds):
+    # The seeds every earlier release drew for this count and master seed;
+    # the trace names and every run's random stream follow from them.
+    cfg = parse_config(CFG.replace("seeds = 3", f"seeds = {count}"))
+    assert _plan(cfg, [cfg.estimator], tmp_path, master_seed, traces=False)[1] == seeds
+
+
+# The hand-built configs that once ran wrongly or failed late: each is now
+# refused by replace() itself, so no call gets to make a directory.
+@pytest.mark.parametrize("changes", [
+    {"problem": "quad:10:4"},
+    {"estimator": "bogus"},
+    {"T": [20, 20]},
+    {"T": []},
+    {"seeds": [3, 3]},
+    {"seeds": []},
+    {"problem_seed": -1},
+    {"psi": "box:1:2"},
+    {"psi": "l1:0.5", "T": [30]},
+    {"schedule": "bogus"},
+    {"eta": 0.4},
+    {"beta": 0.5},
+    {"b_tilde": 1},
+    {"diagnostics": "off"},
+], ids=lambda c: ",".join(f"{k}={v!r}" for k, v in c.items()))
+def test_a_hand_built_config_is_refused_before_the_output_directory(tmp_path, changes):
+    cfg = parse_config(CFG)
+    with pytest.raises(ValueError, match=r"^field \w+ is declared with init=False"):
+        replace(cfg, **changes)
+    with pytest.raises(TypeError):
+        ExperimentConfig(source_text=CFG, **changes)
+    assert parse_config(CFG) == cfg
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_a_config_is_made_only_from_its_text(tmp_path):
