@@ -65,21 +65,22 @@ def _weights(beta):
     return 1.0 - beta, beta, ones if ones.any() else None
 
 
-def _recursion(kind, v, g_curr, g_prev, g_zeta, weights) -> np.ndarray:
-    """The direction v_t of every kind from v_{t-1} and the sample gradients
-    its caller evaluated and checked: ``g_curr`` of sample xi at x_t,
-    ``g_prev`` of xi at x_{t-1} and the hybrid's ``g_zeta`` of its second
-    sample at x_t; one the kind does not read may be None (SGD reads only
-    ``g_curr``).  It is the one copy of the recursion: ``optimizer.run``
-    steps it on sample gradients, the suite's degenerate check on mini-batch
-    means, and both variance checks of :mod:`vrprox.validation` on (k, n, dim)
-    stacks of k tuples' component-gradient tables of every sample id.
+def _recursion(v, g_curr, g_prev, g_zeta, weights) -> np.ndarray:
+    """The direction v_t from v_{t-1} and the sample gradients its caller
+    evaluated and checked: ``g_curr`` of sample xi at x_t, ``g_prev`` of xi
+    at x_{t-1} and the hybrid's ``g_zeta`` of its second sample at x_t.
+    ``weights`` None (beta = 1) gives the fresh gradient (``g_zeta`` if
+    given); else a ``g_zeta`` selects the hybrid's formula, None the
+    same-sample one.  The one copy of the recursion, it steps
+    ``optimizer.run`` on sample gradients, the suite's degenerate check on
+    mini-batch means, and both variance checks of :mod:`vrprox.validation` on
+    (k, n, dim) stacks of k tuples' component-gradient tables of every id.
 
     The recursions work in place on their first fresh difference
     ``v - g_prev`` or ``v + g_curr``, which has the shape of both sample
     terms, as ``g_zeta`` must.  No input is written.  The result is a fresh
-    array, except that SGD and a float weight of 1 return the ``g_curr``
-    (the hybrid's ``g_zeta``) passed in, which the caller holds nowhere else.
+    array, except that a float weight of 1 returns the fresh gradient passed
+    in, which the caller holds nowhere else.
 
     ``weights`` is :func:`_weights` of the run's ``beta``, resolved once by
     the caller: a float weight becomes a 0-d float64 operand, never a Python
@@ -88,12 +89,10 @@ def _recursion(kind, v, g_curr, g_prev, g_zeta, weights) -> np.ndarray:
     plain formula, so a lane where both operands are NaN gives the plain
     formula's NaN: numpy returns the first operand's.
     """
-    if kind == SGD:
-        return g_curr
-    if kind == HYBRID_SARAH:
-        if weights is None:
-            return g_zeta
-        keep, fresh, ones = weights
+    if weights is None:
+        return g_curr if g_zeta is None else g_zeta
+    keep, fresh, ones = weights
+    if g_zeta is not None:
         d = v + g_curr
         d -= g_prev
         d *= keep
@@ -101,9 +100,6 @@ def _recursion(kind, v, g_curr, g_prev, g_zeta, weights) -> np.ndarray:
         if ones is not None:
             np.copyto(d, g_zeta, where=ones)
         return d
-    if weights is None:
-        return g_curr
-    keep, _, ones = weights
     d = v - g_prev
     d *= keep
     # g_curr + d written into d, positionally: the keyword form costs more.

@@ -28,8 +28,15 @@ import numpy as np
 from . import __version__, problems
 from .config import READERS, ConfigError, ExperimentConfig, check_initial_batch
 from .estimators import KINDS
-from .optimizer import DivergenceError, HyperParams, mean_grad_map_sq, run, schedule_from_T
-from .oracle import ProblemInstance, full_value
+from .optimizer import (
+    DivergenceError,
+    HyperParams,
+    _check_horizon,
+    mean_grad_map_sq,
+    run,
+    schedule_from_T,
+)
+from .oracle import ProblemInstance, _is_integer, full_value
 from .prox import parse_psi, psi_value
 
 TRACE_HEADER = "t,grad_map_sq,obj,est_err_sq,step_sq"
@@ -87,8 +94,10 @@ def stationarity_bound_rhs(prob: ProblemInstance, psi, T: int) -> float:
     """A-priori bound (4 L [F(x0) - F*] + 4 sigma^2) / (T+1)^{2/3} from x0 = 0.
 
     Every regularizer is >= 0, so F* >= inf f >= ``f_lower`` and
-    F(x0) - f_lower bounds the gap.  A psi infinite at x0 raises ValueError.
+    F(x0) - f_lower bounds the gap.  A psi infinite at x0, or a ``T`` that
+    is not an integer in [1, ``MAX_HORIZON``], raises ValueError.
     """
+    T = _check_horizon(T)
     x0 = np.zeros(prob.dim)
     psi0 = psi_value(psi, x0)
     if math.isinf(psi0):
@@ -221,14 +230,21 @@ def _hyperparams_for(cfg: ExperimentConfig, prob: ProblemInstance, T: int) -> Hy
     return HyperParams(eta=cfg.eta, beta=cfg.beta, b_tilde=cfg.b_tilde, T=T)
 
 
-def _plan(cfg: ExperimentConfig, kinds, output_dir, master_seed: int, traces: bool):
+def _plan(cfg: ExperimentConfig, kinds, output_dir, master_seed: int, jobs: int,
+          traces: bool):
     """Resolve every input, then create the output directory and list one task
     per (T, seed, kind), in that order.  ``cfg`` was checked when its text was
-    parsed; the kinds, the problem build and the auto schedule's initial batch
-    are checked here.  A seed count expands from ``master_seed``.  With
-    ``traces`` each run writes ``trace_T<T>_s<seed>.csv`` there.  Returns
-    (problem, seeds, directory, tasks).
+    parsed; ``master_seed``, ``jobs``, the kinds, the problem build and the
+    auto schedule's initial batch are checked here.  A seed count expands
+    from ``master_seed``.  With ``traces`` each run writes
+    ``trace_T<T>_s<seed>.csv`` there.  Returns (problem, seeds, directory,
+    tasks).
     """
+    # Python or numpy integers, never a bool, as the CLI's flags read them.
+    if not (_is_integer(master_seed) and master_seed >= 0):
+        raise ConfigError(f"master_seed must be an integer >= 0, got {master_seed!r}")
+    if not (_is_integer(jobs) and jobs >= 1):
+        raise ConfigError(f"jobs must be an integer >= 1, got {jobs!r}")
     for kind in kinds:
         READERS["estimator"](kind)
     if len(set(kinds)) < len(kinds):
@@ -300,9 +316,11 @@ def run_experiment(
     Returns exit code 0 when every run finished, 2 when any run diverged
     and 4 when any run raised; such runs are counted in the summary's status
     column, and every file is written all the same.  Every input is resolved
-    before the output directory is created.
+    before the output directory is created: ``master_seed`` must be an
+    integer >= 0 and ``jobs`` an integer >= 1, else a ``ConfigError``.
     """
-    prob, seeds, out, tasks = _plan(cfg, [cfg.estimator], output_dir, master_seed, traces=True)
+    prob, seeds, out, tasks = _plan(cfg, [cfg.estimator], output_dir, master_seed, jobs,
+                                    traces=True)
     psi = parse_psi(cfg.psi)
     rows = _run_tasks(tasks, jobs)
 
@@ -362,7 +380,7 @@ def compare_experiment(
     kinds = list(kinds)
     if not kinds:
         raise ConfigError(f"no estimator kind to compare; valid kinds: {', '.join(KINDS)}")
-    _, seeds, out, tasks = _plan(cfg, kinds, output_dir, master_seed, traces=False)
+    _, seeds, out, tasks = _plan(cfg, kinds, output_dir, master_seed, jobs, traces=False)
     rows = _run_tasks(tasks, jobs)
 
     lines = [COMPARE_HEADER]

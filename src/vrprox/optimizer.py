@@ -124,6 +124,15 @@ def _eta_beta(T, L: float):
     return 1.0 / (2.0 * L * c), 1.0 / (c * c)
 
 
+def _check_horizon(T) -> int:
+    """``T`` as an int, if it is an integer in [1, ``MAX_HORIZON``]; anything
+    else is a ``ValueError`` that names ``T``."""
+    _check_count("T", T)
+    if T > MAX_HORIZON:
+        raise ValueError(f"T must be <= {MAX_HORIZON}, got {T}")
+    return int(T)
+
+
 def schedule_from_T(T: int, L: float) -> HyperParams:
     """Horizon-indexed schedule: eta, beta and b_tilde as cube-root powers of T+1.
 
@@ -132,10 +141,7 @@ def schedule_from_T(T: int, L: float) -> HyperParams:
     cube roots can never misround it at perfect cubes.  ``T`` is at most
     ``MAX_HORIZON``.
     """
-    _check_count("T", T)
-    T = int(T)
-    if T > MAX_HORIZON:
-        raise ValueError(f"T must be <= {MAX_HORIZON}, got {T}")
+    T = _check_horizon(T)
     _check_positive_finite("L", L)
     # A tiny L overflows eta to inf, which HyperParams refuses by name.
     with np.errstate(over="ignore"):
@@ -231,9 +237,9 @@ def run(
 
     ``hp`` is a :class:`HyperParams` and ``rng`` the run's integer seed
     (recorded in the trace; the same seed reruns bit for bit); anything else
-    is a ``TypeError``.  ``kind`` selects the direction recursion; ``sarah``
-    runs the same-sample recursion with weight 0 regardless of ``hp.beta``,
-    and ``sgd`` ignores the weight entirely.
+    is a ``TypeError``.  ``kind`` resolves once into the weight the recursion
+    runs (``sarah`` 0 and ``sgd`` 1 whatever ``hp.beta``, else ``hp.beta``)
+    and the sample gradients a step evaluates.
     Every evaluation uses a single sample, which is what the schedule assumes.
     The run starts at ``x0``, the origin unless given.  An iterate or step
     that leaves the finite range raises :class:`DivergenceError`.
@@ -270,7 +276,7 @@ def run(
     T, eta = hp.T, hp.eta
     v = init_estimator(prob, x, hp.b_tilde, rng)
     output_index = int(rng.integers(0, T + 1))
-    weights = _weights(0.0 if kind == SARAH else hp.beta)
+    weights = _weights({SARAH: 0.0, SGD: 1.0}.get(kind, hp.beta))
     hybrid, reads_prev = kind == HYBRID_SARAH, kind != SGD
     ids_per_step = 2 if hybrid else 1
     prox_eta = prox_operator(psi, eta)
@@ -307,7 +313,7 @@ def run(
                 g_curr = sample_gradient(prob, x, xi)
                 g_prev = sample_gradient(prob, x_prev, xi) if reads_prev else None
                 g_zeta = sample_gradient(prob, x, next_id()) if hybrid else None
-                v = _recursion(kind, v, g_curr, g_prev, g_zeta, weights)
+                v = _recursion(v, g_curr, g_prev, g_zeta, weights)
             if diagnostics:
                 add_v(v)
                 add_g(full_gradient(prob, x))

@@ -33,7 +33,7 @@ input checks.  ``psi_value`` is the one evaluator of psi, checked.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable
 
 import numpy as np
@@ -195,26 +195,21 @@ def psi_value(psi: PsiSpec, x: np.ndarray) -> float | np.ndarray:
     return float(values) if x.ndim == 1 else values
 
 
-def parse_psi(key: str) -> PsiSpec:
-    """Build a regularizer from a config key.
+_PSI_NAMES = {"zero": Zero, "l1": L1, "box": BoxIndicator, "enet": ElasticNet}
 
-    Accepted forms: ``zero``, ``l1:<lam>``, ``box:<lo>:<hi>``,
-    ``enet:<lam1>:<lam2>``.
-    """
+
+def parse_psi(key: str) -> PsiSpec:
+    """Build a regularizer from a config key: a name of ``_PSI_NAMES``, then
+    its class's fields as numbers, in order: ``zero``, ``l1:<lam>``,
+    ``box:<lo>:<hi>`` or ``enet:<lam1>:<lam2>``."""
     expected = "expected zero | l1:<lam> | box:<lo>:<hi> | enet:<l1>:<l2>"
     if not isinstance(key, str):
         raise ValueError(f"bad regularizer key {key!r} (not a string); {expected}")
-    parts = key.strip().split(":")
-    name = parts[0]
+    name, *args = key.strip().split(":")
+    cls = _PSI_NAMES.get(name)
+    if cls is None or len(args) != len(fields(cls)):
+        raise ValueError(f"bad regularizer key {key!r}; {expected}")
     try:
-        if name == "zero" and len(parts) == 1:
-            return Zero()
-        if name == "l1" and len(parts) == 2:
-            return L1(lam=float(parts[1]))
-        if name == "box" and len(parts) == 3:
-            return BoxIndicator(lo=float(parts[1]), hi=float(parts[2]))
-        if name == "enet" and len(parts) == 3:
-            return ElasticNet(lam1=float(parts[1]), lam2=float(parts[2]))
+        return cls(*map(float, args))
     except ValueError as exc:
         raise ValueError(f"bad regularizer key {key!r}: {exc}") from exc
-    raise ValueError(f"bad regularizer key {key!r}; {expected}")

@@ -342,7 +342,7 @@ def _check_degenerate_equivalences(seed: int) -> dict:
         i = int(rng.integers(0, prob.num_components))
         g_curr, g_prev = sample_gradient(prob, x_new, i), sample_gradient(prob, x, i)
         total += g_curr - g_prev
-        v = _recursion(SARAH, v, g_curr, g_prev, None, _weights(0.0))
+        v = _recursion(v, g_curr, g_prev, None, _weights(0.0))
         x = x_new
     telescoping = float(np.linalg.norm(v - v0 - total))
 
@@ -357,7 +357,7 @@ def _check_degenerate_equivalences(seed: int) -> dict:
     worst_exact = error_sq(v, x)
     for _ in range(10):
         x_new = x + rng.normal(0.0, 0.3, prob.dim)
-        v = _recursion(MOMENTUM_SARAH, v, minibatch_gradient(prob, x_new, all_ids),
+        v = _recursion(v, minibatch_gradient(prob, x_new, all_ids),
                        minibatch_gradient(prob, x, all_ids), None, _weights(0.3))
         x = x_new
         worst_exact = max(worst_exact, error_sq(v, x))

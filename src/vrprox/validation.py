@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimators import MOMENTUM_SARAH, _recursion, _weights
+from .estimators import _recursion, _weights
 from .optimizer import _eta_beta
 from .oracle import (
     ProblemInstance,
@@ -113,7 +113,7 @@ def _step_rows(prob, X_prev, X_curr, V_prev, betas) -> tuple[np.ndarray, np.ndar
         + 2.0 * one_m * prob.lipschitz_L**2 * np.vecdot(D_step, D_step)
         + 2.0 * beta_sq * prob.sigma_bound
     )
-    E = _recursion(MOMENTUM_SARAH, V_prev[:, None], _stacked_tables(prob, X_curr),
+    E = _recursion(V_prev[:, None], _stacked_tables(prob, X_curr),
                    _stacked_tables(prob, X_prev), None, _weights(betas[:, None, None]))
     E -= G_curr[:, None]
     E *= E
@@ -200,7 +200,7 @@ def _unrolled_rows(prob, trajectories, batches, V0, betas) -> tuple[np.ndarray, 
     noise = np.empty((betas.size, m))  # mean_j ||d_i(j) - mean_j d_i||^2 for i = 1..m
     for i in range(1, points):
         prev, rows = rows, _stacked_tables(prob, trajectories[:, i])
-        d = _recursion(MOMENTUM_SARAH, 0.0, rows, prev, None, weights)
+        d = _recursion(0.0, rows, prev, None, weights)
         d -= d.mean(axis=1, keepdims=True)
         d *= d
         noise[:, i - 1] = np.mean(np.sum(d, axis=2), axis=1)

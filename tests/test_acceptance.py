@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import vrprox as vp
-from vrprox.estimators import HYBRID_SARAH, MOMENTUM_SARAH, SARAH, SGD, _recursion, _weights
+from vrprox.estimators import HYBRID_SARAH, MOMENTUM_SARAH, SGD, _recursion, _weights
 from vrprox.experiment import run_experiment, stationarity_bound_rhs
 from vrprox.prox import BoxIndicator, ElasticNet, L1, Zero, prox
 from vrprox.suite import _counting, central_difference_gradient
@@ -199,7 +199,7 @@ def test_criterion_7_degenerate_equivalences():
         i = int(rng.integers(0, prob.num_components))
         g_curr, g_prev = vp.sample_gradient(prob, x_new, i), vp.sample_gradient(prob, x, i)
         total += g_curr - g_prev
-        v = _recursion(SARAH, v, g_curr, g_prev, None, _weights(0.0))
+        v = _recursion(v, g_curr, g_prev, None, _weights(0.0))
         x = x_new
     telescope = float(np.linalg.norm(v - v0 - total))
 
@@ -214,7 +214,7 @@ def test_criterion_7_degenerate_equivalences():
     worst = error_sq(v, x)
     for _ in range(15):
         x_new = x + rng.normal(0, 0.4, prob.dim)
-        v = _recursion(MOMENTUM_SARAH, v, vp.minibatch_gradient(prob, x_new, all_ids),
+        v = _recursion(v, vp.minibatch_gradient(prob, x_new, all_ids),
                        vp.minibatch_gradient(prob, x, all_ids), None, _weights(0.37))
         x = x_new
         worst = max(worst, error_sq(v, x))

@@ -14,11 +14,16 @@ from vrprox.estimators import (
 from conftest import counting_quadratic, nan_with_bits
 
 
-def _step(prob, kind, v, x_prev, x, xi, beta, zeta=None):
-    # The step's sample gradients, then the recursion on them.
+# The weight run gives a kind in place of beta: SARAH 0, SGD 1.
+RUN_WEIGHT = {SARAH: 0.0, SGD: 1.0}
+
+
+def _step(prob, v, x_prev, x, xi, beta, zeta=None):
+    # The step's sample gradients, then the recursion on them: the hybrid's
+    # with a second sample ``zeta``, else the same-sample one.
     g_prev = vp.sample_gradient(prob, x_prev, xi)
     g_zeta = None if zeta is None else vp.sample_gradient(prob, x, zeta)
-    return _recursion(kind, v, vp.sample_gradient(prob, x, xi), g_prev, g_zeta, _weights(beta))
+    return _recursion(v, vp.sample_gradient(prob, x, xi), g_prev, g_zeta, _weights(beta))
 
 
 def _fresh(prob, rng, b=4):
@@ -96,11 +101,15 @@ def test_float_weights_equal_the_beta_column_row_by_row(kind, make):
     V, X_prev, X_curr = rng.normal(0, 1, (3, k, prob.dim))
     xi, zeta = rng.integers(0, prob.num_components, (2, k))
     betas = np.concatenate([[0.0, 1.0, 0.3, 1.0 - 1e-12], rng.uniform(0, 1, k - 4)])
-    stacked = _recursion(kind, V, prob.grad_rows(X_curr, xi), prob.grad_rows(X_prev, xi),
-                         prob.grad_rows(X_curr, zeta), _weights(betas[:, None]))
+    if kind in RUN_WEIGHT:
+        betas[:] = RUN_WEIGHT[kind]
+    hybrid = kind == HYBRID_SARAH
+    stacked = _recursion(V, prob.grad_rows(X_curr, xi), prob.grad_rows(X_prev, xi),
+                         prob.grad_rows(X_curr, zeta) if hybrid else None,
+                         _weights(betas[:, None]))
     for r in range(k):
-        one = _step(prob, kind, V[r], X_prev[r], X_curr[r], int(xi[r]), float(betas[r]),
-                    zeta=int(zeta[r]))
+        one = _step(prob, V[r], X_prev[r], X_curr[r], int(xi[r]), float(betas[r]),
+                    zeta=int(zeta[r]) if hybrid else None)
         assert one.tobytes() == stacked[r].tobytes(), r
 
 
@@ -117,8 +126,9 @@ def test_recursion_keeps_the_plain_formula_s_bits(kind, beta):
     v[::3], x_curr[::3] = nan_with_bits(0x7FF8000000000011), nan_with_bits(0xFFF8000000000022)
     x_prev[1::3], z[1::3] = -np.inf, nan_with_bits(0x7FF8000000000033)
     v[2::3], z[2::3] = -0.0, -0.0
+    beta = RUN_WEIGHT.get(kind, beta)
     with np.errstate(invalid="ignore"):
-        got = _recursion(kind, v, x_curr, x_prev, z, _weights(beta))
+        got = _recursion(v, x_curr, x_prev, z if kind == HYBRID_SARAH else None, _weights(beta))
         if kind == HYBRID_SARAH:
             want = (v + x_curr - x_prev) * (1.0 - beta) + beta * z
         else:
@@ -139,14 +149,14 @@ def test_float_weights_are_read_only_zero_d_arrays():
 def test_beta_one_collapse_is_bitwise(quad_small, rng):
     v, x0 = _fresh(quad_small, rng)
     x = rng.normal(0, 1, quad_small.dim)
-    new = _step(quad_small, MOMENTUM_SARAH, v, x0, x, 3, 1.0)
+    new = _step(quad_small, v, x0, x, 3, 1.0)
     np.testing.assert_array_equal(new, vp.sample_gradient(quad_small, x, 3))
 
 
 def test_beta_zero_is_recursive_difference(quad_small, rng):
     v, x0 = _fresh(quad_small, rng)
     x = rng.normal(0, 1, quad_small.dim)
-    new = _step(quad_small, SARAH, v, x0, x, 5, 0.0)
+    new = _step(quad_small, v, x0, x, 5, 0.0)
     manual = v + vp.sample_gradient(quad_small, x, 5) - vp.sample_gradient(quad_small, x0, 5)
     np.testing.assert_allclose(new, manual, atol=1e-12)
 
@@ -159,7 +169,7 @@ def test_full_batch_updates_stay_exact(quad_small, rng):
     for beta in (0.0, 0.3, 0.9):
         for _ in range(5):
             x_new = x + rng.normal(0, 0.5, quad_small.dim)
-            v = _recursion(MOMENTUM_SARAH, v, vp.minibatch_gradient(quad_small, x_new, all_ids),
+            v = _recursion(v, vp.minibatch_gradient(quad_small, x_new, all_ids),
                            vp.minibatch_gradient(quad_small, x, all_ids), None, _weights(beta))
             x = x_new
             d = v - vp.full_gradient(quad_small, x)
@@ -174,7 +184,7 @@ def test_beta_zero_telescoping(quad_small, rng):
         x_new = x + rng.normal(0, 0.4, quad_small.dim)
         i = int(rng.integers(0, quad_small.num_components))
         total += vp.sample_gradient(quad_small, x_new, i) - vp.sample_gradient(quad_small, x, i)
-        v = _step(quad_small, SARAH, v, x, x_new, i, 0.0)
+        v = _step(quad_small, v, x, x_new, i, 0.0)
         x = x_new
     assert np.linalg.norm(v - v0 - total) <= 1e-12
 
@@ -185,7 +195,7 @@ def test_conditional_unbiasedness_by_enumeration(quad_small, rng):
     x = rng.normal(0, 1, quad_small.dim)
     beta = 0.37
     vs = [
-        _step(quad_small, MOMENTUM_SARAH, v, x0, x, i, beta)
+        _step(quad_small, v, x0, x, i, beta)
         for i in range(quad_small.num_components)
     ]
     expected = vp.full_gradient(quad_small, x) + (1 - beta) * (
@@ -199,17 +209,17 @@ def test_hybrid_with_equal_samples_matches_momentum(quad_small, rng):
     v = vp.init_estimator(quad_small, x0, 4, np.random.default_rng(3))
     x = rng.normal(0, 1, quad_small.dim)
     for beta in (0.2, 0.8):
-        h = _step(quad_small, HYBRID_SARAH, v, x0, x, 7, beta, zeta=7)
-        m = _step(quad_small, MOMENTUM_SARAH, v, x0, x, 7, beta)
+        h = _step(quad_small, v, x0, x, 7, beta, zeta=7)
+        m = _step(quad_small, v, x0, x, 7, beta)
         np.testing.assert_allclose(h, m, atol=1e-12)
 
 
 def test_hybrid_beta_endpoints(quad_small, rng):
     v, x0 = _fresh(quad_small, rng)
     x = rng.normal(0, 1, quad_small.dim)
-    one = _step(quad_small, HYBRID_SARAH, v, x0, x, 2, 1.0, zeta=9)
+    one = _step(quad_small, v, x0, x, 2, 1.0, zeta=9)
     np.testing.assert_array_equal(one, vp.sample_gradient(quad_small, x, 9))
-    zero = _step(quad_small, HYBRID_SARAH, v, x0, x, 2, 0.0, zeta=9)
+    zero = _step(quad_small, v, x0, x, 2, 0.0, zeta=9)
     manual = v + vp.sample_gradient(quad_small, x, 2) - vp.sample_gradient(quad_small, x0, 2)
     np.testing.assert_allclose(zero, manual, atol=1e-12)
 

@@ -1,4 +1,5 @@
 import platform
+import re
 from dataclasses import FrozenInstanceError, fields, replace
 
 import numpy as np
@@ -18,6 +19,7 @@ from vrprox.experiment import (
     run_experiment,
     stationarity_bound_rhs,
 )
+from vrprox.optimizer import MAX_HORIZON
 from vrprox.prox import L1, BoxIndicator, ElasticNet, Zero
 
 CFG = """\
@@ -63,7 +65,7 @@ def test_a_seed_count_expands_to_the_seeds_it_always_did(tmp_path, count, master
     # The seeds every earlier release drew for this count and master seed;
     # the trace names and every run's random stream follow from them.
     cfg = parse_config(CFG.replace("seeds = 3", f"seeds = {count}"))
-    assert _plan(cfg, [cfg.estimator], tmp_path, master_seed, traces=False)[1] == seeds
+    assert _plan(cfg, [cfg.estimator], tmp_path, master_seed, 1, traces=False)[1] == seeds
 
 
 # The hand-built configs that once ran wrongly or failed late: each is now
@@ -124,6 +126,36 @@ def test_compare_refuses_a_string_of_kinds(tmp_path):
     with pytest.raises(ConfigError, match=r"^kinds must be a sequence of estimator kinds, "
                                           r"not the string 'sgd'$"):
         compare_experiment(parse_config(CFG), kinds="sgd", output_dir=tmp_path)
+
+
+@pytest.mark.parametrize("call", [run_experiment, compare_experiment], ids=lambda c: c.__name__)
+@pytest.mark.parametrize("key, value, message", [
+    ("jobs", 0, "jobs must be an integer >= 1, got 0"),
+    ("jobs", True, "jobs must be an integer >= 1, got True"),
+    ("jobs", "x", "jobs must be an integer >= 1, got 'x'"),
+    ("jobs", 1.5, "jobs must be an integer >= 1, got 1.5"),
+    ("jobs", np.int64(-2), "jobs must be an integer >= 1, got np.int64(-2)"),
+    ("master_seed", -1, "master_seed must be an integer >= 0, got -1"),
+    ("master_seed", False, "master_seed must be an integer >= 0, got False"),
+    ("master_seed", 2.0, "master_seed must be an integer >= 0, got 2.0"),
+    ("master_seed", None, "master_seed must be an integer >= 0, got None"),
+])
+@pytest.mark.parametrize("seeds", ["3", "5,7"], ids=["count", "list"])
+def test_jobs_and_master_seed_are_refused_before_the_output_directory(
+        tmp_path, call, key, value, message, seeds):
+    cfg = parse_config(CFG.replace("T = 30,60", "T = 5").replace("seeds = 3", f"seeds = {seeds}"))
+    out = tmp_path / "out"
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        call(cfg, output_dir=out, **{key: value})
+    assert not out.exists()
+
+
+def test_numpy_integer_jobs_and_master_seed_run(tmp_path):
+    cfg = parse_config(CFG.replace("T = 30,60", "T = 5"))
+    run_experiment(cfg, output_dir=tmp_path / "a", master_seed=np.uint32(9), jobs=np.int64(1))
+    run_experiment(cfg, output_dir=tmp_path / "b", master_seed=9)
+    assert (tmp_path / "a" / "run_meta.txt").read_bytes() == (
+        tmp_path / "b" / "run_meta.txt").read_bytes()
 
 
 def test_run_experiment_files_and_headers(tmp_path):
@@ -229,6 +261,25 @@ def test_bound_rhs_keeps_its_bits_on_the_quadratic_with_zero():
     # is the one recorded before every family was certified.
     quad = vp.make_quadratic(10, 3, 1.0, seed=0)
     assert stationarity_bound_rhs(quad, Zero(), 100) == 0.11825942119856354
+
+
+@pytest.mark.parametrize("T, message", [
+    (-1, "T must be an integer >= 1, got -1"),
+    (-5, "T must be an integer >= 1, got -5"),
+    (0, "T must be an integer >= 1, got 0"),
+    (2.5, "T must be an integer >= 1, got 2.5"),
+    (True, "T must be an integer >= 1, got True"),
+    (MAX_HORIZON + 1, f"T must be <= {MAX_HORIZON}, got {MAX_HORIZON + 1}"),
+])
+def test_bound_rhs_refuses_a_horizon_the_schedule_refuses(T, message):
+    quad = vp.make_quadratic(5, 2)
+    for call in (lambda: stationarity_bound_rhs(quad, Zero(), T),
+                 lambda: vp.schedule_from_T(T, quad.lipschitz_L)):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call()
+    # A numpy integer is a horizon, with the bits of the int.
+    assert stationarity_bound_rhs(quad, Zero(), np.int64(40)) == stationarity_bound_rhs(
+        quad, Zero(), 40)
 
 
 def test_bound_rhs_refuses_a_regularizer_infinite_at_the_origin():

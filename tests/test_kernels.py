@@ -214,18 +214,21 @@ def test_prox_operators_write_no_input(psi):
 @pytest.mark.parametrize("beta", [0.0, 0.3, 1.0])
 @pytest.mark.parametrize("batched", [False, True], ids=["one_id", "id_array"])
 def test_recursion_writes_no_input(kind, beta, batched):
-    # SGD and beta = 1 return the fresh gradient passed in, which the loop's
-    # oracle call made for this step alone; any other result is a new array.
+    # Weight 1 (SGD's, as run resolves it) returns the fresh gradient passed
+    # in, which the loop's oracle call made for this step alone; any other
+    # result is a new array.
     prob = vp.make_nonconvex_sigmoid(60, 5, seed=2)
     rng = np.random.default_rng(3)
     v, x_prev, x_curr = rng.standard_normal((3, prob.dim))
     xi, zeta = (np.array([4, 9, 4]), np.array([1, 2, 59])) if batched else (4, 59)
     g_curr, g_prev, g_zeta = (vp.sample_gradient(prob, x, ids)
                               for x, ids in ((x_curr, xi), (x_prev, xi), (x_curr, zeta)))
-    fresh = g_zeta if kind == HYBRID_SARAH else g_curr
-    _call_checked(lambda *terms: _recursion(kind, *terms, _weights(beta)),
+    beta = {SARAH: 0.0, SGD: 1.0}.get(kind, beta)
+    hybrid = kind == HYBRID_SARAH
+    _call_checked(lambda v, g_curr, g_prev, g_zeta: _recursion(
+                      v, g_curr, g_prev, g_zeta if hybrid else None, _weights(beta)),
                   v, g_curr, g_prev, g_zeta,
-                  returns=fresh if kind == SGD or beta == 1.0 else None)
+                  returns=(g_zeta if hybrid else g_curr) if beta == 1.0 else None)
 
 
 @pytest.mark.parametrize("family", sorted(FAMILIES))

@@ -227,6 +227,31 @@ def test_traced_counts_flag_a_missing_count_and_an_incorrect_change():
     assert not agree and not any(line.endswith("DIFFERS") for line in lines)
 
 
+def test_traced_counts_flag_a_count_missing_on_both_sides(monkeypatch, capsys):
+    # None == None, but a count that neither side reports was not compared.
+    lost = _traced()
+    del lost["metrics"]["optimizer.iterations"]
+    lines, agree = traced_counts.compare("validate", lost, lost)
+    assert not agree and [line for line in lines if line.endswith(" DIFFERS")] == [
+        "validate optimizer.iterations: parent None change None DIFFERS"]
+    # Two results that hold no counts at all differ in every count, and the
+    # tool exits 1.
+    empty = {"correct": True, "metrics": {}}
+    lines, agree = traced_counts.compare("validate", empty, empty)
+    assert not agree
+    assert [line.endswith(" DIFFERS") for line in lines] == [False] + [True] * 8
+    monkeypatch.setattr(traced_counts, "run_traced", lambda root, workload: empty)
+    assert traced_counts.main([str(ROOT), str(ROOT.parent / "change")]) == 1
+    assert "DIFFERS" in capsys.readouterr().out
+
+
+def test_traced_counts_read_only_metrics_the_benchmark_declares():
+    # A count renamed in the benchmark would read as missing on both sides.
+    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
+    declared = {metric["name"] for metric in benchmark["per_layer"]}
+    assert set(traced_counts.COUNTS) <= declared
+
+
 @pytest.mark.parametrize("differ", [False, True])
 def test_traced_counts_exit_code(monkeypatch, capsys, differ):
     def canned(root, workload):

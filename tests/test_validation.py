@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import vrprox as vp
 from vrprox import suite, validation
-from vrprox.estimators import MOMENTUM_SARAH, _recursion, _weights
+from vrprox.estimators import _recursion, _weights
 from vrprox.oracle import _CHUNK_BYTES, _chunks
 from vrprox.validation import initial_direction_variance
 
@@ -75,12 +75,13 @@ class TestOneStep:
         calls = []
 
         def faulty(*args):
-            calls.append(args[0])
+            calls.append(args[3])
             return 2.0 * _recursion(*args)
 
         monkeypatch.setattr(validation, "_recursion", faulty)
         faulted = vp.check_variance_recursion_step(quad, x_prev, x_curr, v_prev, 0.3)
-        assert calls == [MOMENTUM_SARAH]
+        # One same-sample call: no hybrid sample g_zeta.
+        assert calls == [None]
         assert faulted.lhs != honest.lhs
 
     @pytest.mark.parametrize("beta", [0.3, 1.0])
@@ -137,7 +138,7 @@ def _replayed_error(prob, traj, v0, beta, n_mc, rng):
         V = np.tile(v0, (n_mc, 1))
     for i in range(1, k + 1):
         ids = rng.integers(0, prob.num_components, size=n_mc)
-        V = _recursion(MOMENTUM_SARAH, V, vp.sample_gradient(prob, traj[i], ids),
+        V = _recursion(V, vp.sample_gradient(prob, traj[i], ids),
                        vp.sample_gradient(prob, traj[i - 1], ids), None, _weights(beta))
     errs = np.sum((V - vp.full_gradient(prob, traj[k])) ** 2, axis=1)
     return errs.mean(), errs.std(ddof=1) / np.sqrt(n_mc)
@@ -211,12 +212,12 @@ class TestUnrolled:
         calls = []
 
         def faulty(*args):
-            calls.append(args[0])
+            calls.append(args[3])
             return 2.0 * _recursion(*args)
 
         monkeypatch.setattr(validation, "_recursion", faulty)
         faulted = vp.check_variance_recursion_unrolled(quad, traj, v0, 0.3)
-        assert calls == [MOMENTUM_SARAH] * 4
+        assert calls == [None] * 4
         assert faulted.lhs != honest.lhs
 
     def test_draws_nothing(self):

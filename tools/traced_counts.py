@@ -13,7 +13,8 @@ oracle functions (``oracle.<fn>.calls_per_iter`` for ``sample_gradient``,
 ``full_gradient``, ``minibatch_gradient``, ``draw_sample_ids`` and
 ``full_value``, which the loop does not call per iterate), ratios of exact
 counts.  A count a checkout does not
-report reads as missing.  Prints one line per workload and field, marking a difference
+report reads as missing (``None``), and a count missing on either side, or on
+both, differs.  Prints one line per workload and field, marking a difference
 ``DIFFERS``, and exits 1 when any field differs or a change's run is not
 ``correct``, 0 otherwise.  Nothing is written under either checkout beyond
 what ``bench/run.py`` itself writes and removes.
@@ -45,11 +46,13 @@ def counts(result: dict) -> dict:
 
 def compare(workload: str, parent: dict, change: dict) -> tuple[list[str], bool]:
     """One line per field of two results' :func:`counts`, and whether they
-    agree on every field with the change ``correct``."""
+    agree on every field with the change ``correct``.  A field missing on
+    either side differs: two results that hold no counts do not agree."""
     p, c = counts(parent), counts(change)
+    differs = {field: p[field] is None or p[field] != c[field] for field in p}
     lines = [f"{workload} {field}: parent {p[field]} change {c[field]}"
-             + ("" if p[field] == c[field] else " DIFFERS") for field in p]
-    return lines, p == c and c["correct"] is True
+             + (" DIFFERS" if differs[field] else "") for field in p]
+    return lines, not any(differs.values()) and c["correct"] is True
 
 
 def run_traced(root: Path, workload: str) -> dict:
